@@ -11,7 +11,7 @@ import pytest
 import numpy as np
 
 from repro.autodiff import Tensor
-from repro.distances import dtw_distance, series_distance_matrix
+from repro.distances import dtw_distance, paired_distances, series_distance_matrix
 from repro.graphs import (
     PartitionConfig,
     TimelinePartitioner,
@@ -68,6 +68,15 @@ def test_dtw_distance(benchmark):
     b = RNG.normal(size=(48, 4))
     d = benchmark(lambda: dtw_distance(a, b))
     assert d >= 0
+
+
+def test_dtw_batched_partition_load(benchmark):
+    """The Eq. 2 partition's DTW load on the small PEMS config: 3,756
+    interval pairs x 10 nodes, each a 12x4 vs 12x4 series pair."""
+    a = RNG.normal(size=(37560, 12, 4))
+    b = RNG.normal(size=(37560, 12, 4))
+    d = benchmark.pedantic(lambda: paired_distances(a, b, "dtw"), rounds=3, iterations=1)
+    assert d.shape == (37560,) and (d >= 0).all()
 
 
 def test_series_distance_matrix(benchmark):

@@ -6,6 +6,7 @@ from .lcss import lcss_distance, lcss_similarity
 from .pairwise import (
     euclidean_distance_matrix,
     get_series_metric,
+    paired_distances,
     series_distance_matrix,
 )
 
@@ -16,6 +17,7 @@ __all__ = [
     "lcss_distance",
     "lcss_similarity",
     "get_series_metric",
+    "paired_distances",
     "series_distance_matrix",
     "euclidean_distance_matrix",
 ]

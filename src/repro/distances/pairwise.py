@@ -1,8 +1,11 @@
-"""Pairwise node-to-node series distance matrices.
+"""Paired series distances and node-to-node distance matrices.
 
-Feeds the temporal-graph builder: given one series per road segment
-(historical averages within a time interval), produce the symmetric
-distance matrix that Eq. (8) turns into an adjacency matrix.
+:func:`paired_distances` is the one entry point that scores many series
+pairs at once; the timeline partitioner (Eq. 2) and the temporal graphs
+both go through it. For the graphs, :func:`series_distance_matrix` takes
+one series per road segment (historical averages within a time interval)
+and returns the symmetric distance matrix that Eq. (8) turns into an
+adjacency matrix.
 """
 
 from __future__ import annotations
@@ -11,11 +14,16 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .dtw import dtw_distance
+from .dtw import dtw_batch, dtw_distance
 from .erp import erp_distance
 from .lcss import lcss_distance
 
-__all__ = ["series_distance_matrix", "get_series_metric", "euclidean_distance_matrix"]
+__all__ = [
+    "series_distance_matrix",
+    "paired_distances",
+    "get_series_metric",
+    "euclidean_distance_matrix",
+]
 
 MetricName = Literal["dtw", "erp", "lcss", "euclidean"]
 
@@ -47,6 +55,26 @@ def get_series_metric(name: MetricName, **kwargs) -> Callable[[np.ndarray, np.nd
     raise ValueError(f"unknown series metric {name!r}")
 
 
+def paired_distances(
+    a: np.ndarray,
+    b: np.ndarray,
+    metric: MetricName | Callable[[np.ndarray, np.ndarray], float] = "dtw",
+    **kwargs,
+) -> np.ndarray:
+    """Distance of each pair ``(a[k], b[k])``, shape ``(K,)``.
+
+    ``a`` and ``b`` stack ``K`` series each, ``(K, n[, D])`` and
+    ``(K, m[, D])``. DTW scores all pairs in one batched kernel; the other
+    metrics (and callables) are evaluated pair by pair.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"need one b series per a series, got {len(a)} vs {len(b)}")
+    if metric == "dtw":
+        return dtw_batch(a, b, **kwargs)
+    fn = metric if callable(metric) else get_series_metric(metric, **kwargs)
+    return np.array([fn(x, y) for x, y in zip(a, b)], dtype=np.float64)
+
+
 def series_distance_matrix(
     series: np.ndarray,
     metric: MetricName | Callable[[np.ndarray, np.ndarray], float] = "dtw",
@@ -64,14 +92,12 @@ def series_distance_matrix(
     series = np.asarray(series, dtype=np.float64)
     if series.ndim < 2:
         raise ValueError(f"series must be (N, L[, D]), got shape {series.shape}")
-    fn = metric if callable(metric) else get_series_metric(metric, **kwargs)
     n = series.shape[0]
+    rows, cols = np.triu_indices(n, k=1)
+    values = paired_distances(series[rows], series[cols], metric, **kwargs)
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = fn(series[i], series[j])
-            out[i, j] = d
-            out[j, i] = d
+    out[rows, cols] = values
+    out[cols, rows] = values
     return out
 
 

@@ -27,11 +27,11 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ..distances import get_series_metric
+from ..distances import paired_distances
 
 __all__ = [
     "TimelinePartition",
@@ -44,6 +44,10 @@ __all__ = [
     "shard_quality",
     "k_hop_reach",
 ]
+
+#: ``(start, end)`` of a timeline interval in candidate slots; ``end`` may
+#: pass the day's slot count when the interval wraps midnight.
+Interval = tuple[int, int]
 
 
 def daily_profile(
@@ -215,9 +219,6 @@ class TimelinePartitioner:
 
     def __init__(self, config: PartitionConfig | None = None):
         self.config = config or PartitionConfig()
-        self._pair_cache: dict[tuple[tuple[int, int], tuple[int, int]], float] = {}
-        self._profile: np.ndarray | None = None
-        self._metric: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -228,9 +229,7 @@ class TimelinePartitioner:
     ) -> TimelinePartition:
         """Compute the optimal partition for the given history."""
         cfg = self.config
-        self._profile = daily_profile(data, mask, steps_per_day)
-        self._metric = get_series_metric(cfg.metric, **cfg.metric_kwargs)
-        self._pair_cache.clear()
+        profile = daily_profile(data, mask, steps_per_day)
 
         steps_per_candidate = max(1, round(steps_per_day * cfg.candidate_resolution_hours / 24.0))
         num_candidates = steps_per_day // steps_per_candidate
@@ -246,7 +245,8 @@ class TimelinePartitioner:
             )
 
         candidates = self._search(num_candidates, min_len, max_len)
-        best_splits, best_score = self._select_best(candidates, num_candidates)
+        distances = self._pair_distances(profile, candidates, num_candidates)
+        best_splits, best_score = self._select_best(candidates, distances, num_candidates)
         boundaries = tuple(int(s * steps_per_candidate) for s in best_splits)
         return TimelinePartition(
             boundaries=boundaries, steps_per_day=steps_per_day, score=best_score
@@ -316,7 +316,10 @@ class TimelinePartitioner:
         return feasible
 
     def _select_best(
-        self, candidates: list[tuple[int, ...]], num_candidates: int
+        self,
+        candidates: list[tuple[int, ...]],
+        pair_distances: dict[tuple[Interval, Interval], float],
+        num_candidates: int,
     ) -> tuple[tuple[int, ...], float]:
         cfg = self.config
         best_splits: tuple[int, ...] | None = None
@@ -324,12 +327,9 @@ class TimelinePartitioner:
         fallback_splits: tuple[int, ...] | None = None
         fallback_score = -math.inf
         for bounds in candidates:
-            edges = [*bounds, bounds[0] + num_candidates]
-            intervals = list(zip(edges[:-1], edges[1:]))
             distances = [
-                self._interval_distance(intervals[i], intervals[j], num_candidates)
-                for i in range(len(intervals))
-                for j in range(i + 1, len(intervals))
+                pair_distances[pair]
+                for pair in itertools.combinations(_intervals(bounds, num_candidates), 2)
             ]
             score = float(sum(distances))
             total = score if score > 0 else 1.0
@@ -350,36 +350,54 @@ class TimelinePartitioner:
         return best_splits, best_score
 
     # ------------------------------------------------------------------
-    def _interval_distance(
+    def _pair_distances(
         self,
-        interval_a: tuple[int, int],
-        interval_b: tuple[int, int],
+        profile: np.ndarray,
+        candidates: list[tuple[int, ...]],
         num_candidates: int,
-    ) -> float:
-        """Memoized D(H_a, H_b): mean per-node series distance."""
-        key = (interval_a, interval_b) if interval_a <= interval_b else (interval_b, interval_a)
-        cached = self._pair_cache.get(key)
-        if cached is not None:
-            return cached
-        assert self._profile is not None and self._metric is not None
-        steps_per_day = self._profile.shape[0]
-        series_a = self._interval_series(interval_a, num_candidates, steps_per_day)
-        series_b = self._interval_series(interval_b, num_candidates, steps_per_day)
-        n = series_a.shape[0]
-        value = float(
-            np.mean([self._metric(series_a[i], series_b[i]) for i in range(n)])
+    ) -> dict[tuple[Interval, Interval], float]:
+        """D(H_a, H_b), the mean per-node series distance, for every interval
+        pair some candidate needs.
+
+        Each distinct interval's series is built once, and the pairs are
+        scored in batches of equal series shapes (one batched DTW per shape).
+        """
+        cfg = self.config
+        pairs = dict.fromkeys(
+            pair
+            for bounds in candidates
+            for pair in itertools.combinations(_intervals(bounds, num_candidates), 2)
         )
-        self._pair_cache[key] = value
-        return value
+        series = {
+            interval: self._interval_series(profile, interval, num_candidates)
+            for interval in dict.fromkeys(itertools.chain.from_iterable(pairs))
+        }
+        by_shape: dict[tuple, list[tuple[Interval, Interval]]] = {}
+        for a, b in pairs:
+            by_shape.setdefault((series[a].shape, series[b].shape), []).append((a, b))
+        values: dict[tuple[Interval, Interval], float] = {}
+        for group in by_shape.values():
+            left = np.stack([series[a] for a, _ in group])  # (P, N, L_a, D)
+            right = np.stack([series[b] for _, b in group])  # (P, N, L_b, D)
+            per_node = paired_distances(
+                left.reshape(-1, *left.shape[2:]),
+                right.reshape(-1, *right.shape[2:]),
+                cfg.metric,
+                **cfg.metric_kwargs,
+            ).reshape(left.shape[:2])
+            # A row mean over the contiguous node axis sums like np.mean of
+            # one pair's node list, so each value is the per-pair mean exactly.
+            values.update(zip(group, per_node.mean(axis=1).tolist()))
+        return values
 
     def _interval_series(
-        self, interval: tuple[int, int], num_candidates: int, steps_per_day: int
+        self, profile: np.ndarray, interval: Interval, num_candidates: int
     ) -> np.ndarray:
         """Per-node profile slice for an interval, downsampled, ``(N, L, D)``."""
-        assert self._profile is not None
+        steps_per_day = profile.shape[0]
         start = interval[0] * steps_per_day // num_candidates
         end = interval[1] * steps_per_day // num_candidates
-        segment = wrap_slice(self._profile, start, end)  # (L, N, D)
+        segment = wrap_slice(profile, start, end)  # (L, N, D)
         length = segment.shape[0]
         target = min(self.config.downsample_to, length)
         if length > target:
@@ -389,6 +407,12 @@ class TimelinePartitioner:
                 [segment[a:b].mean(axis=0) for a, b in zip(edges[:-1], edges[1:])]
             )
         return np.transpose(segment, (1, 0, 2))  # (N, L, D)
+
+
+def _intervals(bounds: tuple[int, ...], num_candidates: int) -> list[Interval]:
+    """``(start, end)`` candidate-slot intervals of a boundary tuple; the last wraps."""
+    edges = [*bounds, bounds[0] + num_candidates]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def wrap_slice(profile: np.ndarray, start: int, end: int) -> np.ndarray:
