@@ -33,7 +33,7 @@ from repro.serve.cluster import (
     corridor_adjacency,
     make_demo_bundle,
 )
-from repro.serve.loadgen import run_cluster_load
+from repro.serve.loadgen import run_load
 from repro.telemetry import MetricRegistry
 
 pytestmark = pytest.mark.bench
@@ -41,7 +41,7 @@ pytestmark = pytest.mark.bench
 NODES = {"fast": 64, "small": 128, "full": 512}[SCALE]
 IDENTITY_NODES = {"fast": 48, "small": 96, "full": 128}[SCALE]
 CLIENTS = {"fast": 2, "small": 4, "full": 4}[SCALE]
-REQUESTS = {"fast": 12, "small": 20, "full": 40}[SCALE]  # per client
+REQUESTS = {"fast": 6, "small": 10, "full": 20}[SCALE]  # pairs per client
 WORKERS = {"fast": [1, 2], "small": [1, 2], "full": [1, 2, 4]}[SCALE]
 THRESHOLD_2W = 1.5
 
@@ -57,16 +57,14 @@ def _warm(handle, num_nodes, steps=12, seed=9):
 
 
 def _drive(handle):
-    return run_cluster_load(
+    return run_load(
         handle,
         num_nodes=NODES,
         num_features=1,
-        mode="closed",
+        start_step=1000,
         num_clients=CLIENTS,
         requests_per_client=REQUESTS,
-        zipf_exponent=1.1,
         seed=1,
-        start_step=1000,
     )
 
 
@@ -151,12 +149,12 @@ def test_cluster_scale(tmp_path):
 
     print()
     print(f"identity control: max |diff| {identity_diff:.2e} (float64)")
-    print(f"single-process: {baseline.throughput_rps:.0f} req/s "
+    print(f"single-process: {baseline.throughput_rps:.0f} forecasts/s "
           f"p50 {baseline.latency_ms_p50:.1f}ms "
           f"p99 {baseline.latency_ms_p99:.1f}ms")
     for w in WORKERS:
         rep = per_worker[w]
-        print(f"{w} worker(s):    {rep.throughput_rps:.0f} req/s "
+        print(f"{w} worker(s):    {rep.throughput_rps:.0f} forecasts/s "
               f"p50 {rep.latency_ms_p50:.1f}ms "
               f"p99 {rep.latency_ms_p99:.1f}ms  ({ratios[w]:.2f}x, "
               f"owned {plans[w]['owned_sizes']}, "

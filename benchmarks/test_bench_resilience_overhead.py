@@ -21,7 +21,7 @@ from bench_config import SCALE, emit_bench_record, model_config, pems_data_confi
 
 from repro.experiments import build_model, prepare_context
 from repro.reliability import ResiliencePolicy
-from repro.serve import export_bundle, load_bundle
+from repro.serve import ServeApp, export_bundle, load_bundle
 from repro.serve.loadgen import run_load
 from repro.telemetry import MetricRegistry
 
@@ -85,17 +85,20 @@ def test_resilience_overhead(tmp_path):
     for _ in range(rounds):
         for name, policy in policies.items():
             engine = _make_engine(bundle, policy)
+            app = ServeApp(bundle, engine=engine, registry=engine.registry)
             try:
                 reports[name].append(run_load(
-                    engine,
-                    mode=name,
+                    app.handle,
+                    num_nodes=bundle.num_nodes,
+                    num_features=bundle.num_features,
+                    start_step=engine.store.newest_step + 1,
                     num_clients=CLIENTS,
                     requests_per_client=REQUESTS,
                 ))
             finally:
                 engine.stop()
     for name in policies:
-        assert all(r.errors == 0 for r in reports[name])
+        assert all(r.ok == r.requests for r in reports[name])
 
     def best(name, field):
         return min(getattr(r, field) for r in reports[name])

@@ -25,7 +25,7 @@ import pytest
 from bench_config import SCALE, emit_bench_record, model_config, pems_data_config
 
 from repro.experiments import build_model, prepare_context
-from repro.serve import export_bundle, load_bundle
+from repro.serve import ServeApp, export_bundle, load_bundle
 from repro.serve.loadgen import run_load
 from repro.telemetry import (
     ContinuousProfiler,
@@ -88,16 +88,21 @@ def _make_engine(bundle, tracer):
     )
 
 
-def _run(engine, seed):
+def _run(bundle, engine, seed):
+    app = ServeApp(
+        bundle, engine=engine, registry=engine.registry, tracer=engine.tracer
+    )
     with engine:
         report = run_load(
-            engine,
-            mode="batched",
+            app.handle,
+            num_nodes=bundle.num_nodes,
+            num_features=bundle.num_features,
+            start_step=engine.store.newest_step + 1,
             num_clients=CLIENTS,
             requests_per_client=REQUESTS,
             seed=seed,
         )
-    assert report.errors == 0
+    assert report.ok == report.requests
     return report
 
 
@@ -125,7 +130,7 @@ def test_trace_overhead(tmp_path):
         "contprof": off_engine,  # the profiler rides alongside, below
     }
 
-    _run(off_engine(99), seed=99)  # warm caches/JIT paths
+    _run(bundle, off_engine(99), seed=99)  # warm caches/JIT paths
 
     means = {name: [] for name in phases}
     p50s = {name: [] for name in phases}
@@ -137,7 +142,7 @@ def test_trace_overhead(tmp_path):
                     interval_s=PROFILE_INTERVAL_S, registry=MetricRegistry()
                 ).start()
             try:
-                report = _run(make(repeat), seed=repeat)
+                report = _run(bundle, make(repeat), seed=repeat)
             finally:
                 if profiler is not None:
                     profiler.stop()

@@ -711,14 +711,14 @@ def main(argv: list[str] | None = None) -> int:
         app = ServeApp(bundle, tracer=tracer, config=config)
         run_server(app)
     elif args.command == "chaos":
+        import json
+
         from .reliability import FaultPlan
-        from .serve import ServeConfig, load_bundle, make_chaos_app, run_chaos_soak
+        from .serve import ServeConfig, load_bundle, make_chaos_app, run_load
 
         config = ServeConfig.from_args(args)
         bundle = load_bundle(args.bundle)
         if args.drop_scenario:
-            import json
-
             source = args.drop_scenario
             if os.path.exists(source):
                 with open(source, encoding="utf-8") as handle:
@@ -737,20 +737,40 @@ def main(argv: list[str] | None = None) -> int:
         print(f"chaos soak of {bundle.model_name}: {args.clients} clients x "
               f"{args.requests} rounds, plan {plan.to_json_dict()}")
         app, injector = make_chaos_app(bundle, plan, config=config)
-        report = run_chaos_soak(
-            app,
-            num_clients=args.clients,
-            requests_per_client=args.requests,
-            seed=args.seed,
-            injector=injector,
-        )
+        with app.engine:
+            report = run_load(
+                app.handle,
+                num_nodes=bundle.num_nodes,
+                num_features=bundle.num_features,
+                start_step=app.store.newest_step + 1,
+                num_clients=args.clients,
+                requests_per_client=args.requests,
+                seed=args.seed,
+            )
+        fallback = {
+            name: int(app.registry.counter(series).value)
+            for name, series in (
+                ("stale", 'serve/fallback{rung="stale"}'),
+                ("window_mean", 'serve/fallback{rung="window_mean"}'),
+                ("unavailable", "serve/unavailable"),
+                ("shed", "serve/shed"),
+            )
+        }
         print(report.render())
+        print(f"  injected faults    {json.dumps(injector.snapshot(), sort_keys=True)}")
+        print(f"  fallback rungs     {json.dumps(fallback, sort_keys=True)}")
+        scenario = plan.scenario
+        if scenario:
+            print(f"  drop scenario      {scenario.get('name')} "
+                  f"({scenario.get('pattern')}, seed {scenario.get('seed')})")
         passed = (
             report.crashes == 0
+            and report.untagged_degraded == 0
             and report.availability >= args.availability_target
         )
         print(f"verdict: {'PASS' if passed else 'FAIL'} "
-              f"(availability target {args.availability_target:.2%})")
+              f"(availability target {args.availability_target:.2%}, "
+              "every degraded answer tagged)")
         if not passed:
             return 1
     elif args.command == "fleet":

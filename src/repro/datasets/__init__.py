@@ -14,15 +14,11 @@ from .missing import (
     MixedPattern,
     MNARCongestionPattern,
     SensorFailurePattern,
-    block_mask,
-    combine_masks,
     holdout_observed,
     intersect_masks,
     make_pattern,
-    mcar_mask,
     pattern_names,
     register_pattern,
-    sensor_failure_mask,
 )
 from .network import RoadNetwork, city_grid, highway_corridor
 from .pems import PEMS_FEATURES, make_pems_dataset
@@ -62,10 +58,6 @@ __all__ = [
     "MNARCongestionPattern",
     "MixedPattern",
     "intersect_masks",
-    "mcar_mask",
-    "block_mask",
-    "sensor_failure_mask",
-    "combine_masks",
     "holdout_observed",
     "ZScoreScaler",
     "WindowSet",

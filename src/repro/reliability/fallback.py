@@ -1,14 +1,9 @@
-"""Fallback ladders and hedged calls.
+"""Fallback ladders.
 
 :class:`Fallback` expresses "try these answers in order of preference"
 as data instead of nested try/except: each rung is named, and the
 result says which rung answered — the serving layer uses the name to
 tag degraded responses (``X-Degraded`` header / ``degraded`` field).
-
-:class:`Hedge` bounds tail latency: start the primary call, and if it
-has not answered within ``delay_s``, launch the backup concurrently and
-take whichever finishes first. The classic use is hedging a slow model
-forward with a cheap estimator.
 
 :func:`window_mean_forecast` is the serving stack's rung of last
 resort: a HistoricalAverage-style constant forecast computed purely
@@ -18,12 +13,11 @@ works even when the model (and its weights) are unusable.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
-__all__ = ["Fallback", "FallbackResult", "Hedge", "window_mean_forecast"]
+__all__ = ["Fallback", "FallbackResult", "window_mean_forecast"]
 
 T = TypeVar("T")
 
@@ -75,59 +69,6 @@ class Fallback:
                     raise
                 errors.append(error)
         raise AssertionError("unreachable: loop returns or raises")
-
-
-class Hedge:
-    """First-success-wins hedging of a slow primary with a backup."""
-
-    def __init__(self, delay_s: float = 0.05):
-        if delay_s < 0:
-            raise ValueError(f"hedge delay must be >= 0, got {delay_s}")
-        self.delay_s = delay_s
-
-    def call(
-        self,
-        primary: Callable[[], T],
-        backup: Callable[[], T] | None = None,
-    ) -> tuple[T, str]:
-        """Run ``primary``, hedging with ``backup`` (default: primary again).
-
-        The hedge launches when the primary has neither answered nor
-        failed within ``delay_s`` (a fast primary failure launches it
-        immediately). Returns ``(result, which)`` with ``which`` in
-        ``{"primary", "hedge"}``; if both fail, the primary's error
-        propagates.
-        """
-        import queue as _queue
-
-        backup = backup if backup is not None else primary
-        outcomes: "_queue.Queue[tuple[str, bool, object]]" = _queue.Queue()
-
-        def run(which: str, fn: Callable[[], T]) -> None:
-            try:
-                outcomes.put((which, True, fn()))
-            except BaseException as error:  # noqa: BLE001 - re-raised below
-                outcomes.put((which, False, error))
-
-        threading.Thread(target=run, args=("primary", primary), daemon=True).start()
-        errors: dict[str, BaseException] = {}
-        try:
-            which, ok, payload = outcomes.get(timeout=self.delay_s)
-            if ok:
-                return payload, which  # primary answered before the hedge fired
-            errors[which] = payload
-        except _queue.Empty:
-            pass  # primary still running: hedge rides alongside it
-        threading.Thread(target=run, args=("hedge", backup), daemon=True).start()
-
-        outstanding = 2 - len(errors)
-        while outstanding:
-            which, ok, payload = outcomes.get()
-            if ok:
-                return payload, which
-            errors[which] = payload
-            outstanding -= 1
-        raise errors.get("primary", next(iter(errors.values())))
 
 
 def window_mean_forecast(window, horizon: int) -> np.ndarray:

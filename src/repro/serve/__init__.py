@@ -53,14 +53,9 @@ from .fleet import EnginePool, TenantQuota, build_pool
 from .http import PlainText, Response, ServeApp, bind_http, make_server, run_server
 from .planner import PlanRuntime
 from .loadgen import (
-    ClusterLoadReport,
     LoadReport,
-    SoakReport,
     compare_batched_sequential,
     make_chaos_app,
-    open_loop_arrivals,
-    run_chaos_soak,
-    run_cluster_load,
     run_fleet_smoke,
     run_load,
     run_slo_smoke,
@@ -101,14 +96,9 @@ __all__ = [
     "LoadReport",
     "run_load",
     "compare_batched_sequential",
-    "SoakReport",
     "make_chaos_app",
-    "run_chaos_soak",
     "run_fleet_smoke",
     "run_slo_smoke",
-    "ClusterLoadReport",
-    "open_loop_arrivals",
-    "run_cluster_load",
     "zipf_node_sampler",
     "ClusterConfig",
     "ClusterRouter",

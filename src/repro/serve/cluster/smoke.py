@@ -155,7 +155,7 @@ def _chaos_phase(
     processes: bool,
     requests_per_phase: int,
 ) -> dict:
-    from ..loadgen import run_cluster_load
+    from ..loadgen import run_load
 
     bundle_path = os.path.join(workdir, "chaos_bundle.npz")
     bundle = make_demo_bundle(
@@ -167,15 +167,14 @@ def _chaos_phase(
     victim = int(rng.integers(num_shards))
 
     def load(handle, phase_seed, start_step):
-        return run_cluster_load(
+        return run_load(
             handle,
             num_nodes=num_nodes,
             num_features=1,
-            mode="closed",
-            num_clients=2,
-            requests_per_client=requests_per_phase // 2,
-            seed=phase_seed,
             start_step=start_step,
+            num_clients=2,
+            requests_per_client=requests_per_phase // 4,
+            seed=phase_seed,
         )
 
     phases = []

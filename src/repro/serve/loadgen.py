@@ -1,22 +1,23 @@
-"""Closed-loop load generation against a :class:`ForecastEngine`.
+"""Closed-loop load over the shared ``handle`` request surface.
 
-Each simulated client alternates *observe one sensor → request one
-forecast*, so consecutive requests see fresh state versions (forecasts
-cannot all collapse into the LRU cache) and concurrent clients give the
-dispatcher real fusion opportunities. The generator drives the engine
-directly — no HTTP in the measured path — so the numbers isolate the
-serving core: batching, no-grad forwards, cache, locks.
+:class:`~repro.serve.http.ServeApp`, the cluster's ``LocalCluster`` and
+``ClusterSupervisor``, and the HTTP shard client all answer
+``handle(method, path, body)``. :func:`run_load` drives any of them with
+concurrent clients, each repeating one pair: ``POST /observe`` one
+sensor reading at the next shared step, then ``GET /forecast?node=`` for
+the same sensor. Consecutive forecasts see fresh state versions (they
+cannot collapse into the cache) and concurrent clients give the
+dispatcher real fusion opportunities. ``ServeApp`` ignores ``node`` and
+forecasts the whole network; the cluster router uses it to pick the
+owning shard. One :class:`LoadReport` scores every run: the availability
+and degradation-tagging numbers the chaos gates read, and the forecast
+latency and throughput the benches record.
 
-:func:`compare_batched_sequential` runs the same workload twice, against
-a micro-batching engine and a ``max_batch_size=1`` baseline, which is
-the committed ``BENCH_serve_latency`` comparison.
-
-:func:`run_chaos_soak` is the availability harness: it wraps a bundle's
-model and store in the seeded fault injectors from
-:mod:`repro.reliability.chaos`, drives the full :class:`ServeApp`
-request path (status codes, headers and all, minus sockets) with
-concurrent clients, and reports availability, degradation tagging and
-crash counts — the numbers the chaos-smoke CI job gates on.
+:func:`compare_batched_sequential` runs the same workload against a
+micro-batching engine and a ``max_batch_size=1`` baseline, which is the
+committed ``BENCH_serve_latency`` comparison. :func:`make_chaos_app`
+wraps a bundle in the seeded fault injectors from
+:mod:`repro.reliability.chaos` for the chaos soak.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -38,81 +39,181 @@ __all__ = [
     "LoadReport",
     "run_load",
     "compare_batched_sequential",
-    "SoakReport",
     "make_chaos_app",
-    "run_chaos_soak",
     "run_fleet_smoke",
     "run_slo_smoke",
-    "open_loop_arrivals",
     "zipf_node_sampler",
-    "ClusterLoadReport",
-    "run_cluster_load",
 ]
+
+
+def zipf_node_sampler(
+    num_nodes: int,
+    exponent: float = 1.1,
+    seed: int = 0,
+):
+    """Zipf-skewed node popularity: returns ``sample(size=None)``.
+
+    Rank ``r`` (1-based) carries weight ``r**-exponent``; ranks are
+    mapped onto node ids through a seeded permutation so the hot nodes
+    are not simply the low ids (which would all land on shard 0 under a
+    contiguous partition). ``sample()`` returns one ``int`` node id;
+    ``sample(k)`` an ``ndarray`` of ``k`` ids. The sampler also exposes
+    ``sample.weights`` (per-node probability, id order) for tests.
+    """
+    if num_nodes < 1:
+        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
+    if exponent < 0:
+        raise ValueError(f"exponent must be >= 0, got {exponent}")
+    ranks = np.arange(1, num_nodes + 1, dtype=np.float64)
+    rank_weights = ranks ** -float(exponent)
+    rank_weights /= rank_weights.sum()
+    rng = np.random.default_rng(seed)
+    node_of_rank = rng.permutation(num_nodes)
+    weights = np.zeros(num_nodes)
+    weights[node_of_rank] = rank_weights
+
+    def sample(size: int | None = None):
+        picked = node_of_rank[rng.choice(num_nodes, size=size, p=rank_weights)]
+        return int(picked) if size is None else picked
+
+    sample.weights = weights
+    sample.node_of_rank = node_of_rank
+    return sample
 
 
 @dataclass
 class LoadReport:
-    """Aggregate result of one closed-loop run."""
+    """Tally of one :func:`run_load` run.
 
-    mode: str  # "batched" | "sequential"
-    num_clients: int
+    Every request lands in exactly one of ``ok`` (2xx), ``rejected``
+    (429), ``client_errors`` (other 4xx), ``server_errors`` (5xx) or
+    ``crashes`` (``handle`` raised). ``degraded`` counts forecast 2xx
+    answered by a fallback rung; ``untagged_degraded`` counts forecast
+    2xx whose ``X-Degraded`` header and body ``degraded`` field disagree.
+    Throughput and latency are per forecast.
+    """
+
     requests: int
-    errors: int
+    ok: int
+    degraded: int
+    untagged_degraded: int
+    rejected: int
+    client_errors: int
+    server_errors: int
+    crashes: int
+    availability: float  # 1 - (server_errors + crashes) / requests
     duration_s: float
-    throughput_rps: float
+    throughput_rps: float  # forecasts per second
     latency_ms_mean: float
     latency_ms_p50: float
     latency_ms_p95: float
     latency_ms_p99: float
-    forwards: int
-    batches: int
-    mean_batch_size: float
-    cache_hits: int
-    cache_hit_ratio: float
 
     def to_json_dict(self) -> dict:
         return asdict(self)
 
+    def render(self) -> str:
+        return "\n".join([
+            f"load: {self.requests} requests in {self.duration_s:.2f}s "
+            f"({self.throughput_rps:.0f} forecasts/s)",
+            f"  availability       {self.availability:.2%} "
+            f"({self.server_errors} server errors, {self.crashes} crashes)",
+            f"  degraded answers   {self.degraded} "
+            f"({self.untagged_degraded} missing tags)",
+            f"  rejected (backoff) {self.rejected}   "
+            f"client errors {self.client_errors}",
+            f"  forecast latency   p50 {self.latency_ms_p50:.1f}ms  "
+            f"p95 {self.latency_ms_p95:.1f}ms  p99 {self.latency_ms_p99:.1f}ms",
+        ])
+
+
+_COUNTS = (
+    "requests", "ok", "degraded", "untagged_degraded", "rejected",
+    "client_errors", "server_errors", "crashes",
+)
+
+
+def _tally(counts: dict, response, is_forecast: bool) -> None:
+    status = response.status
+    if status >= 500:
+        counts["server_errors"] += 1
+    elif status == 429:
+        counts["rejected"] += 1
+    elif status >= 400:
+        counts["client_errors"] += 1
+    else:
+        counts["ok"] += 1
+        if is_forecast:
+            tag = response.body.get("degraded") or None
+            header = response.headers.get("X-Degraded") or None
+            if tag or header:
+                counts["degraded"] += 1
+            if tag != header:
+                counts["untagged_degraded"] += 1
+
 
 def run_load(
-    engine: ForecastEngine,
-    mode: str,
-    num_clients: int = 8,
-    requests_per_client: int = 40,
-    horizon: int | None = None,
+    handle,
+    *,
+    num_nodes: int,
+    num_features: int,
+    start_step: int = 0,
+    num_clients: int = 4,
+    requests_per_client: int = 50,
     seed: int = 0,
-    value_scale: float = 60.0,
 ) -> LoadReport:
-    """Drive ``engine`` with ``num_clients`` closed-loop client threads.
+    """Drive ``handle(method, path, body)`` with closed-loop clients.
 
-    Each client owns a disjoint set of sensors it feeds round-robin with
-    synthetic readings at advancing steps, requesting a forecast after
-    every observation. Latencies are wall-clock per forecast call.
+    Each of the ``num_clients * requests_per_client`` observe/forecast
+    pairs is drawn up front: pair ``i`` observes step ``start_step + i``
+    for a zipf-popular node (exponent 1.1) with seeded features, so the
+    request stream is a pure function of ``(seed, i)`` however the
+    threads interleave. Clients claim the next pair from a shared
+    cursor. ``run_load`` never starts or stops engines; the caller owns
+    their lifecycle.
     """
-    store = engine.store
+    total = num_clients * requests_per_client
+    nodes = zipf_node_sampler(num_nodes, seed=seed)(size=total)
+    features = np.random.default_rng(seed + 1).normal(
+        60.0, 5.0, size=(total, num_features)
+    )
+    bodies = [
+        json.dumps({
+            "step": start_step + i,
+            "node": int(nodes[i]),
+            "features": features[i].tolist(),
+        }).encode()
+        for i in range(total)
+    ]
+    counts = [dict.fromkeys(_COUNTS, 0) for _ in range(num_clients)]
     latencies: list[list[float]] = [[] for _ in range(num_clients)]
-    errors = [0] * num_clients
-    next_step = [store.newest_step + 1]
-    step_lock = threading.Lock()
+    cursor = [0]
+    lock = threading.Lock()
     start_barrier = threading.Barrier(num_clients + 1)
 
+    def send(c: dict, method: str, path: str, body) -> bool:
+        c["requests"] += 1
+        try:
+            response = handle(method, path, body)
+        except Exception:
+            c["crashes"] += 1
+            return False
+        _tally(c, response, is_forecast=method == "GET")
+        return True
+
     def client(idx: int) -> None:
-        rng = np.random.default_rng(seed + idx)
+        c = counts[idx]
         start_barrier.wait()
-        for _ in range(requests_per_client):
-            with step_lock:
-                step = next_step[0]
-                next_step[0] += 1
-            node = int(rng.integers(store.num_nodes))
-            features = rng.normal(value_scale, 5.0, size=store.num_features)
-            store.observe_sensor(step, node, features)
-            begin = time.perf_counter()
-            try:
-                engine.forecast(horizon=horizon)
-            except Exception:
-                errors[idx] += 1
-                continue
-            latencies[idx].append((time.perf_counter() - begin) * 1e3)
+        while True:
+            with lock:
+                i = cursor[0]
+                cursor[0] += 1
+            if i >= total:
+                return
+            send(c, "POST", "/observe", bodies[i])
+            began = time.perf_counter()
+            if send(c, "GET", f"/forecast?node={nodes[i]}", None):
+                latencies[idx].append((time.perf_counter() - began) * 1e3)
 
     threads = [
         threading.Thread(target=client, args=(idx,), daemon=True)
@@ -126,29 +227,23 @@ def run_load(
         thread.join()
     duration = time.perf_counter() - begin
 
+    tally = {key: sum(c[key] for c in counts) for key in _COUNTS}
     flat = np.array([ms for per_client in latencies for ms in per_client])
-    total = int(flat.size)
-    registry = engine.registry
-    batches = int(registry.counter("serve/batches").value)
-    batch_hist = registry.histogram("serve/batch_size")
-    cache_hits = int(registry.counter("serve/cache_hits").value)
-    answered = int(registry.counter("serve/requests").value)
+    requests = tally["requests"]
+    bad = tally["server_errors"] + tally["crashes"]
+
+    def percentile(q: float) -> float:
+        return float(np.percentile(flat, q)) if flat.size else 0.0
+
     return LoadReport(
-        mode=mode,
-        num_clients=num_clients,
-        requests=total,
-        errors=int(sum(errors)),
+        **tally,
+        availability=float(1.0 - bad / requests) if requests else 1.0,
         duration_s=float(duration),
         throughput_rps=float(total / duration) if duration > 0 else 0.0,
-        latency_ms_mean=float(flat.mean()) if total else 0.0,
-        latency_ms_p50=float(np.percentile(flat, 50)) if total else 0.0,
-        latency_ms_p95=float(np.percentile(flat, 95)) if total else 0.0,
-        latency_ms_p99=float(np.percentile(flat, 99)) if total else 0.0,
-        forwards=int(registry.counter("serve/forwards").value),
-        batches=batches,
-        mean_batch_size=float(batch_hist.mean),
-        cache_hits=cache_hits,
-        cache_hit_ratio=float(cache_hits / answered) if answered else 0.0,
+        latency_ms_mean=float(flat.mean()) if flat.size else 0.0,
+        latency_ms_p50=percentile(50),
+        latency_ms_p95=percentile(95),
+        latency_ms_p99=percentile(99),
     )
 
 
@@ -163,95 +258,69 @@ def compare_batched_sequential(
 ) -> dict:
     """The headline serving benchmark: micro-batched vs sequential.
 
-    Both runs use identical fresh stores and workloads; the sequential
-    baseline is the same engine restricted to ``max_batch_size=1`` (one
-    forward per request, same threading and cache). ``plan=False`` pins
-    both engines to the eager forward, isolating the micro-batching
-    effect from traced-plan acceleration. Returns a dict of two
-    :class:`LoadReport` payloads plus the throughput ratio.
+    Both runs drive a :class:`ServeApp` over identical fresh stores and
+    workloads; the sequential baseline is the same engine restricted to
+    ``max_batch_size=1`` (one forward per request, same threading and
+    cache). ``plan=False`` pins both engines to the eager forward,
+    isolating the micro-batching effect from traced-plan acceleration.
+    Each side's payload adds the engine counters from its own registry
+    to the load report; ``requests`` counts observes and forecasts and
+    ``errors`` every non-2xx answer or crash.
     """
-    reports = {}
+    from .http import ServeApp  # here to avoid a module-import cycle
+
+    sides = {}
     for mode, batch_size, wait in (
         ("sequential", 1, 0.0),
         ("batched", max_batch_size, max_wait_s),
     ):
+        registry = MetricRegistry()  # isolate counters per run
         engine = ForecastEngine(
             model=bundle.model,
             scaler=bundle.scaler,
             store=bundle.make_store(),
             max_batch_size=batch_size,
             max_wait_s=wait,
-            registry=MetricRegistry(),  # isolate counters per run
+            registry=registry,
             plan=plan,
         )
+        app = ServeApp(bundle, engine=engine, registry=registry)
         with engine:
-            reports[mode] = run_load(
-                engine,
-                mode=mode,
+            report = run_load(
+                app.handle,
+                num_nodes=bundle.num_nodes,
+                num_features=bundle.num_features,
+                start_step=engine.store.newest_step + 1,
                 num_clients=num_clients,
                 requests_per_client=requests_per_client,
                 seed=seed,
             )
+        cache_hits = int(registry.counter("serve/cache_hits").value)
+        answered = int(registry.counter("serve/requests").value)
+        sides[mode] = {
+            "mode": mode,
+            "num_clients": num_clients,
+            "requests": report.requests,
+            "errors": report.requests - report.ok,
+            "duration_s": report.duration_s,
+            "throughput_rps": report.throughput_rps,
+            "latency_ms_mean": report.latency_ms_mean,
+            "latency_ms_p50": report.latency_ms_p50,
+            "latency_ms_p95": report.latency_ms_p95,
+            "latency_ms_p99": report.latency_ms_p99,
+            "forwards": int(registry.counter("serve/forwards").value),
+            "batches": int(registry.counter("serve/batches").value),
+            "mean_batch_size": float(registry.histogram("serve/batch_size").mean),
+            "cache_hits": cache_hits,
+            "cache_hit_ratio": float(cache_hits / answered) if answered else 0.0,
+        }
+    sequential_rps = sides["sequential"]["throughput_rps"]
     ratio = (
-        reports["batched"].throughput_rps / reports["sequential"].throughput_rps
-        if reports["sequential"].throughput_rps > 0
+        sides["batched"]["throughput_rps"] / sequential_rps
+        if sequential_rps > 0
         else 0.0
     )
-    return {
-        "sequential": reports["sequential"].to_json_dict(),
-        "batched": reports["batched"].to_json_dict(),
-        "batched_over_sequential_throughput": float(ratio),
-    }
-
-
-# ----------------------------------------------------------------------
-# Chaos soak
-# ----------------------------------------------------------------------
-@dataclass
-class SoakReport:
-    """Outcome of one chaos soak: availability, tagging, crash count."""
-
-    requests: int  # total requests issued (observe + forecast)
-    forecasts: int
-    ok: int  # 2xx responses
-    degraded: int  # 200s answered by a fallback rung
-    rejected: int  # 429s (load shedding / saturation)
-    client_errors: int  # other 4xx
-    server_errors: int  # 5xx
-    crashes: int  # exceptions escaping the request path
-    untagged_degraded: int  # degraded 200s missing header or body tag
-    availability: float  # non-5xx share of all responses
-    duration_s: float
-    fault_plan: dict = field(default_factory=dict)
-    injected: dict = field(default_factory=dict)
-    fallback: dict = field(default_factory=dict)
-    #: sensor-drop scenario JSON ({"pattern", "name", "seed", "params"})
-    #: when the plan used a named MissingPattern — the same scenario the
-    #: offline gauntlet consumes, so a soak reproduces by name + seed.
-    scenario: dict | None = None
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    def render(self) -> str:
-        lines = [
-            f"chaos soak: {self.requests} requests "
-            f"({self.forecasts} forecasts) in {self.duration_s:.2f}s",
-            f"  availability       {self.availability:.2%} "
-            f"({self.server_errors} server errors, {self.crashes} crashes)",
-            f"  degraded answers   {self.degraded} "
-            f"({self.untagged_degraded} missing tags)",
-            f"  rejected (backoff) {self.rejected}   "
-            f"client errors {self.client_errors}",
-            f"  injected faults    {json.dumps(self.injected, sort_keys=True)}",
-            f"  fallback rungs     {json.dumps(self.fallback, sort_keys=True)}",
-        ]
-        if self.scenario:
-            lines.append(
-                f"  drop scenario      {self.scenario.get('name')} "
-                f"({self.scenario.get('pattern')}, seed {self.scenario.get('seed')})"
-            )
-        return "\n".join(lines)
+    return {**sides, "batched_over_sequential_throughput": float(ratio)}
 
 
 def make_chaos_app(
@@ -287,129 +356,6 @@ def make_chaos_app(
         bundle, store=store, engine=engine, registry=registry, config=config
     )
     return app, injector
-
-
-def run_chaos_soak(
-    app,
-    num_clients: int = 4,
-    requests_per_client: int = 50,
-    seed: int = 0,
-    value_scale: float = 60.0,
-    injector=None,
-) -> SoakReport:
-    """Soak ``app`` with concurrent clients while faults fire.
-
-    Each client alternates ``POST /observe`` (one sensor reading) with
-    ``GET /forecast`` through ``app.handle`` — the full routing, error
-    mapping and header path, minus sockets. Asserting on the report:
-    ``crashes`` must be 0 and ``availability`` at target; every degraded
-    200 must carry both the ``X-Degraded`` header and the body field
-    (``untagged_degraded`` counts violations).
-    """
-    store = app.store
-    counts = [
-        {
-            "requests": 0, "forecasts": 0, "ok": 0, "degraded": 0,
-            "rejected": 0, "client_errors": 0, "server_errors": 0,
-            "crashes": 0, "untagged_degraded": 0,
-        }
-        for _ in range(num_clients)
-    ]
-    next_step = [store.newest_step + 1]
-    step_lock = threading.Lock()
-    start_barrier = threading.Barrier(num_clients + 1)
-
-    def tally(c: dict, response, is_forecast: bool) -> None:
-        c["requests"] += 1
-        status = response.status
-        if status >= 500:
-            c["server_errors"] += 1
-        elif status == 429:
-            c["rejected"] += 1
-        elif status >= 400:
-            c["client_errors"] += 1
-        else:
-            c["ok"] += 1
-            if is_forecast:
-                degraded = response.body.get("degraded")
-                if degraded:
-                    c["degraded"] += 1
-                    if response.headers.get("X-Degraded") != degraded:
-                        c["untagged_degraded"] += 1
-                elif response.headers.get("X-Degraded"):
-                    c["untagged_degraded"] += 1
-
-    def client(idx: int) -> None:
-        c = counts[idx]
-        rng = np.random.default_rng(seed + idx)
-        start_barrier.wait()
-        for _ in range(requests_per_client):
-            with step_lock:
-                step = next_step[0]
-                next_step[0] += 1
-            node = int(rng.integers(store.num_nodes))
-            features = rng.normal(value_scale, 5.0, size=store.num_features)
-            body = json.dumps(
-                {"step": step, "node": node, "features": features.tolist()}
-            ).encode()
-            try:
-                tally(c, app.handle("POST", "/observe", body), False)
-            except Exception:
-                c["requests"] += 1
-                c["crashes"] += 1
-            try:
-                tally(c, app.handle("GET", "/forecast", None), True)
-            except Exception:
-                c["requests"] += 1
-                c["crashes"] += 1
-            c["forecasts"] += 1
-
-    threads = [
-        threading.Thread(target=client, args=(idx,), daemon=True)
-        for idx in range(num_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    app.engine.start()
-    start_barrier.wait()
-    begin = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    duration = time.perf_counter() - begin
-    app.engine.stop()
-
-    total = {key: sum(c[key] for c in counts) for key in counts[0]}
-    registry = app.registry
-
-    def count(name: str) -> int:
-        return int(registry.counter(name).value)
-
-    answered = total["requests"]
-    bad = total["server_errors"] + total["crashes"]
-    return SoakReport(
-        requests=answered,
-        forecasts=total["forecasts"],
-        ok=total["ok"],
-        degraded=total["degraded"],
-        rejected=total["rejected"],
-        client_errors=total["client_errors"],
-        server_errors=total["server_errors"],
-        crashes=total["crashes"],
-        untagged_degraded=total["untagged_degraded"],
-        availability=float(1.0 - bad / answered) if answered else 1.0,
-        duration_s=float(duration),
-        fault_plan=(
-            injector.plan.to_json_dict() if injector is not None else {}
-        ),
-        scenario=injector.plan.scenario if injector is not None else None,
-        injected=injector.snapshot() if injector is not None else {},
-        fallback={
-            "stale": count('serve/fallback{rung="stale"}'),
-            "window_mean": count('serve/fallback{rung="window_mean"}'),
-            "unavailable": count("serve/unavailable"),
-            "shed": count("serve/shed"),
-        },
-    )
 
 
 # ----------------------------------------------------------------------
@@ -823,249 +769,3 @@ def run_slo_smoke(
     report["checks"] = checks
     report["passed"] = all(checks.values())
     return report
-
-
-# ----------------------------------------------------------------------
-# Arrival processes and node popularity (cluster load generation)
-# ----------------------------------------------------------------------
-def open_loop_arrivals(
-    rate_rps: float,
-    count: int | None = None,
-    duration_s: float | None = None,
-    seed: int = 0,
-    start: float = 0.0,
-):
-    """Yield absolute arrival times of a Poisson process (open loop).
-
-    Closed-loop clients wait for each response before sending the next
-    request, so a slow server quietly throttles its own load. An
-    open-loop process fires at externally scheduled instants regardless
-    of server progress — the standard model for independent users — so
-    overload shows up as queueing rather than vanishing. Inter-arrival
-    gaps are exponential with mean ``1/rate_rps``; bound the stream with
-    ``count`` and/or ``duration_s``.
-    """
-    if rate_rps <= 0:
-        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
-    if count is None and duration_s is None:
-        raise ValueError("bound the stream with count and/or duration_s")
-    rng = np.random.default_rng(seed)
-    t = float(start)
-    emitted = 0
-    while count is None or emitted < count:
-        t += float(rng.exponential(1.0 / rate_rps))
-        if duration_s is not None and t - start > duration_s:
-            return
-        yield t
-        emitted += 1
-
-
-def zipf_node_sampler(
-    num_nodes: int,
-    exponent: float = 1.1,
-    seed: int = 0,
-):
-    """Zipf-skewed node popularity: returns ``sample(size=None)``.
-
-    Rank ``r`` (1-based) carries weight ``r**-exponent``; ranks are
-    mapped onto node ids through a seeded permutation so the hot nodes
-    are not simply the low ids (which would all land on shard 0 under a
-    contiguous partition). ``sample()`` returns one ``int`` node id;
-    ``sample(k)`` an ``ndarray`` of ``k`` ids. The sampler also exposes
-    ``sample.weights`` (per-node probability, id order) for tests.
-    """
-    if num_nodes < 1:
-        raise ValueError(f"num_nodes must be >= 1, got {num_nodes}")
-    if exponent < 0:
-        raise ValueError(f"exponent must be >= 0, got {exponent}")
-    ranks = np.arange(1, num_nodes + 1, dtype=np.float64)
-    rank_weights = ranks ** -float(exponent)
-    rank_weights /= rank_weights.sum()
-    rng = np.random.default_rng(seed)
-    node_of_rank = rng.permutation(num_nodes)
-    weights = np.zeros(num_nodes)
-    weights[node_of_rank] = rank_weights
-
-    def sample(size: int | None = None):
-        picked = node_of_rank[rng.choice(num_nodes, size=size, p=rank_weights)]
-        return int(picked) if size is None else picked
-
-    sample.weights = weights
-    sample.node_of_rank = node_of_rank
-    return sample
-
-
-@dataclass
-class ClusterLoadReport:
-    """Aggregate result of one cluster load run (open or closed loop)."""
-
-    mode: str  # "closed" | "open"
-    num_clients: int
-    requests: int
-    forecasts: int
-    ok: int
-    degraded: int
-    rejected: int
-    client_errors: int
-    server_errors: int
-    crashes: int
-    availability: float  # non-5xx, non-crash share
-    duration_s: float
-    throughput_rps: float
-    offered_rps: float  # scheduled rate (open) or achieved rate (closed)
-    latency_ms_mean: float
-    latency_ms_p50: float
-    latency_ms_p95: float
-    latency_ms_p99: float
-    schedule_lag_ms_p99: float  # how far behind the open-loop schedule ran
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-
-def run_cluster_load(
-    handle,
-    num_nodes: int,
-    num_features: int,
-    mode: str = "closed",
-    num_clients: int = 4,
-    requests_per_client: int = 50,
-    rate_rps: float = 200.0,
-    zipf_exponent: float = 1.1,
-    horizon: int | None = None,
-    seed: int = 0,
-    value_scale: float = 60.0,
-    start_step: int = 0,
-) -> ClusterLoadReport:
-    """Drive any ``handle(method, path, body)`` endpoint with cluster load.
-
-    ``handle`` is the in-process request surface shared by
-    :class:`~repro.serve.http.ServeApp`, the shard apps and the cluster
-    router (an HTTP client wrapper works too). Clients interleave
-    ``POST /observe`` for a zipf-popular sensor at an advancing shared
-    step with ``GET /forecast?node=<id>`` for another zipf draw —
-    closed-loop (back-to-back, measures capacity) or open-loop (Poisson
-    schedule at ``rate_rps`` across all clients, measures behaviour at
-    a fixed offered load).
-    """
-    if mode not in ("closed", "open"):
-        raise ValueError(f"mode must be 'closed' or 'open', got {mode!r}")
-    total_requests = num_clients * requests_per_client
-    sampler = zipf_node_sampler(num_nodes, exponent=zipf_exponent, seed=seed)
-    schedule = (
-        list(open_loop_arrivals(rate_rps, count=total_requests, seed=seed + 1))
-        if mode == "open"
-        else None
-    )
-    cursor = [0]  # shared request index
-    next_step = [start_step]
-    lock = threading.Lock()
-    start_barrier = threading.Barrier(num_clients + 1)
-    begin_holder = [0.0]
-    horizon_query = f"&horizon={horizon}" if horizon else ""
-
-    counts = [
-        {
-            "requests": 0, "forecasts": 0, "ok": 0, "degraded": 0,
-            "rejected": 0, "client_errors": 0, "server_errors": 0,
-            "crashes": 0,
-        }
-        for _ in range(num_clients)
-    ]
-    latencies: list[list[float]] = [[] for _ in range(num_clients)]
-    lags: list[list[float]] = [[] for _ in range(num_clients)]
-
-    def tally(c: dict, response, is_forecast: bool) -> None:
-        status = response.status
-        if status >= 500:
-            c["server_errors"] += 1
-        elif status == 429:
-            c["rejected"] += 1
-        elif status >= 400:
-            c["client_errors"] += 1
-        else:
-            c["ok"] += 1
-            if is_forecast and response.headers.get("X-Degraded"):
-                c["degraded"] += 1
-
-    def client(idx: int) -> None:
-        c = counts[idx]
-        rng = np.random.default_rng(seed + 1000 + idx)
-        start_barrier.wait()
-        while True:
-            with lock:
-                i = cursor[0]
-                if i >= total_requests:
-                    return
-                cursor[0] += 1
-                is_observe = i % 2 == 0
-                if is_observe:
-                    step = next_step[0]
-                    next_step[0] += 1
-            if schedule is not None:
-                target = begin_holder[0] + schedule[i]
-                delay = target - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                lags[idx].append(
-                    max(0.0, (time.perf_counter() - target)) * 1e3
-                )
-            node = sampler()
-            issued = time.perf_counter()
-            try:
-                if is_observe:
-                    features = rng.normal(value_scale, 5.0, size=num_features)
-                    body = json.dumps(
-                        {"step": step, "node": node, "features": features.tolist()}
-                    ).encode()
-                    tally(c, handle("POST", "/observe", body), False)
-                else:
-                    c["forecasts"] += 1
-                    path = f"/forecast?node={node}{horizon_query}"
-                    tally(c, handle("GET", path, None), True)
-            except Exception:
-                c["crashes"] += 1
-            c["requests"] += 1
-            latencies[idx].append((time.perf_counter() - issued) * 1e3)
-
-    threads = [
-        threading.Thread(target=client, args=(idx,), daemon=True)
-        for idx in range(num_clients)
-    ]
-    for thread in threads:
-        thread.start()
-    start_barrier.wait()
-    begin_holder[0] = time.perf_counter()
-    for thread in threads:
-        thread.join()
-    duration = time.perf_counter() - begin_holder[0]
-
-    total = {key: sum(c[key] for c in counts) for key in counts[0]}
-    flat = np.array([ms for per in latencies for ms in per])
-    flat_lag = np.array([ms for per in lags for ms in per])
-    answered = total["requests"]
-    bad = total["server_errors"] + total["crashes"]
-    achieved = float(answered / duration) if duration > 0 else 0.0
-    return ClusterLoadReport(
-        mode=mode,
-        num_clients=num_clients,
-        requests=answered,
-        forecasts=total["forecasts"],
-        ok=total["ok"],
-        degraded=total["degraded"],
-        rejected=total["rejected"],
-        client_errors=total["client_errors"],
-        server_errors=total["server_errors"],
-        crashes=total["crashes"],
-        availability=float(1.0 - bad / answered) if answered else 1.0,
-        duration_s=float(duration),
-        throughput_rps=achieved,
-        offered_rps=float(rate_rps) if mode == "open" else achieved,
-        latency_ms_mean=float(flat.mean()) if flat.size else 0.0,
-        latency_ms_p50=float(np.percentile(flat, 50)) if flat.size else 0.0,
-        latency_ms_p95=float(np.percentile(flat, 95)) if flat.size else 0.0,
-        latency_ms_p99=float(np.percentile(flat, 99)) if flat.size else 0.0,
-        schedule_lag_ms_p99=(
-            float(np.percentile(flat_lag, 99)) if flat_lag.size else 0.0
-        ),
-    )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import make_pems_dataset, make_windows, mcar_mask
+from repro.datasets import MCARPattern, make_pems_dataset, make_windows
 from repro.graphs import gaussian_kernel_adjacency
 from repro.models import ASTGCN
 from repro.training import Trainer, TrainerConfig
@@ -12,7 +12,7 @@ from repro.training import Trainer, TrainerConfig
 @pytest.fixture(scope="module")
 def dataset():
     ds = make_pems_dataset(num_nodes=4, num_days=4, steps_per_day=96, seed=0)
-    return ds.with_mask(mcar_mask(ds.data.shape, 0.2, np.random.default_rng(1)))
+    return ds.with_mask(MCARPattern(rate=0.2).mask(ds.data.shape, rng=np.random.default_rng(1)))
 
 
 class TestDailyWindows:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import ZScoreScaler, make_pems_dataset, mcar_mask
+from repro.datasets import MCARPattern, ZScoreScaler, make_pems_dataset
 from repro.models import fc_lstm_i
 from repro.training import (
     RollingOriginCV,
@@ -44,7 +44,7 @@ class TestRollingOriginCV:
     @pytest.fixture(scope="class")
     def scaled_dataset(self):
         ds = make_pems_dataset(num_nodes=4, num_days=3, steps_per_day=96, seed=0)
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.3, np.random.default_rng(1)))
+        ds = ds.with_mask(MCARPattern(rate=0.3).mask(ds.data.shape, rng=np.random.default_rng(1)))
         scaler = ZScoreScaler().fit(ds.data, ds.mask)
         from dataclasses import replace
 

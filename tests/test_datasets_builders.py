@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from repro.datasets import (
+    MCARPattern,
     PEMS_FEATURES,
     StampedeConfig,
     make_pems_dataset,
     make_stampede_dataset,
-    mcar_mask,
 )
 
 
@@ -113,7 +113,7 @@ class TestTrafficDatasetContainer:
 
     def test_with_mask_zeroes_hidden(self, dataset):
         rng = np.random.default_rng(0)
-        mask = mcar_mask(dataset.data.shape, 0.5, rng)
+        mask = MCARPattern(rate=0.5).mask(dataset.data.shape, rng=rng)
         masked = dataset.with_mask(mask)
         hidden = mask == 0
         assert (masked.data[hidden] == 0).all()
@@ -121,7 +121,7 @@ class TestTrafficDatasetContainer:
 
     def test_with_mask_keeps_truth(self, dataset):
         rng = np.random.default_rng(0)
-        masked = dataset.with_mask(mcar_mask(dataset.data.shape, 0.5, rng))
+        masked = dataset.with_mask(MCARPattern(rate=0.5).mask(dataset.data.shape, rng=rng))
         assert np.allclose(masked.truth, dataset.truth)
 
     def test_with_mask_shape_check(self, dataset):
@@ -154,7 +154,7 @@ class TestTrafficDatasetContainer:
 
     def test_missing_rate(self, dataset):
         rng = np.random.default_rng(1)
-        masked = dataset.with_mask(mcar_mask(dataset.data.shape, 0.3, rng))
+        masked = dataset.with_mask(MCARPattern(rate=0.3).mask(dataset.data.shape, rng=rng))
         assert masked.missing_rate == pytest.approx(0.3, abs=0.02)
 
     def test_construction_validation(self, dataset):

@@ -121,7 +121,7 @@ class TestDCRNN:
             assert param.grad is not None, f"no grad for {name}"
 
     def test_trains(self):
-        from repro.datasets import make_pems_dataset, make_windows, mcar_mask
+        from repro.datasets import MCARPattern, make_pems_dataset, make_windows
         from repro.training import Trainer, TrainerConfig
         from dataclasses import replace as dreplace
 
@@ -129,7 +129,7 @@ class TestDCRNN:
         ds = dreplace(ds, data=ds.data[:, :, :2], mask=ds.mask[:, :, :2],
                       truth=ds.truth[:, :, :2],
                       feature_names=ds.feature_names[:2])
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.2, np.random.default_rng(1)))
+        ds = ds.with_mask(MCARPattern(rate=0.2).mask(ds.data.shape, rng=np.random.default_rng(1)))
         windows = make_windows(ds, 6, 4, stride=6)
         model = self._model()
         history = Trainer(model, TrainerConfig(max_epochs=3, batch_size=16)).fit(

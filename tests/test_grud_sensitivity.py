@@ -88,14 +88,14 @@ class TestGRUD:
         assert not np.allclose(a, b)
 
     def test_trains(self):
-        from repro.datasets import make_pems_dataset, make_windows, mcar_mask
+        from repro.datasets import MCARPattern, make_pems_dataset, make_windows
         from repro.training import Trainer, TrainerConfig
         from dataclasses import replace
 
         ds = make_pems_dataset(num_nodes=3, num_days=2, steps_per_day=96, seed=0)
         ds = replace(ds, data=ds.data[:, :, :2], mask=ds.mask[:, :, :2],
                      truth=ds.truth[:, :, :2], feature_names=ds.feature_names[:2])
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.4, np.random.default_rng(1)))
+        ds = ds.with_mask(MCARPattern(rate=0.4).mask(ds.data.shape, rng=np.random.default_rng(1)))
         windows = make_windows(ds, 6, 4, stride=6)
         history = Trainer(self._model(),
                           TrainerConfig(max_epochs=3, batch_size=16)).fit(

@@ -3,7 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets import TrafficDataset, make_windows, mcar_mask
+from repro.datasets import MCARPattern, TrafficDataset, make_windows
 from repro.datasets.network import city_grid
 from repro.graphs import (
     PartitionConfig,
@@ -137,7 +137,7 @@ def test_partition_covers_day_random(m, seed):
 def test_masking_roundtrip_random(rate, seed):
     rng = np.random.default_rng(seed)
     ds = _dataset(48, seed=seed)
-    mask = mcar_mask(ds.data.shape, rate, rng)
+    mask = MCARPattern(rate=rate).mask(ds.data.shape, rng=rng)
     masked = ds.with_mask(mask)
     # Observed entries intact, hidden entries zero, truth untouched.
     assert np.allclose(masked.data[mask == 1], ds.truth[mask == 1])

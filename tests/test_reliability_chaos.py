@@ -1,5 +1,7 @@
 """Tests for fault injection and the chaos soak (repro.reliability.chaos)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -18,16 +20,35 @@ from repro.serve import (
     export_bundle,
     load_bundle,
     make_chaos_app,
-    run_chaos_soak,
+    run_load,
 )
 
 
 @pytest.fixture()
-def bundle(tiny_ctx, tmp_path):
+def bundle_path(tiny_ctx, tmp_path):
     model = build_model("FC-LSTM-I", tiny_ctx)
     base = str(tmp_path / "bundle")
     export_bundle(model, "FC-LSTM-I", tiny_ctx, base)
-    return load_bundle(base)
+    return base
+
+
+@pytest.fixture()
+def bundle(bundle_path):
+    return load_bundle(bundle_path)
+
+
+def _soak(app, num_clients, requests_per_client, seed=0):
+    """The chaos soak: ``run_load`` over the app while its engine runs."""
+    with app.engine:
+        return run_load(
+            app.handle,
+            num_nodes=app.bundle.num_nodes,
+            num_features=app.bundle.num_features,
+            start_step=app.store.newest_step + 1,
+            num_clients=num_clients,
+            requests_per_client=requests_per_client,
+            seed=seed,
+        )
 
 
 def _forward_args(bundle):
@@ -195,9 +216,11 @@ class TestChaosSoak:
     def test_soak_meets_availability_target(self, bundle):
         """The acceptance scenario: latency spikes + exceptions + a dead
         sensor, and the stack stays >= 99% available with zero crashes
-        and every degraded answer tagged."""
+        and every degraded answer tagged. Chaos seed 1 throws on the 5th
+        and 7th model forward, well inside the 13+ forwards the batched
+        soak runs however its threads interleave."""
         plan = FaultPlan(
-            seed=0, latency_rate=0.1, latency_s=0.02, error_rate=0.05,
+            seed=1, latency_rate=0.1, latency_s=0.02, error_rate=0.05,
             dropped_sensors=(0,),
         )
         config = ServeConfig(
@@ -207,28 +230,39 @@ class TestChaosSoak:
             ),
         )
         app, injector = make_chaos_app(bundle, plan, config=config)
-        report = run_chaos_soak(
-            app, num_clients=3, requests_per_client=15, seed=0,
-            injector=injector,
-        )
+        report = _soak(app, num_clients=3, requests_per_client=15)
         assert report.crashes == 0
         assert report.availability >= 0.99
         assert report.untagged_degraded == 0
         assert report.requests == 3 * 15 * 2
-        assert report.injected["errors"] > 0  # the faults actually fired
-        assert "chaos soak" in report.render()
+        assert injector.snapshot()["errors"] > 0  # the faults actually fired
+        assert "availability" in report.render()
 
-    def test_soak_report_carries_scenario(self, bundle):
+    def test_soak_report_carries_scenario(self, bundle_path, tmp_path, capsys):
+        """``repro chaos`` end to end: a named MissingPattern drives the
+        sensor drops, the verdict passes, and the output names the
+        scenario and counts the faults it injected."""
+        from repro.cli import main
+
         scenario = make_pattern(
-            "sensor", rate=0.4, seed=2, name="flaky-loop"
+            "corridor", rate=0.4, seed=2, name="severed-backhaul"
         ).to_json_dict()
-        plan = FaultPlan(seed=0, dropped_sensors=scenario)
-        app, injector = make_chaos_app(bundle, plan)
-        report = run_chaos_soak(
-            app, num_clients=1, requests_per_client=3, injector=injector
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario))
+        code = main([
+            "chaos", "--bundle", bundle_path, "--clients", "2",
+            "--requests", "10", "--latency-rate", "0",
+            "--drop-scenario", str(scenario_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "verdict: PASS" in out
+        assert "severed-backhaul" in out
+        injected_line = next(
+            line for line in out.splitlines() if "injected faults" in line
         )
-        assert report.scenario == scenario
-        assert "flaky-loop" in report.render()
+        injected = json.loads(injected_line.split("injected faults", 1)[1])
+        assert sum(injected.values()) > 0
 
     def test_soak_without_fallback_shows_errors(self, bundle):
         """Control experiment: same faults, resilience off — failures
@@ -236,10 +270,8 @@ class TestChaosSoak:
         luck) is what keeps availability up."""
         plan = FaultPlan(seed=0, error_rate=1.0)
         config = ServeConfig(resilience=ResiliencePolicy.disabled())
-        app, injector = make_chaos_app(bundle, plan, config=config)
-        report = run_chaos_soak(
-            app, num_clients=2, requests_per_client=5, injector=injector
-        )
+        app, _injector = make_chaos_app(bundle, plan, config=config)
+        report = _soak(app, num_clients=2, requests_per_client=5)
         assert report.crashes == 0  # errors are mapped, never crashes
         assert report.server_errors > 0
         assert report.degraded == 0

@@ -4,12 +4,12 @@ must survive (extreme missingness, flat signals, tiny graphs)."""
 import numpy as np
 
 from repro.datasets import (
+    MCARPattern,
     StampedeConfig,
     ZScoreScaler,
     make_pems_dataset,
     make_stampede_dataset,
     make_windows,
-    mcar_mask,
 )
 from repro.graphs import (
     PartitionConfig,
@@ -27,7 +27,7 @@ from repro.training import Trainer, TrainerConfig
 class TestExtremeMissingness:
     def test_95_percent_missing_trains(self):
         ds = make_pems_dataset(num_nodes=4, num_days=2, steps_per_day=96, seed=0)
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.95, np.random.default_rng(1)))
+        ds = ds.with_mask(MCARPattern(rate=0.95).mask(ds.data.shape, rng=np.random.default_rng(1)))
         windows = make_windows(ds, 6, 4, stride=8)
         model = fc_lstm_i(input_length=6, output_length=4, num_nodes=4,
                           num_features=4, embed_dim=4, hidden_dim=6, seed=0)
@@ -54,7 +54,7 @@ class TestExtremeMissingness:
     def test_scaler_on_mostly_missing(self):
         rng = np.random.default_rng(0)
         data = rng.normal(60, 5, size=(100, 3, 2))
-        mask = mcar_mask(data.shape, 0.98, rng)
+        mask = MCARPattern(rate=0.98).mask(data.shape, rng=rng)
         scaler = ZScoreScaler().fit(data * mask, mask)
         out = scaler.transform(data * mask, mask)
         assert np.isfinite(out).all()
@@ -100,7 +100,7 @@ class TestDegenerateSignals:
 class TestTinyConfigurations:
     def test_two_node_graph_model(self):
         ds = make_pems_dataset(num_nodes=2, num_days=2, steps_per_day=96, seed=0)
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.3, np.random.default_rng(0)))
+        ds = ds.with_mask(MCARPattern(rate=0.3).mask(ds.data.shape, rng=np.random.default_rng(0)))
         adjacency = gaussian_kernel_adjacency(ds.network.distances)
         windows = make_windows(ds, 6, 4, stride=8)
         model = gcn_lstm_i(
@@ -137,7 +137,7 @@ class TestTinyConfigurations:
 class TestNumericalStability:
     def test_training_with_aggressive_lr_stays_finite(self):
         ds = make_pems_dataset(num_nodes=3, num_days=2, steps_per_day=96, seed=0)
-        ds = ds.with_mask(mcar_mask(ds.data.shape, 0.4, np.random.default_rng(1)))
+        ds = ds.with_mask(MCARPattern(rate=0.4).mask(ds.data.shape, rng=np.random.default_rng(1)))
         scaler = ZScoreScaler().fit(ds.data, ds.mask)
         from dataclasses import replace
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.datasets import ZScoreScaler, make_pems_dataset, make_windows, mcar_mask
+from repro.datasets import MCARPattern, ZScoreScaler, make_pems_dataset, make_windows
 from repro.graphs import gaussian_kernel_adjacency
 from repro.models import ASTGCN, GraphWaveNet
 from repro.selfcheck import run_selfcheck
@@ -20,7 +20,7 @@ def test_selfcheck_passes():
 @pytest.fixture(scope="module")
 def scaled_windows():
     ds = make_pems_dataset(num_nodes=5, num_days=3, steps_per_day=96, seed=0)
-    ds = ds.with_mask(mcar_mask(ds.data.shape, 0.2, np.random.default_rng(1)))
+    ds = ds.with_mask(MCARPattern(rate=0.2).mask(ds.data.shape, rng=np.random.default_rng(1)))
     scaler = ZScoreScaler().fit(ds.data, ds.mask)
     from dataclasses import replace
 

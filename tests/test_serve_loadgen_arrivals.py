@@ -1,60 +1,14 @@
-"""Open-loop arrival process and zipf node popularity: distribution shape.
+"""Zipf node popularity of the load generator: distribution shape.
 
-The cluster load generator's two reusable pieces:
-
-* :func:`repro.serve.open_loop_arrivals` — Poisson arrivals: exponential
-  inter-arrival gaps with the right mean and coefficient of variation;
-* :func:`repro.serve.zipf_node_sampler` — popularity follows
-  ``rank^-exponent`` with a seeded permutation decoupling popularity
-  rank from node id order.
+:func:`repro.serve.zipf_node_sampler` — popularity follows
+``rank^-exponent`` with a seeded permutation decoupling popularity rank
+from node id order.
 """
 
 import numpy as np
 import pytest
 
-from repro.serve import open_loop_arrivals, zipf_node_sampler
-
-
-class TestOpenLoopArrivals:
-    def test_count_mode_yields_exactly_count_increasing_times(self):
-        times = list(open_loop_arrivals(50.0, count=200, seed=1))
-        assert len(times) == 200
-        assert all(b > a for a, b in zip(times, times[1:]))
-        assert times[0] >= 0.0
-
-    def test_duration_mode_stays_inside_the_window(self):
-        times = list(open_loop_arrivals(100.0, duration_s=2.0, seed=2,
-                                        start=5.0))
-        assert times, "2s at 100rps should produce arrivals"
-        assert all(5.0 <= t < 7.0 for t in times)
-
-    def test_mean_gap_matches_rate(self):
-        rate = 200.0
-        times = np.array(list(open_loop_arrivals(rate, count=5000, seed=3)))
-        gaps = np.diff(times)
-        assert np.mean(gaps) == pytest.approx(1.0 / rate, rel=0.05)
-
-    def test_gaps_are_exponential_cv_near_one(self):
-        # Poisson arrivals: gap std/mean (coefficient of variation) = 1.
-        times = np.array(list(open_loop_arrivals(80.0, count=5000, seed=4)))
-        gaps = np.diff(times)
-        cv = np.std(gaps) / np.mean(gaps)
-        assert cv == pytest.approx(1.0, abs=0.1)
-
-    def test_deterministic_per_seed(self):
-        a = list(open_loop_arrivals(10.0, count=50, seed=7))
-        b = list(open_loop_arrivals(10.0, count=50, seed=7))
-        c = list(open_loop_arrivals(10.0, count=50, seed=8))
-        assert a == b
-        assert a != c
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            list(open_loop_arrivals(0.0, count=5))
-        with pytest.raises(ValueError):
-            list(open_loop_arrivals(-3.0, count=5))
-        with pytest.raises(ValueError):
-            list(open_loop_arrivals(10.0))  # neither count nor duration
+from repro.serve import zipf_node_sampler
 
 
 class TestZipfNodeSampler:

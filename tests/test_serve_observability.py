@@ -295,13 +295,14 @@ class TestTracesCLI:
 
 class TestLoadReportRatio:
     def test_cache_hit_ratio_in_load_report(self, bundle):
-        from repro.serve import run_load
+        from repro.serve import compare_batched_sequential
 
-        engine = bundle.make_engine(registry=MetricRegistry())
-        with engine:
-            report = run_load(engine, mode="batched", num_clients=2,
-                              requests_per_client=5)
-        payload = report.to_json_dict()
-        assert set(payload) >= {"latency_ms_p95", "latency_ms_p99",
-                                "cache_hits", "cache_hit_ratio"}
-        assert 0.0 <= payload["cache_hit_ratio"] <= 1.0
+        comparison = compare_batched_sequential(
+            bundle, num_clients=2, requests_per_client=5
+        )
+        for side in ("sequential", "batched"):
+            payload = comparison[side]
+            assert set(payload) >= {"latency_ms_p95", "latency_ms_p99",
+                                    "cache_hits", "cache_hit_ratio"}
+            assert 0.0 <= payload["cache_hit_ratio"] <= 1.0
+            assert payload["errors"] == 0

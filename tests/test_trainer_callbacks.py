@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.datasets import ZScoreScaler, make_pems_dataset, make_windows, mcar_mask
+from repro.datasets import MCARPattern, ZScoreScaler, make_pems_dataset, make_windows
 from repro.graphs import gaussian_kernel_adjacency
 from repro.models import gcn_lstm
 from repro.telemetry import Callback, EpochLogger, JSONLRunRecorder, Profiler
@@ -17,7 +17,7 @@ from repro.training import EvalReport, Trainer, TrainerConfig
 def env():
     ds = make_pems_dataset(num_nodes=4, num_days=3, steps_per_day=96, seed=0)
     rng = np.random.default_rng(1)
-    masked = ds.with_mask(mcar_mask(ds.data.shape, 0.3, rng))
+    masked = ds.with_mask(MCARPattern(rate=0.3).mask(ds.data.shape, rng=rng))
     scaler = ZScoreScaler().fit(masked.data, masked.mask)
     from dataclasses import replace
 
