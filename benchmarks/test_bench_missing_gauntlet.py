@@ -4,7 +4,7 @@ Runs every gauntlet model against the full scenario vocabulary (uniform
 MCAR, burst blocks, corridor outages, blackouts, congestion-coupled
 MNAR) and emits ``BENCH_missing_gauntlet.json``. The committed copy of
 that record (generated at ``fast`` scale) is the regression reference
-``repro gauntlet --smoke`` gates against in CI — regenerate it with::
+``repro smoke gauntlet`` gates against in CI — regenerate it with::
 
     REPRO_BENCH_SCALE=fast REPRO_BENCH_OUT=benchmarks \
         pytest benchmarks/test_bench_missing_gauntlet.py -m bench -s

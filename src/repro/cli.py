@@ -16,9 +16,8 @@ Usage::
     python -m repro.cli chaos --bundle artifacts/rihgcn --error-rate 0.05
     python -m repro.cli traces http://127.0.0.1:8787 --limit 5 --critical-path
     python -m repro.cli slo http://127.0.0.1:8787
-    python -m repro.cli slo-smoke --bundle artifacts/rihgcn --report slo.json
     python -m repro.cli cluster --bundle artifacts/gcnlstm --shards 2
-    python -m repro.cli cluster-smoke --shards 2 --report smoke.json
+    python -m repro.cli --scale fast smoke cluster --report smoke.json
 
 Every subcommand prints the corresponding paper table/figure rows. The
 ``--scale`` flag trades fidelity for speed (fast/small/full); individual
@@ -43,6 +42,9 @@ from .experiments import (
     run_table1_missing_rates,
     run_table2,
 )
+
+#: the keys of :data:`repro.smoke.SMOKES`, kept here so the parser stays import-light
+SMOKE_NAMES = ("serve", "chaos", "fleet", "slo", "cluster", "gauntlet")
 
 _SCALES = {
     "fast": dict(num_nodes=6, num_days=4, stride=6, embed=8, hidden=16,
@@ -96,21 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "gauntlet",
         help="missing-pattern gauntlet: model x scenario x rate grid "
-             "(--smoke validates the committed BENCH record; see docs/MISSING.md)",
+             "(see docs/MISSING.md)",
     )
     add_models_flag(p)
     p.add_argument("--rates", type=float, nargs="+", default=None,
                    help="target missing rates (default: 0.3 0.6)")
-    p.add_argument("--smoke", action="store_true",
-                   help="validate the committed record and gate regressions "
-                        "instead of running the full grid")
-    p.add_argument("--record", type=str,
-                   default="benchmarks/BENCH_missing_gauntlet.json",
-                   help="committed gauntlet record (for --smoke)")
     p.add_argument("--emit", type=str, default=None,
                    help="write the grid as a JSON record to this path")
-    p.add_argument("--report", type=str, default=None,
-                   help="write the smoke report JSON to this path")
 
     p = sub.add_parser(
         "profile",
@@ -248,20 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="append finished spans to this JSONL file")
 
     p = sub.add_parser(
-        "fleet-smoke",
-        help="boot a two-tenant pool and exercise shadow/canary/quota "
-             "end to end (CI gate; see docs/FLEET.md)",
-    )
-    p.add_argument("--bundle-a", required=True,
-                   help="stable bundle base path from 'export'")
-    p.add_argument("--bundle-b", required=True,
-                   help="candidate bundle base path from 'export'")
-    p.add_argument("--rounds", type=int, default=120,
-                   help="observe+forecast rounds per tenant and phase")
-    p.add_argument("--report", type=str, default=None,
-                   help="also write the JSON report to this path")
-
-    p = sub.add_parser(
         "cluster",
         help="serve a bundle from an N-worker sharded cluster "
              "(see docs/CLUSTER.md)",
@@ -277,23 +257,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="per-shard scatter-gather deadline in seconds")
     p.add_argument("--salt", default="",
                    help="consistent-hash ring salt (changes region placement)")
-
-    p = sub.add_parser(
-        "cluster-smoke",
-        help="identity control + seeded kill-one-shard chaos over a "
-             "2-worker cluster (CI gate; see docs/CLUSTER.md)",
-    )
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--requests", type=int, default=60,
-                   help="load requests per chaos phase")
-    p.add_argument("--no-chaos", action="store_true",
-                   help="identity control only, skip the kill/restart phase")
-    p.add_argument("--in-process", action="store_true",
-                   help="simulate workers in-process instead of spawning")
-    p.add_argument("--availability-target", type=float, default=0.99,
-                   help="minimum 2xx share under chaos; below this exits non-zero")
-    p.add_argument("--report", type=str, default=None,
-                   help="also write the JSON report to this path")
 
     p = sub.add_parser(
         "traces",
@@ -315,14 +278,11 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="dump the raw /slo payload instead of the table")
 
     p = sub.add_parser(
-        "slo-smoke",
-        help="seeded-fault SLO exercise: a burn event must fire, clear, "
-             "and gate a canary (CI gate; see docs/OBSERVABILITY.md)",
+        "smoke",
+        help="run one end-to-end smoke and gate on its checks "
+             "(CI runs each; see docs/SMOKES.md)",
     )
-    p.add_argument("--bundle", required=True,
-                   help="bundle base path from 'export'")
-    p.add_argument("--rounds", type=int, default=30,
-                   help="observe+forecast rounds per phase")
+    p.add_argument("name", choices=SMOKE_NAMES)
     p.add_argument("--report", type=str, default=None,
                    help="also write the JSON report to this path")
 
@@ -354,42 +314,6 @@ def _configs(args) -> tuple[DataConfig, ModelConfig, object]:
     )
     trainer = default_trainer_config(max_epochs=args.epochs or preset["epochs"])
     return data, model, trainer
-
-
-def _load_traces(source: str, limit: int | None) -> list[dict]:
-    """Fetch traces from ``/traces`` or regroup a JSONL span export."""
-    import json
-
-    if source.startswith("http://") or source.startswith("https://"):
-        from urllib.request import urlopen
-
-        url = source.rstrip("/") + "/traces"
-        if limit is not None:
-            url += f"?limit={limit}"
-        with urlopen(url) as response:
-            return json.load(response)["traces"]
-
-    grouped: dict[str, list[dict]] = {}
-    order: list[str] = []
-    with open(source, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            span = json.loads(line)
-            trace_id = span["trace_id"]
-            if trace_id not in grouped:
-                grouped[trace_id] = []
-                order.append(trace_id)
-            grouped[trace_id].append(span)
-    traces = [
-        {"trace_id": trace_id,
-         "spans": sorted(grouped[trace_id], key=lambda s: s["start"])}
-        for trace_id in reversed(order)  # most recently started trace first
-    ]
-    if limit is not None:
-        traces = traces[: max(limit, 0)]
-    return traces
 
 
 def _fetch_json(source: str, route: str) -> dict:
@@ -502,45 +426,31 @@ def main(argv: list[str] | None = None) -> int:
         import platform
         import time
 
-        from .experiments import run_gauntlet_smoke, run_missing_gauntlet
+        from .experiments import run_missing_gauntlet
 
-        if args.smoke:
-            print(f"gauntlet smoke against {args.record}")
-            report = run_gauntlet_smoke(
-                args.record, data_config=data_cfg, model_config=model_cfg,
-                trainer_config=trainer_cfg, verbose=True,
-            )
-            if args.report:
-                with open(args.report, "w", encoding="utf-8") as handle:
-                    json.dump(report, handle, indent=2, default=str)
-                print(f"report written to {args.report}")
-            print(f"verdict: {'PASS' if report['passed'] else 'FAIL'}")
-            if not report["passed"]:
-                return 1
-        else:
-            result = run_missing_gauntlet(
-                models=models, rates=args.rates, data_config=data_cfg,
-                model_config=model_cfg, trainer_config=trainer_cfg,
-                verbose=True,
-            )
-            print()
-            print(result.render())
-            if args.emit:
-                record = {
-                    "bench": "missing_gauntlet",
-                    "scale": args.scale,
-                    "unix_time": time.time(),
-                    "python": platform.python_version(),
-                    "machine": platform.machine(),
-                }
-                record.update(result.to_payload())
-                out_dir = os.path.dirname(args.emit)
-                if out_dir:
-                    os.makedirs(out_dir, exist_ok=True)
-                with open(args.emit, "w", encoding="utf-8") as handle:
-                    json.dump(record, handle, indent=2)
-                    handle.write("\n")
-                print(f"record written to {args.emit}")
+        result = run_missing_gauntlet(
+            models=models, rates=args.rates, data_config=data_cfg,
+            model_config=model_cfg, trainer_config=trainer_cfg,
+            verbose=True,
+        )
+        print()
+        print(result.render())
+        if args.emit:
+            record = {
+                "bench": "missing_gauntlet",
+                "scale": args.scale,
+                "unix_time": time.time(),
+                "python": platform.python_version(),
+                "machine": platform.machine(),
+            }
+            record.update(result.to_payload())
+            out_dir = os.path.dirname(args.emit)
+            if out_dir:
+                os.makedirs(out_dir, exist_ok=True)
+            with open(args.emit, "w", encoding="utf-8") as handle:
+                json.dump(record, handle, indent=2)
+                handle.write("\n")
+            print(f"record written to {args.emit}")
     elif args.command == "profile":
         from dataclasses import replace
 
@@ -580,95 +490,49 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "export":
         from dataclasses import replace
 
-        from .experiments import build_model, is_statistical, prepare_context
-        from .serve import export_bundle
-        from .training import Trainer
+        from .experiments import is_statistical
+        from .serve import export_model
 
         if is_statistical(args.model):
             print(f"{args.model} is a closed-form baseline; bundles cover the "
                   f"neural registry", file=sys.stderr)
             return 2
-        ctx = prepare_context(
-            replace(data_cfg, missing_rate=args.missing_rate), model_cfg
-        )
-        model = build_model(args.model, ctx)
         if args.skip_training:
             print(f"exporting {args.model} with untrained weights (--skip-training)")
         else:
-            print(f"training {args.model}: {trainer_cfg.max_epochs} epochs, "
-                  f"{ctx.train_windows.num_windows} train windows")
-            history = Trainer(model, trainer_cfg).fit(
-                ctx.train_windows, ctx.val_windows
-            )
+            print(f"training {args.model}: {trainer_cfg.max_epochs} epochs")
+        output = args.output or f"artifacts/{args.model.replace(' ', '-')}-{args.scale}"
+        header_path, history = export_model(
+            args.model, replace(data_cfg, missing_rate=args.missing_rate),
+            model_cfg, output,
+            trainer_config=None if args.skip_training else trainer_cfg,
+        )
+        if history is not None:
             print(f"trained {history.num_epochs} epochs, "
                   f"final val loss {history.val_loss[-1]:.4f}")
-        output = args.output or f"artifacts/{args.model.replace(' ', '-')}-{args.scale}"
-        out_dir = os.path.dirname(output)
-        if out_dir:
-            os.makedirs(out_dir, exist_ok=True)
-        header_path = export_bundle(model, args.model, ctx, output)
         print(f"bundle written to {header_path} "
               f"(+ {os.path.basename(output)}.npz)")
     elif args.command == "plan":
-        import numpy as np
-
-        from .autodiff import PlanUnsupported, default_dtype, inference_mode, trace
-        from .serve import load_bundle
+        from .serve import check_plan, load_bundle
 
         bundle = load_bundle(args.bundle)
-        model = bundle.model
-        rng = np.random.default_rng(args.seed)
-        dtype = default_dtype()
-        shape = (args.batch, bundle.input_length, bundle.num_nodes,
-                 bundle.num_features)
-        steps_per_day = bundle.data_config.steps_per_day
-        day_steps = (int(rng.integers(0, steps_per_day))
-                     + np.arange(bundle.input_length)) % steps_per_day
-        steps = np.broadcast_to(
-            day_steps, (args.batch, bundle.input_length)
-        ).copy()
-
-        def draw():
-            m = (rng.random(shape) >= 0.2).astype(dtype)
-            x = rng.standard_normal(shape).astype(dtype) * m
-            return x, m
-
-        x, m = draw()
-        split = model.plan_inputs(x, m, steps)
-        if split is None:
-            print(f"{bundle.model_name} does not implement traced plans; "
-                  "serving stays on the eager path")
+        result = check_plan(
+            bundle, batch=args.batch, seed=args.seed, verify=args.verify
+        )
+        if not result["compiled"]:
+            print(f"{result['reason']}; serving stays on the eager path")
             return 2
-        inputs, signature = split
-        try:
-            plan, _ = trace(model.plan_forward, inputs)
-        except PlanUnsupported as error:
-            print(f"plan unsupported, serving falls back to eager: {error}")
-            return 2
+        signature = result["signature"]
         print(f"{bundle.model_name}: plan compiled for batch {args.batch}"
               + (f", signature {signature}" if signature else ""))
-        for key, value in plan.stats.as_dict().items():
+        for key, value in result["stats"].items():
             print(f"  {key:<20} {value}")
-        if args.verify:
-            x2, m2 = draw()
-            inputs2, signature2 = model.plan_inputs(x2, m2, steps)
-            if signature2 != signature:
-                print("verify: fresh draw changed the plan signature; "
-                      "a server would retrace instead of replaying")
-                return 1
-            replayed = plan.replay(inputs2)
-            with inference_mode():
-                eager = np.asarray(model.plan_forward(**inputs2))
-            if replayed.dtype == eager.dtype and np.array_equal(
-                replayed, eager, equal_nan=True
-            ):
-                print("verify: PASS (replay bitwise-equal to the eager forward)")
-            else:
-                diff = np.max(np.abs(
-                    replayed.astype(np.float64) - eager.astype(np.float64)
-                ))
-                print(f"verify: FAIL (max |diff| {diff:.3e})")
-                return 1
+        if result["verified"] is True:
+            print("verify: PASS (replay bitwise-equal to the eager forward)")
+        elif result["verified"] is False:
+            reason = result["reason"] or f"max |diff| {result['max_abs_diff']:.3e}"
+            print(f"verify: FAIL ({reason})")
+            return 1
     elif args.command == "quantize":
         from .errors import QuantizationError
         from .serve import quantization_mae_drift, quantize_bundle
@@ -714,7 +578,8 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         from .reliability import FaultPlan
-        from .serve import ServeConfig, load_bundle, make_chaos_app, run_load
+        from .serve import ServeConfig, load_bundle
+        from .smoke import chaos_soak, finish
 
         config = ServeConfig.from_args(args)
         bundle = load_bundle(args.bundle)
@@ -734,45 +599,10 @@ def main(argv: list[str] | None = None) -> int:
             corrupt_rate=args.corrupt_rate,
             dropped_sensors=dropped,
         )
-        print(f"chaos soak of {bundle.model_name}: {args.clients} clients x "
-              f"{args.requests} rounds, plan {plan.to_json_dict()}")
-        app, injector = make_chaos_app(bundle, plan, config=config)
-        with app.engine:
-            report = run_load(
-                app.handle,
-                num_nodes=bundle.num_nodes,
-                num_features=bundle.num_features,
-                start_step=app.store.newest_step + 1,
-                num_clients=args.clients,
-                requests_per_client=args.requests,
-                seed=args.seed,
-            )
-        fallback = {
-            name: int(app.registry.counter(series).value)
-            for name, series in (
-                ("stale", 'serve/fallback{rung="stale"}'),
-                ("window_mean", 'serve/fallback{rung="window_mean"}'),
-                ("unavailable", "serve/unavailable"),
-                ("shed", "serve/shed"),
-            )
-        }
-        print(report.render())
-        print(f"  injected faults    {json.dumps(injector.snapshot(), sort_keys=True)}")
-        print(f"  fallback rungs     {json.dumps(fallback, sort_keys=True)}")
-        scenario = plan.scenario
-        if scenario:
-            print(f"  drop scenario      {scenario.get('name')} "
-                  f"({scenario.get('pattern')}, seed {scenario.get('seed')})")
-        passed = (
-            report.crashes == 0
-            and report.untagged_degraded == 0
-            and report.availability >= args.availability_target
-        )
-        print(f"verdict: {'PASS' if passed else 'FAIL'} "
-              f"(availability target {args.availability_target:.2%}, "
-              "every degraded answer tagged)")
-        if not passed:
-            return 1
+        return finish(chaos_soak(
+            bundle, plan, clients=args.clients, requests=args.requests,
+            seed=args.seed, target=args.availability_target, config=config,
+        ))
     elif args.command == "fleet":
         from .serve import ServeApp, build_pool, load_fleet_manifest, run_server
         from .telemetry import Tracer, set_tracer
@@ -790,27 +620,6 @@ def main(argv: list[str] | None = None) -> int:
                   f"quota {'off' if runtime.quota is None else runtime.quota.snapshot()['rate_per_s']}")
         app = ServeApp(pool=pool, config=fleet_cfg.default)
         run_server(app)
-    elif args.command == "fleet-smoke":
-        import json
-
-        from .serve import load_bundle, run_fleet_smoke
-
-        bundle_a = load_bundle(args.bundle_a)
-        bundle_b = load_bundle(args.bundle_b)
-        print(f"fleet smoke: alpha={bundle_a.model_name} "
-              f"beta={bundle_b.model_name}, {args.rounds} rounds per phase")
-        report = run_fleet_smoke(
-            bundle_a, bundle_b, rounds=args.rounds, seed=args.seed
-        )
-        for check, ok in report["checks"].items():
-            print(f"  {'PASS' if ok else 'FAIL'}  {check}")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, default=str)
-            print(f"report written to {args.report}")
-        print(f"verdict: {'PASS' if report['passed'] else 'FAIL'}")
-        if not report["passed"]:
-            return 1
     elif args.command == "cluster":
         from .graphs import shard_quality
         from .serve import bind_http, load_bundle
@@ -851,45 +660,10 @@ def main(argv: list[str] | None = None) -> int:
             print("\nshutting down")
         finally:
             supervisor.stop()
-    elif args.command == "cluster-smoke":
-        import json
-
-        from .serve import run_cluster_smoke
-
-        num_nodes = args.nodes or 48
-        print(f"cluster smoke: {num_nodes} nodes x {args.shards} shards, "
-              f"{'in-process' if args.in_process else 'worker processes'}, "
-              f"chaos {'off' if args.no_chaos else 'on'}")
-        report = run_cluster_smoke(
-            num_nodes=num_nodes,
-            num_shards=args.shards,
-            seed=args.seed,
-            chaos=not args.no_chaos,
-            processes=not args.in_process,
-            availability_floor=args.availability_target,
-            requests_per_phase=args.requests,
-        )
-        identity = report["identity"]
-        print(f"  identity max |diff| {identity['max_abs_diff']:.2e} "
-              f"(tol {identity['tol']:.0e}, {identity['dtype']})")
-        if "chaos" in report:
-            chaos = report["chaos"]
-            print(f"  chaos availability {chaos['availability']:.2%} "
-                  f"(victim shard {chaos['victim']}, "
-                  f"warmed from {chaos['warmed']})")
-        for check, ok in report["checks"].items():
-            print(f"  {'PASS' if ok else 'FAIL'}  {check}")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, default=str)
-            print(f"report written to {args.report}")
-        print(f"verdict: {'PASS' if report['passed'] else 'FAIL'}")
-        if not report["passed"]:
-            return 1
     elif args.command == "traces":
-        from .telemetry import format_trace
+        from .telemetry import format_trace, load_traces
 
-        for trace in _load_traces(args.source, args.limit):
+        for trace in load_traces(args.source, args.limit):
             print(format_trace(trace, critical_path=args.critical_path))
             print()
     elif args.command == "slo":
@@ -903,27 +677,11 @@ def main(argv: list[str] | None = None) -> int:
         burning = payload.get("slo", payload).get("burning", [])
         if burning:
             return 1
-    elif args.command == "slo-smoke":
-        import json
+    elif args.command == "smoke":
+        from .smoke import SMOKES, finish
 
-        from .serve import load_bundle, run_slo_smoke
-
-        bundle = load_bundle(args.bundle)
-        print(f"slo smoke: {bundle.model_name}, {args.rounds} rounds per phase")
-        report = run_slo_smoke(bundle, rounds=args.rounds, seed=args.seed)
-        print(f"  burn fired on: {report['burning_during_fault']}")
-        if report["canary"] is not None:
-            print(f"  canary: {report['canary']['state']} "
-                  f"({report['canary']['reason']})")
-        for check, ok in report["checks"].items():
-            print(f"  {'PASS' if ok else 'FAIL'}  {check}")
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as handle:
-                json.dump(report, handle, indent=2, default=str)
-            print(f"report written to {args.report}")
-        print(f"verdict: {'PASS' if report['passed'] else 'FAIL'}")
-        if not report["passed"]:
-            return 1
+        report = SMOKES[args.name](data_cfg, model_cfg, trainer_cfg)
+        return finish(report, args.report)
     elif args.command == "report":
         from .experiments import ReportConfig, generate_report
 

@@ -8,11 +8,11 @@ Each cell trains one model on one corrupted context and reports its
 error plus the ratio against the HA baseline on the *same* corruption,
 so regressions are visible independent of scenario difficulty.
 
-:func:`run_gauntlet_smoke` is the CI gate: it validates the committed
-``BENCH_missing_gauntlet.json`` record (schema, grid completeness,
-required scenarios, achieved rates), proves chaos sensor drops and
-offline masks share one pattern code path, and re-runs a small live
-subset to check the baseline ratios have not regressed.
+:func:`run_gauntlet_smoke` backs ``repro smoke gauntlet``: it
+validates the committed ``BENCH_missing_gauntlet.json`` record (schema,
+grid completeness, required scenarios, achieved rates), proves chaos
+sensor drops and offline masks share one pattern code path, and re-runs
+a small live subset to check the baseline ratios have not regressed.
 """
 
 from __future__ import annotations
@@ -350,6 +350,7 @@ def run_gauntlet_smoke(
 
     Returns ``{"passed", "checks", "details", ...}``; ``checks`` maps
     check name to pass/fail and ``details`` carries one line each.
+    ``verbose`` prints the live re-run's progress.
     """
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
@@ -361,8 +362,6 @@ def run_gauntlet_smoke(
             ok, detail = False, f"{type(error).__name__}: {error}"
         checks[name] = ok
         details[name] = detail
-        if verbose:
-            print(f"  {'PASS' if ok else 'FAIL'}  {name}: {detail}")
         return ok
 
     report: dict = {"record_path": os.path.abspath(record_path)}
@@ -418,15 +417,11 @@ def run_gauntlet_smoke(
                     f"{cell.model}/{cell.scenario}@{cell.rate:.0%}: "
                     f"{cell.ratio_vs_baseline:.2f}x > bound {bound:.2f}x"
                 )
-        ok = not regressions
-        checks["no_regression"] = ok
+        checks["no_regression"] = not regressions
         details["no_regression"] = (
             "; ".join(regressions) if regressions
             else f"{len(result.cells)} live cells within bounds"
         )
-        if verbose:
-            print(f"  {'PASS' if ok else 'FAIL'}  no_regression: "
-                  f"{details['no_regression']}")
         report["live"] = result.to_payload()
 
     report.update(

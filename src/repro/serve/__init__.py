@@ -4,11 +4,13 @@ HTTP front-end and load benchmarking.
 The offline story (train → evaluate on windowed arrays) gets a
 deployment counterpart::
 
-    from repro.serve import export_bundle, load_bundle, ServeApp, run_server
+    from repro.serve import (
+        ServeApp, ServeConfig, export_bundle, load_bundle, run_server,
+    )
 
     export_bundle(model, "RIHGCN", ctx, "artifacts/rihgcn-demo")
     bundle = load_bundle("artifacts/rihgcn-demo")
-    run_server(ServeApp(bundle), port=8787)
+    run_server(ServeApp(bundle, config=ServeConfig(port=8787)))
 
 See ``docs/SERVING.md`` for the full walk-through and
 ``examples/serve_quickstart.py`` for a runnable end-to-end script.
@@ -20,6 +22,7 @@ from .artifact import (
     QUANT_MODES,
     ModelBundle,
     export_bundle,
+    export_model,
     load_bundle,
     load_fleet_manifest,
     quantization_mae_drift,
@@ -51,14 +54,12 @@ from .config import (
 from .engine import Forecast, ForecastEngine
 from .fleet import EnginePool, TenantQuota, build_pool
 from .http import PlainText, Response, ServeApp, bind_http, make_server, run_server
-from .planner import PlanRuntime
+from .planner import PlanRuntime, check_plan
 from .loadgen import (
     LoadReport,
     compare_batched_sequential,
     make_chaos_app,
-    run_fleet_smoke,
     run_load,
-    run_slo_smoke,
     zipf_node_sampler,
 )
 from .state import StateStore, StateWindow
@@ -68,6 +69,7 @@ __all__ = [
     "FORMAT_VERSION",
     "ModelBundle",
     "export_bundle",
+    "export_model",
     "load_bundle",
     "load_fleet_manifest",
     "quantization_mae_drift",
@@ -76,6 +78,7 @@ __all__ = [
     "save_fleet_manifest",
     "LRUCache",
     "PlanRuntime",
+    "check_plan",
     "DEFAULT_TENANT",
     "CanaryConfig",
     "FleetConfig",
@@ -97,8 +100,6 @@ __all__ = [
     "run_load",
     "compare_batched_sequential",
     "make_chaos_app",
-    "run_fleet_smoke",
-    "run_slo_smoke",
     "zipf_node_sampler",
     "ClusterConfig",
     "ClusterRouter",

@@ -43,6 +43,7 @@ __all__ = [
     "QUANT_MODES",
     "ModelBundle",
     "export_bundle",
+    "export_model",
     "load_bundle",
     "load_fleet_manifest",
     "quantization_mae_drift",
@@ -245,6 +246,33 @@ def export_bundle(
         json.dump(header, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return json_path
+
+
+def export_model(
+    model_name: str,
+    data_config: DataConfig,
+    model_config: ModelConfig,
+    path: str | os.PathLike,
+    trainer_config=None,
+):
+    """Build ``model_name`` on a freshly prepared context and export it.
+
+    This is ``repro export``: with ``trainer_config=None`` the bundle
+    carries the freshly initialised weights (``--skip-training``),
+    otherwise the model is fitted first. Returns ``(header_path,
+    history)``; ``history`` is ``None`` for an untrained export.
+    """
+    from ..experiments import build_model, prepare_context
+    from ..training import Trainer
+
+    ctx = prepare_context(data_config, model_config)
+    model = build_model(model_name, ctx)
+    history = None
+    if trainer_config is not None:
+        history = Trainer(model, trainer_config).fit(
+            ctx.train_windows, ctx.val_windows
+        )
+    return export_bundle(model, model_name, ctx, path), history
 
 
 def _config_from_dict(cls, payload: dict):

@@ -108,14 +108,14 @@ class LocalCluster:
         """Simulate a dead worker: its client refuses every request."""
         self.clients[shard].down = True
 
-    def revive(self, shard: int, warm: bool = True) -> None:
-        """Bring a killed worker back, optionally snapshot-warmed."""
+    def revive(self, shard: int, warm: bool = True) -> bool:
+        """Bring a killed worker back; True when snapshot-warmed."""
         self.clients[shard].down = False
-        if warm:
-            self.warm(shard)
+        warmed = self.warm(shard) if warm else False
         # Re-register with the router so its breaker starts closed, as
         # a real restart (new port, retarget) would.
         self.router.retarget(shard, self.clients[shard])
+        return warmed
 
     def warm(self, shard: int) -> bool:
         """Warm ``shard`` from the first live peer that answers.

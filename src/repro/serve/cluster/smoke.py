@@ -5,15 +5,18 @@ Three phases, all against a deterministic corridor-graph demo bundle:
 1. **Identity** (in-process, float64 policy): the same observation
    stream is fed to a sharded :class:`~.local.LocalCluster` and a
    single-process :class:`~repro.serve.http.ServeApp`; their full-network
-   forecasts must agree to ``identity_tol`` (default 1e-6). Float64
+   forecasts must agree to :data:`IDENTITY_TOL`. Float64
    makes the check meaningful: shard-local forwards slice the full
    graph's Chebyshev basis, which regroups BLAS accumulations —
    bit-for-bit under float64 at these magnitudes, not under float32.
 2. **Chaos** (real worker processes by default): drive closed-loop
-   load through the router, kill one seeded-random shard mid-run, keep
-   driving, then restart it warmed from a replica snapshot. Aggregate
-   availability (2xx responses, degraded included) must stay above
-   ``availability_floor``.
+   load through the router, fill the router's last-good cache with one
+   whole-network forecast, kill one seeded-random shard, keep driving,
+   then restart it warmed from a replica snapshot. The verdict checks
+   what ``docs/CLUSTER.md`` promises: forecasts stay at least
+   ``availability_floor`` available (2xx, degraded included); the only
+   5xx allowed are observations, during the outage, of nodes no live
+   shard holds, each with ``Retry-After``; none after recovery.
 3. **Trace** (same worker mode as chaos): with ``trace_sample=1.0``,
    kill one shard of a three-shard cluster and issue a single
    scatter-gather forecast. The router's merged ``/traces`` must hold
@@ -31,6 +34,7 @@ import json
 import os
 import re
 import tempfile
+from urllib.parse import parse_qsl, urlparse
 
 import numpy as np
 
@@ -46,6 +50,11 @@ from .process import ClusterSupervisor
 __all__ = ["run_cluster_smoke"]
 
 _SHARD_SERVICE = re.compile(r"^s\d+$")
+
+#: demo model, steps streamed before each forecast, identity tolerance
+MODEL_NAME = "GCN-LSTM"
+STREAM_STEPS = 24
+IDENTITY_TOL = 1e-6
 
 
 def _drive_stream(handle, values_stream) -> list:
@@ -72,22 +81,14 @@ def _make_stream(num_nodes: int, steps: int, seed: int):
         yield step, values.reshape(num_nodes, 1)
 
 
-def _identity_phase(
-    workdir: str,
-    num_nodes: int,
-    num_shards: int,
-    model_name: str,
-    steps: int,
-    seed: int,
-    tol: float,
-) -> dict:
+def _identity_phase(workdir: str, num_nodes: int, num_shards: int, seed: int) -> dict:
     from ..http import ServeApp
 
     with dtype_policy("float64"):
         bundle = make_demo_bundle(
             os.path.join(workdir, "identity_bundle.npz"),
             num_nodes=num_nodes,
-            model_name=model_name,
+            model_name=MODEL_NAME,
             seed=seed,
         )
         config = ClusterConfig(num_shards=num_shards)
@@ -95,7 +96,7 @@ def _identity_phase(
         single.pool.start()
         try:
             with LocalCluster(bundle, config=config) as cluster:
-                stream = list(_make_stream(num_nodes, steps, seed))
+                stream = list(_make_stream(num_nodes, STREAM_STEPS, seed))
                 single_acks = _drive_stream(single.handle, stream)
                 cluster_acks = _drive_stream(cluster.handle, stream)
                 single_resp = single.handle("GET", "/forecast", None, None)
@@ -119,9 +120,9 @@ def _identity_phase(
             if lhs.shape == rhs.shape else float("inf")
         )
     return {
-        "steps": steps,
+        "steps": STREAM_STEPS,
         "dtype": "float64",
-        "tol": tol,
+        "tol": IDENTITY_TOL,
         "single_status": single_resp.status,
         "cluster_status": cluster_resp.status,
         "observe_ok": (
@@ -129,28 +130,34 @@ def _identity_phase(
             and all(s == 200 for s in cluster_acks)
         ),
         "max_abs_diff": max_diff,
-        "identical": ok and max_diff <= tol,
+        "identical": ok and max_diff <= IDENTITY_TOL,
         "plan_quality": plan_stats,
     }
 
 
-def _availability(reports: list) -> tuple[dict, float]:
-    total = {"requests": 0, "ok": 0, "degraded": 0, "rejected": 0,
-             "client_errors": 0, "server_errors": 0, "crashes": 0}
-    for rep in reports:
-        for key in total:
-            total[key] += getattr(rep, key)
-    # ``degraded`` is a subset of ``ok`` (degraded answers are 200s).
-    served = total["ok"]
-    availability = served / total["requests"] if total["requests"] else 0.0
-    return total, availability
+def _open_cluster(processes: bool, bundle_path: str, bundle, plan, config):
+    """``(cluster, kill, restart)`` over worker processes or in-process.
+
+    ``restart(shard)`` brings a killed shard back warmed from a replica
+    and returns the warm source (``None`` or ``False`` when cold).
+    """
+    if not processes:
+        cluster = LocalCluster(bundle, config=config, plan=plan)
+        return cluster, cluster.kill, cluster.revive
+    sup = ClusterSupervisor(bundle_path, plan, config=config)
+
+    def restart(shard: int):
+        warmed = sup.restart_shard(shard, warm=True).get("warmed_from")
+        sup.wait_healthy(timeout_s=10.0)
+        return warmed
+
+    return sup, sup.kill_shard, restart
 
 
 def _chaos_phase(
     workdir: str,
     num_nodes: int,
     num_shards: int,
-    model_name: str,
     seed: int,
     processes: bool,
     requests_per_phase: int,
@@ -159,94 +166,70 @@ def _chaos_phase(
 
     bundle_path = os.path.join(workdir, "chaos_bundle.npz")
     bundle = make_demo_bundle(
-        bundle_path, num_nodes=num_nodes, model_name=model_name, seed=seed
+        bundle_path, num_nodes=num_nodes, model_name=MODEL_NAME, seed=seed
     )
     config = ClusterConfig(num_shards=num_shards)
     plan = build_plan(bundle, config)
     rng = np.random.default_rng(seed)
     victim = int(rng.integers(num_shards))
+    answers: list[tuple] = []  # one (phase, method, node, status, Retry-After) each
 
-    def load(handle, phase_seed, start_step):
+    def load(handle, phase: int, start_step: int):
+        def recorded(method, path, body=None, headers=None):
+            response = handle(method, path, body, headers)
+            query = json.loads(body) if body else dict(parse_qsl(urlparse(path).query))
+            answers.append((
+                phase, method, int(query["node"]), response.status,
+                response.headers.get("Retry-After"),
+            ))
+            return response
+
         return run_load(
-            handle,
+            recorded,
             num_nodes=num_nodes,
             num_features=1,
             start_step=start_step,
             num_clients=2,
             requests_per_client=requests_per_phase // 4,
-            seed=phase_seed,
+            seed=seed + 1 + phase,
         )
 
-    phases = []
-    report: dict = {
-        "mode": "processes" if processes else "local",
-        "victim": victim,
-        "warmed": None,
-    }
-    if processes:
-        with ClusterSupervisor(bundle_path, plan, config=config) as sup:
-            _drive_stream(sup.handle, _make_stream(num_nodes, 6, seed))
-            phases.append(load(sup.handle, seed + 1, 6))
-            sup.kill_shard(victim)
-            phases.append(load(sup.handle, seed + 2, 200))
-            restart = sup.restart_shard(victim, warm=True)
-            report["warmed"] = restart.get("warmed_from")
-            sup.wait_healthy(timeout_s=10.0)
-            phases.append(load(sup.handle, seed + 3, 400))
-            report["healthz_after"] = sup.router.healthz().body
-    else:
-        with LocalCluster(bundle, config=config, plan=plan) as cluster:
-            _drive_stream(cluster.handle, _make_stream(num_nodes, 6, seed))
-            phases.append(load(cluster.handle, seed + 1, 6))
-            cluster.kill(victim)
-            phases.append(load(cluster.handle, seed + 2, 200))
-            cluster.clients[victim].down = False
-            report["warmed"] = cluster.warm(victim)
-            cluster.router.retarget(victim, cluster.clients[victim])
-            phases.append(load(cluster.handle, seed + 3, 400))
-            report["healthz_after"] = cluster.router.healthz().body
-    totals, availability = _availability(phases)
-    report["phases"] = [
-        {k: getattr(p, k) for k in (
-            "requests", "ok", "degraded", "rejected",
-            "client_errors", "server_errors", "crashes", "availability",
-        )}
-        for p in phases
+    report: dict = {"mode": "processes" if processes else "local", "victim": victim}
+    cluster, kill, restart = _open_cluster(processes, bundle_path, bundle, plan, config)
+    with cluster:
+        _drive_stream(cluster.handle, _make_stream(num_nodes, 6, seed))
+        phases = [load(cluster.handle, 0, 6)]
+        cluster.handle("GET", "/forecast", None)  # fills the last-good cache
+        kill(victim)
+        phases.append(load(cluster.handle, 1, 200))
+        report["warmed"] = restart(victim)
+        phases.append(load(cluster.handle, 2, 400))
+        report["healthz_after"] = cluster.router.healthz().body
+
+    report["phases"] = [p.to_json_dict() for p in phases]
+    requests = sum(p.requests for p in phases)
+    report["availability"] = sum(p.ok for p in phases) / requests if requests else 0.0
+    forecasts = [a[3] for a in answers if a[1] == "GET"]
+    report["forecast_availability"] = (
+        sum(200 <= status < 300 for status in forecasts) / max(len(forecasts), 1)
+    )
+    report["crashes"] = sum(p.crashes for p in phases)
+    report["unheld_nodes"] = [
+        node for node in range(num_nodes) if set(plan.holders_of(node)) == {victim}
     ]
-    report["totals"] = totals
-    report["availability"] = availability
+    report["server_errors"] = [
+        dict(zip(("phase", "method", "node", "status", "retry_after"), a))
+        for a in answers if a[3] >= 500
+    ]
     report["degraded_seen"] = any(p.degraded > 0 for p in phases)
     return report
 
 
-def _trace_services(trace: dict) -> set:
-    return {
-        span.get("service")
-        for span in trace.get("spans", [])
-        if span.get("service")
-    }
-
-
-def _has_failover_hop(trace: dict) -> bool:
-    return any(
-        span.get("name") == "shard_call"
-        and span.get("attributes", {}).get("failover")
-        for span in trace.get("spans", [])
-    )
-
-
-def _trace_phase(
-    workdir: str,
-    num_nodes: int,
-    model_name: str,
-    seed: int,
-    processes: bool,
-    steps: int = 24,
-) -> dict:
+def _trace_phase(workdir: str, num_nodes: int, seed: int, processes: bool) -> dict:
     """One request, one merged cross-process trace, one critical path."""
     bundle_path = os.path.join(workdir, "trace_bundle.npz")
     bundle = make_demo_bundle(
-        bundle_path, num_nodes=num_nodes, model_name=model_name, seed=seed
+        bundle_path, num_nodes=num_nodes, model_name=MODEL_NAME, seed=seed
     )
     # Three shards so that with one killed, a single scatter-gather
     # trace still touches two live worker processes plus the failover
@@ -258,23 +241,12 @@ def _trace_phase(
     rng = np.random.default_rng(seed)
     victim = int(rng.integers(3))
 
-    def drive(handle, kill):
-        _drive_stream(handle, _make_stream(num_nodes, steps, seed))
-        kill()
-        forecast = handle("GET", "/forecast", None, None)
-        traces_resp = handle("GET", "/traces", None, None)
-        return forecast, traces_resp
-
-    if processes:
-        with ClusterSupervisor(bundle_path, plan, config=config) as sup:
-            forecast, traces_resp = drive(
-                sup.handle, lambda: sup.kill_shard(victim)
-            )
-    else:
-        with LocalCluster(bundle, config=config, plan=plan) as cluster:
-            forecast, traces_resp = drive(
-                cluster.handle, lambda: cluster.kill(victim)
-            )
+    cluster, kill, _ = _open_cluster(processes, bundle_path, bundle, plan, config)
+    with cluster:
+        _drive_stream(cluster.handle, _make_stream(num_nodes, STREAM_STEPS, seed))
+        kill(victim)
+        forecast = cluster.handle("GET", "/forecast", None, None)
+        traces_resp = cluster.handle("GET", "/traces", None, None)
 
     report: dict = {
         "victim": victim,
@@ -298,13 +270,15 @@ def _trace_phase(
     )
     report["num_traces"] = len(traces)
     for trace in traces:
-        services = _trace_services(trace)
+        spans = trace.get("spans", [])
+        services = {span.get("service") for span in spans if span.get("service")}
+        failover_hop = any(
+            span.get("name") == "shard_call"
+            and span.get("attributes", {}).get("failover")
+            for span in spans
+        )
         shard_services = {s for s in services if _SHARD_SERVICE.match(s)}
-        if (
-            "router" not in services
-            or len(shard_services) < 2
-            or not _has_failover_hop(trace)
-        ):
+        if "router" not in services or len(shard_services) < 2 or not failover_hop:
             continue
         path = critical_path(trace)
         report.update({
@@ -312,7 +286,7 @@ def _trace_phase(
             "failover_hop": True,
             "trace_id": trace.get("trace_id"),
             "services": sorted(services),
-            "num_spans": len(trace.get("spans", [])),
+            "num_spans": len(spans),
             "dominant_phase": path["dominant_phase"],
             "phases_ms": path["phases"],
             "critical_path": format_critical_path(trace),
@@ -322,71 +296,66 @@ def _trace_phase(
 
 
 def run_cluster_smoke(
-    workdir: str | None = None,
     num_nodes: int = 48,
     num_shards: int = 2,
-    model_name: str = "GCN-LSTM",
-    steps: int = 24,
     seed: int = 0,
-    identity_tol: float = 1e-6,
     chaos: bool = True,
     processes: bool = True,
     availability_floor: float = 0.99,
     requests_per_phase: int = 60,
-    trace: bool | None = None,
 ) -> dict:
-    """Run the identity + chaos + trace smoke; ``report["passed"]`` gates CI."""
-    if trace is None:
-        trace = chaos  # the trace phase kills a shard; identity-only skips it
-    owned_dir = None
-    if workdir is None:
-        owned_dir = tempfile.TemporaryDirectory(prefix="repro-cluster-smoke-")
-        workdir = owned_dir.name
-    try:
+    """Run the identity phase, then with ``chaos`` the chaos and trace phases.
+
+    ``report["passed"]`` is the verdict.
+    """
+    with tempfile.TemporaryDirectory(prefix="repro-cluster-smoke-") as workdir:
         report: dict = {
             "num_nodes": num_nodes,
             "num_shards": num_shards,
-            "model_name": model_name,
+            "model_name": MODEL_NAME,
             "seed": seed,
+            "identity": _identity_phase(workdir, num_nodes, num_shards, seed),
         }
-        report["identity"] = _identity_phase(
-            workdir, num_nodes, num_shards, model_name, steps, seed,
-            identity_tol,
-        )
-        if chaos:
-            report["chaos"] = _chaos_phase(
-                workdir, num_nodes, num_shards, model_name, seed,
-                processes, requests_per_phase,
-            )
-        if trace:
-            report["trace"] = _trace_phase(
-                workdir, num_nodes, model_name, seed, processes,
-            )
         checks = {
             "identity_within_tol": report["identity"]["identical"],
             "observations_accepted": report["identity"]["observe_ok"],
         }
         if chaos:
-            checks["availability_floor"] = (
-                report["chaos"]["availability"] >= availability_floor
+            report["chaos"] = chaos_report = _chaos_phase(
+                workdir, num_nodes, num_shards, seed, processes,
+                requests_per_phase,
             )
-            checks["no_server_errors_after_recovery"] = (
-                report["chaos"]["phases"][-1]["server_errors"] == 0
-            )
-            checks["shard_warmed_from_replica"] = bool(
-                report["chaos"]["warmed"] is not None
-                and report["chaos"]["warmed"] is not False
-            )
-        if trace:
-            checks["merged_trace_spans_processes"] = report["trace"]["merged"]
-            checks["trace_failover_hop"] = report["trace"]["failover_hop"]
-            checks["trace_critical_path"] = (
-                report["trace"]["dominant_phase"] is not None
-            )
-        report["availability_floor"] = availability_floor
-        report["checks"] = checks
-        report["passed"] = all(checks.values())
-        return report
-    finally:
-        if owned_dir is not None:
-            owned_dir.cleanup()
+            report["trace"] = _trace_phase(workdir, num_nodes, seed, processes)
+            errors = chaos_report["server_errors"]
+            observe_errors = [e for e in errors if e["method"] == "POST"]
+            checks.update({
+                "forecast_availability_floor": (
+                    chaos_report["forecast_availability"] >= availability_floor
+                ),
+                # observing a node no live shard holds has nowhere to go
+                "observe_errors_only_unheld_nodes": all(
+                    e["phase"] == 1 and e["node"] in chaos_report["unheld_nodes"]
+                    and e["retry_after"] is not None
+                    for e in observe_errors
+                ),
+                "no_other_server_errors": (
+                    len(observe_errors) == len(errors)
+                    and chaos_report["crashes"] == 0
+                ),
+                "no_server_errors_after_recovery": (
+                    chaos_report["phases"][-1]["server_errors"] == 0
+                ),
+                # ``warmed`` is the source shard id (0 is a valid one),
+                # or None / False when no replica snapshot was replayed
+                "shard_warmed_from_replica": (
+                    chaos_report["warmed"] is not None
+                    and chaos_report["warmed"] is not False
+                ),
+                "merged_trace_spans_processes": report["trace"]["merged"],
+                "trace_failover_hop": report["trace"]["failover_hop"],
+                "trace_critical_path": report["trace"]["dominant_phase"] is not None,
+            })
+    report["availability_floor"] = availability_floor
+    report["checks"] = checks
+    report["passed"] = all(checks.values())
+    return report

@@ -19,10 +19,6 @@ overrides and optional :class:`ShadowConfig` / :class:`CanaryConfig`
 rollout plans. ``FleetConfig.single()`` wraps a lone ``ServeConfig``
 into a one-tenant fleet, which is how the legacy single-engine entry
 points keep working unchanged.
-
-The old loose-kwargs call styles (``make_server(app, host, port)``,
-engine kwargs passed straight to ``ServeApp``) were removed in this
-release; they now raise ``TypeError`` with a migration hint.
 """
 
 from __future__ import annotations

@@ -52,9 +52,7 @@ and ``Retry-After`` headers; resilience errors map onto HTTP —
 :class:`~repro.errors.Overloaded` → 429, any other
 :class:`~repro.errors.ServeError` (open breaker, blown deadline, dry
 fallback ladder) → 503, all with ``Retry-After``. Tuning arrives as one
-:class:`~repro.serve.config.ServeConfig` per tenant; the pre-fleet
-loose kwargs were removed in this release and now raise
-:class:`TypeError` with a migration hint.
+:class:`~repro.serve.config.ServeConfig` per tenant.
 """
 
 from __future__ import annotations
@@ -114,25 +112,12 @@ class PlainText:
 class Response:
     """One HTTP response: status, body and response headers.
 
-    Replaced the old ``(status, payload)`` tuples so degraded and
-    rejected responses can set ``X-Degraded`` / ``Retry-After``. The
-    transitional tuple unpacking is gone: read ``response.status`` and
-    ``response.body``.
+    Degraded and rejected responses set ``X-Degraded`` / ``Retry-After``.
     """
 
     status: int
     body: dict | PlainText
     headers: dict = field(default_factory=dict)
-
-    def __iter__(self):
-        raise TypeError(
-            "Response is no longer iterable; unpack via response.status "
-            "and response.body instead of 'status, payload = ...'"
-        )
-
-
-#: ServeApp kwargs that were loose engine tuning, removed in the fleet release.
-_REMOVED_APP_KWARGS = ("max_batch_size", "max_wait_s", "cache_size", "trace_sample")
 
 
 class ServeApp:
@@ -147,11 +132,6 @@ class ServeApp:
       server.
     * ``ServeApp(pool=pool)`` — adopt a pre-built multi-tenant pool
       (see :func:`~repro.serve.fleet.build_pool`).
-
-    The pre-fleet loose kwargs (``max_batch_size``, ``max_wait_s``,
-    ``cache_size``, ``trace_sample``) were removed in this release and
-    raise :class:`TypeError`; fold them into a
-    :class:`~repro.serve.config.ServeConfig`.
     """
 
     def __init__(
@@ -165,19 +145,7 @@ class ServeApp:
         config: ServeConfig | None = None,
         pool: EnginePool | None = None,
         slo: SLOEngine | None = None,
-        **removed,
     ):
-        if removed:
-            bad = sorted(set(removed) & set(_REMOVED_APP_KWARGS))
-            if bad:
-                raise TypeError(
-                    f"ServeApp() kwargs {bad} were removed; pass a ServeConfig "
-                    "instead, e.g. ServeApp(bundle, config=ServeConfig("
-                    f"{bad[0]}=...))"
-                )
-            raise TypeError(
-                f"ServeApp() got unexpected keyword arguments {sorted(removed)}"
-            )
         if pool is not None:
             if bundle is not None or store is not None or engine is not None:
                 raise TypeError(
@@ -642,15 +610,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(self.app.handle("POST", self.path, body, dict(self.headers)))
 
 
-def _reject_bind_args(host, port) -> None:
-    if host is not None or port is not None:
-        raise TypeError(
-            "make_server/run_server no longer accept host/port arguments "
-            "(removed in this release); set them on the serve config: "
-            "ServeApp(bundle, config=ServeConfig(host=..., port=...))"
-        )
-
-
 def bind_http(app, host: str, port: int) -> ThreadingHTTPServer:
     """Bind a threading HTTP server for any ``handle``-shaped app.
 
@@ -664,9 +623,7 @@ def bind_http(app, host: str, port: int) -> ThreadingHTTPServer:
     return ThreadingHTTPServer((host, port), handler)
 
 
-def make_server(
-    app: ServeApp, host: None = None, port: None = None
-) -> ThreadingHTTPServer:
+def make_server(app: ServeApp) -> ThreadingHTTPServer:
     """Bind a threading HTTP server for ``app``.
 
     The bind address comes from ``app.config`` (``port=0`` = ephemeral).
@@ -675,7 +632,6 @@ def make_server(
     here so every engine's batching dispatcher and the shadow worker
     run before the first request.
     """
-    _reject_bind_args(host, port)
     server = bind_http(app, app.config.host, app.config.port)
     app.pool.start()
     return server
@@ -683,8 +639,6 @@ def make_server(
 
 def run_server(
     app: ServeApp,
-    host: None = None,
-    port: None = None,
     ready_event: threading.Event | None = None,
 ) -> None:
     """Blocking entry point used by ``repro serve`` and ``repro fleet``.
@@ -692,7 +646,6 @@ def run_server(
     Prints the bound address (machine-parseable first line) before
     serving; ``ready_event`` is set once the socket is listening.
     """
-    _reject_bind_args(host, port)
     server = make_server(app)
     bound_host, bound_port = server.server_address[:2]
     print(f"serving on http://{bound_host}:{bound_port}", flush=True)

@@ -27,6 +27,9 @@ Metrics (labelled like every other serve series): counters
 ``serve/plan_fallbacks``, histogram ``serve/plan_compile_seconds`` and
 the per-mode forward counter ``serve/engine_exec_mode`` with a ``mode``
 label. Compilation runs inside a ``plan.compile`` span.
+
+:func:`check_plan` is the offline form of the same compile-and-validate
+walk for one bundle; ``repro plan`` and the serve smoke both run it.
 """
 
 from __future__ import annotations
@@ -35,11 +38,11 @@ import threading
 
 import numpy as np
 
-from ..autodiff import PlanUnsupported, inference_mode, trace
+from ..autodiff import PlanUnsupported, default_dtype, inference_mode, trace
 from ..models.base import NeuralForecaster
 from ..telemetry import MetricRegistry, Tracer, label_block
 
-__all__ = ["PlanRuntime"]
+__all__ = ["PlanRuntime", "check_plan"]
 
 #: plans cached per engine; keys beyond this evict the oldest entry
 _MAX_PLANS = 8
@@ -202,3 +205,57 @@ class PlanRuntime:
         self._count("serve/plan_fallbacks")
         self._count("serve/engine_exec_mode", mode="eager")
         return eager
+
+
+def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> dict:
+    """Trace ``bundle``'s forward for ``batch`` rows on seeded inputs.
+
+    With ``verify`` the plan is replayed on a fresh draw and must be
+    bitwise-equal to the eager forward, as a server's validate step
+    requires. Returns ``{"compiled", "verified", "reason"}`` plus, as far
+    as the check got, ``"signature"``, ``"stats"`` and ``"max_abs_diff"``;
+    ``reason`` explains an uncompiled or unverified plan and ``verified``
+    is ``None`` without ``verify``.
+    """
+    model = bundle.model
+    rng = np.random.default_rng(seed)
+    shape = (batch, bundle.input_length, bundle.num_nodes, bundle.num_features)
+    steps_per_day = bundle.data_config.steps_per_day
+    day_steps = (int(rng.integers(0, steps_per_day))
+                 + np.arange(bundle.input_length)) % steps_per_day
+    steps = np.broadcast_to(day_steps, (batch, bundle.input_length)).copy()
+
+    def draw():
+        m = (rng.random(shape) >= 0.2).astype(default_dtype())
+        x = rng.standard_normal(shape).astype(default_dtype()) * m
+        return model.plan_inputs(x, m, steps)
+
+    result = {"compiled": False, "verified": None, "reason": None}
+    split = draw()
+    if split is None:
+        result["reason"] = f"{bundle.model_name} does not implement traced plans"
+        return result
+    inputs, result["signature"] = split
+    try:
+        plan, _ = trace(model.plan_forward, inputs)
+    except PlanUnsupported as error:
+        result["reason"] = f"plan unsupported: {error}"
+        return result
+    result.update(compiled=True, stats=plan.stats.as_dict())
+    if not verify:
+        return result
+    inputs, signature = draw()
+    if signature != result["signature"]:
+        result.update(verified=False, reason="a fresh draw changed the plan "
+                      "signature; a server would retrace instead of replaying")
+        return result
+    replayed = plan.replay(inputs)
+    with inference_mode():
+        eager = np.asarray(model.plan_forward(**inputs))
+    result["max_abs_diff"] = float(np.max(np.abs(
+        replayed.astype(np.float64) - eager.astype(np.float64)
+    )))
+    result["verified"] = replayed.dtype == eager.dtype and bool(
+        np.array_equal(replayed, eager, equal_nan=True)
+    )
+    return result

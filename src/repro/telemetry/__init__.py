@@ -79,7 +79,7 @@ from .slo import (
     SLOTracker,
     default_serving_objectives,
 )
-from .trace import Span, SpanContext, Tracer, format_trace, get_tracer, set_tracer
+from .trace import Span, SpanContext, Tracer, format_trace, get_tracer, load_traces, set_tracer
 
 __all__ = [
     "MetricRegistry",
@@ -101,6 +101,7 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "format_trace",
+    "load_traces",
     "format_traceparent",
     "parse_traceparent",
     "inject_trace_context",

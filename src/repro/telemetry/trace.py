@@ -50,6 +50,7 @@ __all__ = [
     "get_tracer",
     "set_tracer",
     "format_trace",
+    "load_traces",
 ]
 
 
@@ -345,6 +346,37 @@ def set_tracer(tracer: Tracer) -> Tracer:
     previous = _DEFAULT_TRACER
     _DEFAULT_TRACER = tracer
     return previous
+
+
+def load_traces(source: str, limit: int | None = None) -> list[dict]:
+    """Fetch traces from a server's ``/traces`` or regroup a JSONL span export.
+
+    ``source`` is an ``http(s)://host:port`` base URL or a span file
+    written by ``export_path``; either way the most recently started
+    trace comes first, at most ``limit`` of them.
+    """
+    if source.startswith("http://") or source.startswith("https://"):
+        from urllib.request import urlopen
+
+        url = source.rstrip("/") + "/traces"
+        if limit is not None:
+            url += f"?limit={limit}"
+        with urlopen(url) as response:
+            return json.load(response)["traces"]
+
+    grouped: dict[str, list[dict]] = {}
+    with open(source, encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if line:
+                span = json.loads(line)
+                grouped.setdefault(span["trace_id"], []).append(span)
+    traces = [
+        {"trace_id": trace_id,
+         "spans": sorted(spans, key=lambda s: s["start"])}
+        for trace_id, spans in reversed(grouped.items())
+    ]
+    return traces if limit is None else traces[: max(limit, 0)]
 
 
 def _span_label(span: dict) -> str:

@@ -35,6 +35,20 @@ class TestInProcessSmoke:
         assert report["chaos"]["availability"] >= 0.99, report["chaos"]
         assert report["passed"], report["checks"]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chaos_gate_holds_across_seeds(self, seed):
+        """At the CI size every seed passes: forecasts for the killed
+        shard's nodes come from the router's cache, and the only 5xx
+        are observations of nodes no live shard holds."""
+        report = run_cluster_smoke(seed=seed, processes=False)
+        assert report["passed"], report["checks"]
+        chaos = report["chaos"]
+        assert chaos["forecast_availability"] == 1.0
+        for error in chaos["server_errors"]:
+            assert error["method"] == "POST" and error["phase"] == 1
+            assert error["node"] in chaos["unheld_nodes"]
+            assert error["retry_after"] is not None
+
     def test_report_is_json_serializable(self):
         report = run_cluster_smoke(
             num_nodes=24, num_shards=2, chaos=False, processes=False,

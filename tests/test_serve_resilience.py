@@ -145,17 +145,6 @@ class TestFallbackLadder:
 
 
 class TestResponseCompat:
-    def test_response_tuple_unpacking_removed(self, bundle):
-        """The transitional ``(status, payload)`` unpacking is gone; the
-        error names the replacement attributes."""
-        app, _ = make_app(bundle)
-        response = app.handle("GET", "/healthz", None)
-        assert isinstance(response, Response)
-        with pytest.raises(TypeError, match="no longer iterable"):
-            status, payload = response
-        with pytest.raises(TypeError, match="response.status"):
-            tuple(response)
-
     def test_headers_default_empty(self):
         assert Response(200, {"ok": True}).headers == {}
 
