@@ -86,20 +86,19 @@ def run_once(benchmark, fn):
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
 
-def model_result_record(result) -> dict:
-    """Flatten one :class:`~repro.experiments.ModelResult` for a bench record."""
-    record = {
-        "model": result.name,
-        "train_seconds": result.train_seconds,
-        "num_parameters": result.num_parameters,
-        "epochs": result.epochs,
+def cell_record(cell) -> dict:
+    """Flatten one :class:`~repro.experiments.Cell` for a bench record."""
+    return {
+        "model": cell.model,
+        "rate": cell.rate,
+        "train_seconds": cell.train_seconds,
+        "num_parameters": cell.num_parameters,
+        "epochs": cell.epochs,
         "metrics": {
             str(h): {"mae": pair.mae, "rmse": pair.rmse}
-            for h, pair in result.horizon_metrics.items()
+            for h, pair in cell.horizon_metrics.items()
         },
     }
-    record.update(result.extra)
-    return record
 
 
 def emit_bench_record(name: str, payload: dict) -> str:

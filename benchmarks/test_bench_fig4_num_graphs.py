@@ -11,7 +11,7 @@ import pytest
 
 from bench_config import SCALE, model_config, pems_data_config, run_once, trainer_config
 
-from repro.experiments import run_fig4
+from repro.experiments import fig4, run_grid
 
 pytestmark = pytest.mark.bench
 
@@ -19,20 +19,19 @@ GRAPH_COUNTS = {"fast": [2, 8], "small": [2, 4, 8, 16], "full": [2, 4, 8, 16, 24
 
 
 def test_fig4_num_graphs(benchmark):
-    result = run_once(
+    grid = run_once(
         benchmark,
-        lambda: run_fig4(
-            graph_counts=GRAPH_COUNTS,
-            data_config=pems_data_config(),
-            model_config=model_config(),
-            trainer_config=trainer_config(),
+        lambda: run_grid(
+            fig4(GRAPH_COUNTS),
+            pems_data_config(), model_config(), trainer_config(),
         ),
     )
     print()
-    print(result.render())
-    print(f"best prediction at M={result.best_prediction_m()}")
+    print(grid.render())
+    best = min(grid.cells, key=lambda cell: cell.metric_at().mae)
+    print(f"best prediction at M={best.value}")
 
-    maes = [p.mae for p in result.prediction]
+    maes = [grid.cell("RIHGCN", value=m).metric_at().mae for m in GRAPH_COUNTS]
     assert all(m > 0 for m in maes)
     if len(maes) >= 3:
         # The largest M should not be the (strict) best: redundancy costs.

@@ -11,7 +11,7 @@ import pytest
 
 from bench_config import SCALE, model_config, pems_data_config, run_once, trainer_config
 
-from repro.experiments import run_fig5
+from repro.experiments import fig5, run_grid
 
 pytestmark = pytest.mark.bench
 
@@ -23,20 +23,19 @@ LAMBDAS = {
 
 
 def test_fig5_lambda(benchmark):
-    result = run_once(
+    grid = run_once(
         benchmark,
-        lambda: run_fig5(
-            lambdas=LAMBDAS,
-            data_config=pems_data_config(),
-            model_config=model_config(),
-            trainer_config=trainer_config(),
+        lambda: run_grid(
+            fig5(LAMBDAS),
+            pems_data_config(), model_config(), trainer_config(),
         ),
     )
     print()
-    print(result.render())
+    print(grid.render())
 
-    imp = [p.mae for p in result.imputation]
-    pred = [p.mae for p in result.prediction]
+    cells = [grid.cell("RIHGCN", value=lam) for lam in LAMBDAS]
+    imp = [c.imputation.mae for c in cells]
+    pred = [c.metric_at().mae for c in cells]
     # (a) more imputation pressure should not make imputation *worse*:
     # compare the smallest and largest lambda.
     assert imp[-1] <= imp[0] * 1.05, "imputation should improve with lambda"

@@ -9,7 +9,7 @@ import pytest
 
 from bench_config import SCALE, model_config, pems_data_config, run_once, trainer_config
 
-from repro.experiments import run_imputation_study
+from repro.experiments import rq2, run_grid
 
 pytestmark = pytest.mark.bench
 
@@ -20,32 +20,29 @@ EPOCHS = {"fast": 8, "small": 22, "full": 45}[SCALE]
 
 
 def test_imputation_study(benchmark):
-    result = run_once(
+    grid = run_once(
         benchmark,
-        lambda: run_imputation_study(
-            missing_rates=MISSING_RATES,
-            data_config=pems_data_config(),
-            model_config=model_config(),
+        lambda: run_grid(
+            rq2(MISSING_RATES),
+            pems_data_config(),
+            model_config(),
             # Fig. 5: imputation quality rises monotonically with lambda and
             # lambda=5 is still inside the paper's good prediction basin, so
             # the imputation study trains with the imputation-heavy weight.
-            trainer_config=trainer_config(imputation_weight=5.0,
-                                          max_epochs=EPOCHS, patience=6),
-            include_model=True,
+            trainer_config(imputation_weight=5.0, max_epochs=EPOCHS, patience=6),
         ),
     )
     print()
-    print(result.render("RQ2: imputation MAE/RMSE on held-out observed entries"))
+    print(grid.render("RQ2: imputation MAE/RMSE on held-out observed entries"))
 
     # Shape assertion: RIHGCN beats every *structure-based* imputer (the
     # paper's KNN/MF/TD plus mean filling). The copy-based Last baseline is
     # artificially strong on the smooth simulated substrate under MCAR —
     # see EXPERIMENTS.md ("substitution artifact") — so it is reported but
     # not asserted against.
-    for col in range(len(MISSING_RATES)):
-        rihgcn = result.cells["RIHGCN"][col].mae
+    for rate in MISSING_RATES:
+        rihgcn = grid.cell("RIHGCN", rate=rate).imputation.mae
         for name in ("Mean", "KNN", "MF", "TD"):
-            assert rihgcn <= result.cells[name][col].mae * 1.05, (
-                f"RIHGCN imputation should beat {name} "
-                f"at {MISSING_RATES[col]:.0%} missing"
+            assert rihgcn <= grid.cell(name, rate=rate).imputation.mae * 1.05, (
+                f"RIHGCN imputation should beat {name} at {rate:.0%} missing"
             )

@@ -14,7 +14,7 @@ from bench_config import (
     trainer_config,
 )
 
-from repro.experiments import run_table1_horizons
+from repro.experiments import run_grid, table1_horizon
 
 pytestmark = pytest.mark.bench
 
@@ -22,26 +22,22 @@ HORIZONS = [3, 6, 9, 12]
 
 
 def test_table1_horizon_sweep(benchmark):
-    result = run_once(
+    grid = run_once(
         benchmark,
-        lambda: run_table1_horizons(
-            models=PREDICTION_MODELS,
-            horizons=HORIZONS,
-            missing_rate=0.8,
-            data_config=pems_data_config(),
-            model_config=model_config(),
-            trainer_config=trainer_config(),
+        lambda: run_grid(
+            table1_horizon(PREDICTION_MODELS, 0.8, HORIZONS),
+            pems_data_config(), model_config(), trainer_config(),
         ),
     )
     print()
-    print(result.render("Table I (lower): PeMS, 80% missing, by horizon"))
+    print(grid.render("Table I (lower): PeMS, 80% missing, by horizon"))
 
     # Error is (weakly) increasing with horizon for the learned models.
-    for name, cells in result.cells.items():
-        maes = [c.mae for c in cells]
+    for cell in grid.cells:
+        maes = [cell.metric_at(h).mae for h in HORIZONS]
         assert maes[-1] >= maes[0] * 0.9, (
-            f"{name}: 60-min error unexpectedly far below 15-min error"
+            f"{cell.model}: 60-min error unexpectedly far below 15-min error"
         )
     # RIHGCN near-best at the full horizon.
-    best = min(cells[-1].mae for cells in result.cells.values())
-    assert result.cells["RIHGCN"][-1].mae <= best * 1.1
+    best = min(cell.metric_at().mae for cell in grid.cells)
+    assert grid.cell("RIHGCN").metric_at().mae <= best * 1.1

@@ -11,15 +11,15 @@ import pytest
 from bench_config import (
     PREDICTION_MODELS,
     SCALE,
+    cell_record,
     emit_bench_record,
     model_config,
-    model_result_record,
     pems_data_config,
     run_once,
     trainer_config,
 )
 
-from repro.experiments import run_table1_missing_rates
+from repro.experiments import run_grid, table1_missing
 
 pytestmark = pytest.mark.bench
 
@@ -28,37 +28,32 @@ MISSING_RATES = {"fast": [0.4, 0.8], "small": [0.2, 0.4, 0.6, 0.8],
 
 
 def test_table1_missing_rate_sweep(benchmark):
-    result = run_once(
+    grid = run_once(
         benchmark,
-        lambda: run_table1_missing_rates(
-            models=PREDICTION_MODELS,
-            missing_rates=MISSING_RATES,
-            data_config=pems_data_config(),
-            model_config=model_config(),
-            trainer_config=trainer_config(),
+        lambda: run_grid(
+            table1_missing(PREDICTION_MODELS, MISSING_RATES),
+            pems_data_config(), model_config(), trainer_config(),
         ),
     )
     print()
-    print(result.render("Table I (upper): PeMS, 60-min horizon, by missing rate"))
+    print(grid.render("Table I (upper): PeMS, 60-min horizon, by missing rate"))
 
     emit_bench_record("table1_missing_rate", {
         "dataset": "pems",
         "missing_rates": MISSING_RATES,
-        "runs": [model_result_record(r) for r in result.details],
+        "runs": [cell_record(c) for c in grid.cells],
     })
 
-    # Shape assertions from the paper.
-    last = len(MISSING_RATES) - 1
-    rihgcn = result.cells["RIHGCN"]
-    for name, cells in result.cells.items():
+    # Shape assertions from the paper, at the highest missing rate.
+    last = {c.model: c.metric_at() for c in grid.select(rate=MISSING_RATES[-1])}
+    for name, pair in last.items():
         if name == "RIHGCN":
             continue
-        assert rihgcn[last].mae <= cells[last].mae * 1.05, (
+        assert last["RIHGCN"].mae <= pair.mae * 1.05, (
             f"RIHGCN should be (near-)best at the highest missing rate; "
             f"beaten by {name}"
         )
-    if "GCN-LSTM" in result.cells and "GCN-LSTM-I" in result.cells:
-        assert (
-            result.cells["GCN-LSTM-I"][last].mae
-            <= result.cells["GCN-LSTM"][last].mae
-        ), "imputation-enhanced variant should win at 80% missing"
+    if "GCN-LSTM" in last and "GCN-LSTM-I" in last:
+        assert last["GCN-LSTM-I"].mae <= last["GCN-LSTM"].mae, (
+            "imputation-enhanced variant should win at 80% missing"
+        )

@@ -17,7 +17,7 @@ from bench_config import (
     trainer_config,
 )
 
-from repro.experiments import prepare_context, run_table2
+from repro.experiments import prepare_context, run_grid, table2
 
 pytestmark = pytest.mark.bench
 
@@ -26,28 +26,24 @@ HORIZONS = [3, 6, 9, 12]
 
 def test_table2_stampede(benchmark):
     data_cfg = stampede_data_config()
-    result = run_once(
+    grid = run_once(
         benchmark,
-        lambda: run_table2(
-            models=PREDICTION_MODELS,
-            horizons=HORIZONS,
-            data_config=data_cfg,
-            model_config=model_config(),
-            trainer_config=trainer_config(),
+        lambda: run_grid(
+            table2(PREDICTION_MODELS, HORIZONS),
+            data_cfg, model_config(), trainer_config(),
         ),
     )
     natural = prepare_context(data_cfg, model_config()).corrupted.missing_rate
     print()
     print(f"natural missing rate: {natural:.1%}")
-    print(result.render("Table II: Stampede (travel time, seconds), by horizon"))
+    print(grid.render("Table II: Stampede (travel time, seconds), by horizon"))
 
     assert natural > 0.5, "roving data should be mostly missing"
     # RIHGCN among the best *learned* models at 60 minutes (ties are common
     # on this data — the paper's own Table II margins are ~1%; its Table II
     # does not include HA).
-    learned = {
-        name: cells for name, cells in result.cells.items()
-        if name not in ("HA", "VAR")
-    }
-    best = min(cells[-1].mae for cells in learned.values())
-    assert result.cells["RIHGCN"][-1].mae <= best * 1.10
+    best = min(
+        cell.metric_at().mae for cell in grid.cells
+        if cell.model not in ("HA", "VAR")
+    )
+    assert grid.cell("RIHGCN").metric_at().mae <= best * 1.10

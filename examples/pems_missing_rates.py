@@ -16,7 +16,8 @@ from repro.experiments import (
     DataConfig,
     ModelConfig,
     default_trainer_config,
-    run_table1_missing_rates,
+    run_grid,
+    table1_missing,
 )
 
 
@@ -30,16 +31,15 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    result = run_table1_missing_rates(
-        models=args.models,
-        missing_rates=args.rates,
-        data_config=DataConfig(num_nodes=10, num_days=6, stride=3),
-        model_config=ModelConfig(embed_dim=16, hidden_dim=32, num_graphs=4),
-        trainer_config=default_trainer_config(max_epochs=args.epochs),
+    grid = run_grid(
+        table1_missing(args.models, args.rates),
+        DataConfig(num_nodes=10, num_days=6, stride=3),
+        ModelConfig(embed_dim=16, hidden_dim=32, num_graphs=4),
+        default_trainer_config(max_epochs=args.epochs),
         verbose=True,
     )
     print()
-    print(result.render("PeMS-like prediction error (60-min horizon) by missing rate"))
+    print(grid.render("PeMS-like prediction error (60-min horizon) by missing rate"))
     print(
         "\nExpected shape (paper Table I): RIHGCN < GCN-LSTM-I < GCN-LSTM < HA,"
         "\nwith the gaps widening as the missing rate grows."

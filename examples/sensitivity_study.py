@@ -5,8 +5,8 @@ sensitivity curves:
 
 * Chebyshev order K (paper fixes K=3);
 * LSTM hidden size (paper: 128);
-* the imputation-loss weight lambda (Fig. 5's sweep, via the generic
-  trainer-field mechanism).
+* the imputation-loss weight lambda (Fig. 5's sweep; a TrainerConfig
+  field sweeps the same way as a ModelConfig one).
 
 Usage::
 
@@ -19,8 +19,8 @@ from repro.experiments import (
     DataConfig,
     ModelConfig,
     default_trainer_config,
-    sweep_model_field,
-    sweep_trainer_field,
+    run_grid,
+    sweep,
 )
 
 
@@ -34,32 +34,18 @@ def main() -> None:
                             partition_downsample=8)
     trainer_cfg = default_trainer_config(max_epochs=args.epochs)
 
-    print("sweeping Chebyshev order K ...")
-    result = sweep_model_field(
-        "cheb_order", [1, 2, 3], model_name="RIHGCN",
-        data_config=data_cfg, model_config=model_cfg,
-        trainer_config=trainer_cfg, verbose=True,
-    )
-    print(result.render("RIHGCN prediction error vs Chebyshev order K"))
-    print(f"best K = {result.best_value()} (paper uses K=3)\n")
-
-    print("sweeping LSTM hidden size ...")
-    result = sweep_model_field(
-        "hidden_dim", [8, 24, 48], model_name="RIHGCN",
-        data_config=data_cfg, model_config=model_cfg,
-        trainer_config=trainer_cfg, verbose=True,
-    )
-    print(result.render("RIHGCN prediction error vs LSTM hidden size"))
-    print(f"best hidden size = {result.best_value()}\n")
-
-    print("sweeping imputation-loss weight lambda ...")
-    result = sweep_trainer_field(
-        "imputation_weight", [0.001, 1.0, 10.0], model_name="RIHGCN",
-        data_config=data_cfg, model_config=model_cfg,
-        trainer_config=trainer_cfg, verbose=True,
-    )
-    print(result.render("RIHGCN prediction error vs lambda (cf. Fig. 5)"))
-    print(f"best lambda = {result.best_value()}")
+    studies = [
+        ("cheb_order", [1, 2, 3], "Chebyshev order K (paper uses K=3)"),
+        ("hidden_dim", [8, 24, 48], "LSTM hidden size"),
+        ("imputation_weight", [0.001, 1.0, 10.0], "lambda (cf. Fig. 5)"),
+    ]
+    for field, values, label in studies:
+        print(f"sweeping {label} ...")
+        grid = run_grid(sweep(field, values, model="RIHGCN"),
+                        data_cfg, model_cfg, trainer_cfg, verbose=True)
+        print(grid.render(f"RIHGCN prediction error vs {label}"))
+        best = min(grid.cells, key=lambda cell: cell.metric_at().mae)
+        print(f"best {field} = {best.value}\n")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,8 @@ from repro.experiments import (
     DataConfig,
     ModelConfig,
     default_trainer_config,
-    prepare_context,
-    run_model,
+    run_grid,
+    table2,
 )
 
 
@@ -49,19 +49,17 @@ def describe_observation_process() -> None:
 
 
 def train_and_compare() -> None:
-    data_cfg = DataConfig(
-        dataset="stampede", num_days=10, stride=3, missing_rate=None,
-    )
-    model_cfg = ModelConfig(embed_dim=16, hidden_dim=32, num_graphs=4)
-    trainer_cfg = default_trainer_config(max_epochs=8)
-    ctx = prepare_context(data_cfg, model_cfg)
-
     print("\ntraining on the roving data (this takes a few minutes)...")
-    for name in ("HA", "GCN-LSTM", "RIHGCN"):
-        result = run_model(name, ctx, trainer_cfg, horizons=[12])
-        pair = result.metric_at(12)
-        print(f"  {name:10s} 60-min MAE={pair.mae:8.2f}s RMSE={pair.rmse:8.2f}s "
-              f"({result.train_seconds:.0f}s)")
+    grid = run_grid(
+        table2(["HA", "GCN-LSTM", "RIHGCN"], horizons=[12], num_days=10),
+        DataConfig(stride=3),
+        ModelConfig(embed_dim=16, hidden_dim=32, num_graphs=4),
+        default_trainer_config(max_epochs=8),
+    )
+    for cell in grid.cells:
+        pair = cell.metric_at(12)
+        print(f"  {cell.model:10s} 60-min MAE={pair.mae:8.2f}s RMSE={pair.rmse:8.2f}s "
+              f"({cell.train_seconds:.0f}s)")
     print(
         "\nPer Table II, margins on roving data are small (the missing rate"
         "\nflattens everyone toward climatology) but the imputation-based"

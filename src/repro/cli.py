@@ -32,15 +32,18 @@ import sys
 
 from .experiments import (
     ALL_MODEL_NAMES,
+    REPORT_SPECS,
     DataConfig,
     ModelConfig,
     default_trainer_config,
-    run_fig4,
-    run_fig5,
-    run_imputation_study,
-    run_table1_horizons,
-    run_table1_missing_rates,
-    run_table2,
+    fig4,
+    fig5,
+    gauntlet,
+    rq2,
+    run_grid,
+    table1_horizon,
+    table1_missing,
+    table2,
 )
 
 #: the keys of :data:`repro.smoke.SMOKES`, kept here so the parser stays import-light
@@ -289,9 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run everything, emit a Markdown report")
     p.add_argument("--output", type=str, default="-",
                    help="output file path, or '-' for stdout")
-    p.add_argument("--skip", nargs="+", default=[],
-                   choices=["table1-missing", "table1-horizon", "table2",
-                            "imputation", "fig4", "fig5"],
+    p.add_argument("--skip", nargs="+", default=[], choices=REPORT_SPECS,
                    help="experiments to leave out")
     add_models_flag(p)
     return parser
@@ -367,90 +368,67 @@ def _render_slo(payload: dict) -> str:
     return "\n".join(lines)
 
 
+_GRID_COMMANDS = ("table1-missing", "table1-horizon", "table2", "imputation",
+                  "fig4", "fig5", "gauntlet")
+
+
+def _grid_command(args, data_cfg: DataConfig):
+    """(spec, table title) for one experiment subcommand."""
+    models = getattr(args, "models", None)
+    if args.command == "table1-missing":
+        return (table1_missing(models, args.rates),
+                "Table I (upper): PeMS by missing rate")
+    if args.command == "table1-horizon":
+        return (table1_horizon(models, args.missing_rate),
+                f"Table I (lower): PeMS @ {args.missing_rate:.0%} missing by horizon")
+    if args.command == "table2":
+        return (table2(models, num_days=max(data_cfg.num_days, 10)),
+                "Table II: Stampede by horizon")
+    if args.command == "imputation":
+        return rq2(args.rates), None
+    if args.command == "fig4":
+        return fig4(args.graphs), None
+    if args.command == "fig5":
+        return fig5(args.lambdas), None
+    return gauntlet(models, args.rates, seed=data_cfg.seed), None
+
+
+def _emit_gauntlet(grid, args) -> None:
+    import json
+    import platform
+    import time
+
+    from .experiments import gauntlet_payload
+
+    record = {
+        "bench": "missing_gauntlet",
+        "scale": args.scale,
+        "unix_time": time.time(),
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+    }
+    record.update(gauntlet_payload(grid))
+    out_dir = os.path.dirname(args.emit)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+    with open(args.emit, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=2)
+        handle.write("\n")
+    print(f"record written to {args.emit}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     data_cfg, model_cfg, trainer_cfg = _configs(args)
     models = getattr(args, "models", None)
 
-    if args.command == "table1-missing":
-        result = run_table1_missing_rates(
-            models=models, missing_rates=args.rates, data_config=data_cfg,
-            model_config=model_cfg, trainer_config=trainer_cfg, verbose=True,
-        )
+    if args.command in _GRID_COMMANDS:
+        spec, title = _grid_command(args, data_cfg)
+        grid = run_grid(spec, data_cfg, model_cfg, trainer_cfg, verbose=True)
         print()
-        print(result.render("Table I (upper): PeMS by missing rate"))
-    elif args.command == "table1-horizon":
-        result = run_table1_horizons(
-            models=models, missing_rate=args.missing_rate,
-            data_config=data_cfg, model_config=model_cfg,
-            trainer_config=trainer_cfg, verbose=True,
-        )
-        print()
-        print(result.render(
-            f"Table I (lower): PeMS @ {args.missing_rate:.0%} missing by horizon"
-        ))
-    elif args.command == "table2":
-        from dataclasses import replace
-
-        stampede_cfg = replace(data_cfg, dataset="stampede", missing_rate=None,
-                               num_days=max(data_cfg.num_days, 10))
-        result = run_table2(
-            models=models, data_config=stampede_cfg, model_config=model_cfg,
-            trainer_config=trainer_cfg, verbose=True,
-        )
-        print()
-        print(result.render("Table II: Stampede by horizon"))
-    elif args.command == "imputation":
-        result = run_imputation_study(
-            missing_rates=args.rates, data_config=data_cfg,
-            model_config=model_cfg, trainer_config=trainer_cfg, verbose=True,
-        )
-        print()
-        print(result.render())
-    elif args.command == "fig4":
-        result = run_fig4(
-            graph_counts=args.graphs, data_config=data_cfg,
-            model_config=model_cfg, trainer_config=trainer_cfg, verbose=True,
-        )
-        print()
-        print(result.render())
-    elif args.command == "fig5":
-        result = run_fig5(
-            lambdas=args.lambdas, data_config=data_cfg,
-            model_config=model_cfg, trainer_config=trainer_cfg, verbose=True,
-        )
-        print()
-        print(result.render())
-    elif args.command == "gauntlet":
-        import json
-        import platform
-        import time
-
-        from .experiments import run_missing_gauntlet
-
-        result = run_missing_gauntlet(
-            models=models, rates=args.rates, data_config=data_cfg,
-            model_config=model_cfg, trainer_config=trainer_cfg,
-            verbose=True,
-        )
-        print()
-        print(result.render())
-        if args.emit:
-            record = {
-                "bench": "missing_gauntlet",
-                "scale": args.scale,
-                "unix_time": time.time(),
-                "python": platform.python_version(),
-                "machine": platform.machine(),
-            }
-            record.update(result.to_payload())
-            out_dir = os.path.dirname(args.emit)
-            if out_dir:
-                os.makedirs(out_dir, exist_ok=True)
-            with open(args.emit, "w", encoding="utf-8") as handle:
-                json.dump(record, handle, indent=2)
-                handle.write("\n")
-            print(f"record written to {args.emit}")
+        print(grid.render(title))
+        if args.command == "gauntlet" and args.emit:
+            _emit_gauntlet(grid, args)
     elif args.command == "profile":
         from dataclasses import replace
 
@@ -685,14 +663,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "report":
         from .experiments import ReportConfig, generate_report
 
-        skip = set(args.skip)
         report_cfg = ReportConfig(
-            include_table1_missing="table1-missing" not in skip,
-            include_table1_horizon="table1-horizon" not in skip,
-            include_table2="table2" not in skip,
-            include_imputation="imputation" not in skip,
-            include_fig4="fig4" not in skip,
-            include_fig5="fig5" not in skip,
+            specs=tuple(n for n in REPORT_SPECS if n not in args.skip),
             models=models,
             data=data_cfg,
             model=model_cfg,

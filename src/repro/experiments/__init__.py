@@ -1,42 +1,29 @@
-"""Experiment harness: one entry point per paper table/figure."""
+"""Experiment harness: one grid runner, one named spec per paper table/figure."""
 
 from .config import DataConfig, ModelConfig, default_trainer_config, paper_scale
 from .context import ExperimentContext, prepare_context
-from .fig4 import Fig4Result, run_fig4
-from .fig5 import Fig5Result, run_fig5
-from .gauntlet import (
-    GauntletCell,
-    GauntletResult,
-    default_scenarios,
-    run_gauntlet_smoke,
-    run_missing_gauntlet,
+from .gauntlet import default_scenarios, gauntlet, gauntlet_payload, run_gauntlet_smoke
+from .grid import (
+    DEFAULT_HORIZONS,
+    HORIZON_MINUTES,
+    Cell,
+    Grid,
+    GridSpec,
+    evaluate_imputer,
+    evaluate_model_imputation,
+    run_grid,
+    run_model,
 )
-from .imputation_study import (
-    ImputationStudyResult,
-    default_imputers,
-    run_imputation_study,
-)
-from .report import ReportConfig, generate_report
-from .replicate import ReplicateResult, replicate_metric, replicate_model
 from .registry import (
     ALL_MODEL_NAMES,
+    IMPUTERS,
     NEURAL_MODELS,
     STATISTICAL_MODELS,
     build_model,
     is_statistical,
 )
-from .sensitivity import SensitivityResult, sweep_model_field, sweep_trainer_field
-from .runner import (
-    DEFAULT_HORIZONS,
-    HORIZON_MINUTES,
-    ModelResult,
-    evaluate_imputer,
-    evaluate_model_imputation,
-    run_model,
-    run_models,
-)
-from .table1 import Table1Result, run_table1_horizons, run_table1_missing_rates
-from .table2 import run_table2
+from .report import REPORT_SPECS, ReportConfig, generate_report
+from .specs import fig4, fig5, rq2, sweep, table1_horizon, table1_missing, table2
 from .tables import format_metric_table, format_series
 
 __all__ = [
@@ -47,41 +34,34 @@ __all__ = [
     "ExperimentContext",
     "prepare_context",
     "ALL_MODEL_NAMES",
+    "IMPUTERS",
     "NEURAL_MODELS",
     "STATISTICAL_MODELS",
     "build_model",
     "is_statistical",
-    "ModelResult",
+    "GridSpec",
+    "Cell",
+    "Grid",
+    "run_grid",
     "run_model",
-    "run_models",
     "evaluate_imputer",
     "evaluate_model_imputation",
     "DEFAULT_HORIZONS",
     "HORIZON_MINUTES",
-    "Table1Result",
-    "run_table1_missing_rates",
-    "run_table1_horizons",
-    "run_table2",
-    "ImputationStudyResult",
-    "run_imputation_study",
-    "default_imputers",
-    "Fig4Result",
-    "run_fig4",
-    "Fig5Result",
-    "run_fig5",
-    "GauntletCell",
-    "GauntletResult",
+    "table1_missing",
+    "table1_horizon",
+    "table2",
+    "rq2",
+    "fig4",
+    "fig5",
+    "sweep",
     "default_scenarios",
-    "run_missing_gauntlet",
+    "gauntlet",
+    "gauntlet_payload",
     "run_gauntlet_smoke",
     "format_metric_table",
     "format_series",
-    "ReplicateResult",
-    "replicate_metric",
-    "replicate_model",
+    "REPORT_SPECS",
     "ReportConfig",
     "generate_report",
-    "SensitivityResult",
-    "sweep_model_field",
-    "sweep_trainer_field",
 ]

@@ -1,8 +1,9 @@
 """Experiment context: dataset -> corruption -> scaling -> windows -> graphs.
 
-Centralizes the data pipeline every experiment shares so each table/figure
-module only declares *what* varies. Heterogeneous graph sets are cached
-per interval count (Fig. 4 sweeps M over the same data).
+Centralizes the data pipeline every experiment shares so each grid spec
+only declares *what* varies. Heterogeneous graph sets are cached per
+graph-affecting model setting, so one context serves every model and
+override of a grid cell (Fig. 4 sweeps M over the same data).
 """
 
 from __future__ import annotations
@@ -99,11 +100,11 @@ class ExperimentContext:
     val_windows: WindowSet
     test_windows: WindowSet
     adjacency: np.ndarray  # geographic (Eq. 8)
-    # RQ2 artifacts: extra holdout applied to the test split.
+    # RQ2 artifacts: extra holdout applied to the test split, drawn once.
+    holdout_mask: np.ndarray | None = None  # series-level hidden entries
+    reduced_mask: np.ndarray | None = None  # test mask minus the holdout
     test_holdout_windows: WindowSet | None = None
-    holdout_mask_windows: np.ndarray | None = None
-    truth_x_windows: np.ndarray | None = None
-    _graph_cache: dict[int, HeterogeneousGraphSet] = field(default_factory=dict)
+    _graph_cache: dict[tuple, HeterogeneousGraphSet] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     @property
@@ -115,11 +116,17 @@ class ExperimentContext:
         return self.raw.num_features
 
     def graphs(self, num_intervals: int | None = None) -> HeterogeneousGraphSet:
-        """Heterogeneous graph set built from *training* history (cached)."""
-        m = num_intervals or self.model_config.num_graphs
-        if m not in self._graph_cache:
-            mc = self.model_config
-            self._graph_cache[m] = build_heterogeneous_graphs(
+        """Heterogeneous graph set built from *training* history.
+
+        Cached on every ModelConfig field the set is built from, so
+        contexts that share the cache under different model configs never
+        reuse each other's graphs.
+        """
+        mc = self.model_config
+        m = num_intervals or mc.num_graphs
+        key = (m, mc.series_metric, mc.partition_downsample, mc.membership_mode)
+        if key not in self._graph_cache:
+            self._graph_cache[key] = build_heterogeneous_graphs(
                 self.train.data,
                 self.train.mask,
                 self.raw.network.distances,
@@ -133,7 +140,7 @@ class ExperimentContext:
                 ),
                 membership_mode=mc.membership_mode,
             )
-        return self._graph_cache[m]
+        return self._graph_cache[key]
 
 
 def prepare_context(
@@ -193,13 +200,6 @@ def prepare_context(
             test.mask, data_cfg.imputation_holdout, rng
         )
         test_holdout = dc_replace(test, data=test.data * reduced_mask, mask=reduced_mask)
+        ctx.holdout_mask, ctx.reduced_mask = holdout, reduced_mask
         ctx.test_holdout_windows = make_windows(test_holdout, **window_args)
-        # Parallel windows over the holdout mask and the scaled truth.
-        holdout_ds = dc_replace(test, data=holdout, mask=np.ones_like(holdout))
-        ctx.holdout_mask_windows = make_windows(holdout_ds, **window_args).x
-        truth_source = test.truth if test.truth is not None else test.data
-        truth_ds = dc_replace(
-            test, data=truth_source, mask=np.ones_like(truth_source)
-        )
-        ctx.truth_x_windows = make_windows(truth_ds, **window_args).x
     return ctx

@@ -4,37 +4,35 @@ The gauntlet stresses every forecaster against the full missing-pattern
 vocabulary (:mod:`repro.datasets.missing`) instead of the single MCAR
 column Table I uses: uniform drops, burst blocks, spatially correlated
 corridor outages, network-wide blackouts and congestion-coupled MNAR.
-Each cell trains one model on one corrupted context and reports its
-error plus the ratio against the HA baseline on the *same* corruption,
-so regressions are visible independent of scenario difficulty.
+:func:`gauntlet` is its :class:`~repro.experiments.grid.GridSpec`: each
+cell trains one model on one corrupted context and reports its error
+plus the ratio against the HA baseline on the *same* corruption, so
+regressions are visible independent of scenario difficulty.
+:func:`gauntlet_payload` is the ``BENCH_missing_gauntlet.json`` record.
 
 :func:`run_gauntlet_smoke` backs ``repro smoke gauntlet``: it
-validates the committed ``BENCH_missing_gauntlet.json`` record (schema,
-grid completeness, required scenarios, achieved rates), proves chaos
-sensor drops and offline masks share one pattern code path, and re-runs
-a small live subset to check the baseline ratios have not regressed.
+validates the committed record (schema, grid completeness, required
+scenarios, achieved rates), proves chaos sensor drops and offline masks
+share one pattern code path, and re-runs a small live subset to check
+the baseline ratios have not regressed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, replace as dc_replace
 
 import numpy as np
 
 from ..datasets import MissingPattern, make_pattern
 from ..training import TrainerConfig
 from .config import DataConfig, ModelConfig
-from .context import prepare_context
-from .runner import run_model
+from .grid import Grid, GridSpec, run_grid
 
 __all__ = [
-    "GauntletCell",
-    "GauntletResult",
     "default_scenarios",
-    "run_missing_gauntlet",
+    "gauntlet",
+    "gauntlet_payload",
     "run_gauntlet_smoke",
     "DEFAULT_RATES",
     "DEFAULT_MODELS",
@@ -74,160 +72,48 @@ def default_scenarios(seed: int = 0) -> list[MissingPattern]:
     ]
 
 
-@dataclass
-class GauntletCell:
-    """One (model, scenario, rate) grid entry."""
-
-    model: str
-    scenario: str
-    rate: float
-    mae: float
-    rmse: float
-    achieved_rate: float
-    train_seconds: float
-    ratio_vs_baseline: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "scenario": self.scenario,
-            "rate": self.rate,
-            "mae": self.mae,
-            "rmse": self.rmse,
-            "achieved_rate": self.achieved_rate,
-            "train_seconds": self.train_seconds,
-            "ratio_vs_baseline": self.ratio_vs_baseline,
-        }
-
-
-@dataclass
-class GauntletResult:
-    """Full grid plus the scenario definitions that produced it."""
-
-    models: list[str]
-    rates: list[float]
-    scenarios: list[MissingPattern]
-    cells: list[GauntletCell] = field(default_factory=list)
-
-    def cell(self, model: str, scenario: str, rate: float) -> GauntletCell:
-        for c in self.cells:
-            if (
-                c.model == model
-                and c.scenario == scenario
-                and math.isclose(c.rate, rate)
-            ):
-                return c
-        raise KeyError(f"no gauntlet cell ({model}, {scenario}, {rate})")
-
-    def to_payload(self) -> dict:
-        """JSON payload for ``BENCH_missing_gauntlet.json``."""
-        return {
-            "baseline": BASELINE_MODEL,
-            "models": list(self.models),
-            "rates": list(self.rates),
-            "scenarios": [s.to_json_dict() for s in self.scenarios],
-            "grid": [c.to_json_dict() for c in self.cells],
-        }
-
-    def render(self, title: str = "Missing-pattern gauntlet (MAE)") -> str:
-        width = max((len(m) for m in self.models), default=4) + 2
-        lines = [title]
-        header = f"{'scenario':<18} {'rate':>5} " + "".join(
-            f"{m:>{width}}" for m in self.models
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for scenario in self.scenarios:
-            for rate in self.rates:
-                row = f"{scenario.name:<18} {rate:>5.0%} "
-                for model in self.models:
-                    c = self.cell(model, scenario.name, rate)
-                    row += f"{c.mae:>{width}.4f}"
-                achieved = self.cell(
-                    self.models[0], scenario.name, rate
-                ).achieved_rate
-                lines.append(row + f"   (achieved {achieved:.0%})")
-        return "\n".join(lines)
-
-
-def _scenario_config(
-    pattern: MissingPattern, data_cfg: DataConfig
-) -> DataConfig:
-    """A DataConfig that makes :func:`prepare_context` apply ``pattern``."""
-    return dc_replace(
-        data_cfg,
-        missing_kind=pattern.kind,
-        missing_rate=None,
-        missing_params=pattern.to_json_dict()["params"],
-    )
-
-
-def _injected_rate(ctx) -> float:
-    """Fraction of naturally observed entries the scenario removed."""
-    natural = float(ctx.raw.mask.sum())
-    if natural <= 0:
-        return 0.0
-    return 1.0 - float(ctx.corrupted.mask.sum()) / natural
-
-
-def run_missing_gauntlet(
-    models: list[str] | None = None,
+def gauntlet(
+    models=None,
+    rates=None,
     scenarios: list[MissingPattern] | None = None,
-    rates: list[float] | None = None,
-    data_config: DataConfig | None = None,
-    model_config: ModelConfig | None = None,
-    trainer_config: TrainerConfig | None = None,
-    verbose: bool = False,
-) -> GauntletResult:
-    """Run the model x scenario x rate grid and return the full result."""
-    models = list(models or DEFAULT_MODELS)
-    rates = [float(r) for r in (rates or DEFAULT_RATES)]
-    data_config = data_config or DataConfig()
-    scenarios = list(
-        scenarios
-        if scenarios is not None
-        else default_scenarios(seed=data_config.seed)
+    seed: int = 0,
+) -> GridSpec:
+    """The model x scenario x rate grid (scenarios default to
+    :func:`default_scenarios` at ``seed``)."""
+    return GridSpec(
+        "gauntlet",
+        tuple(models or DEFAULT_MODELS),
+        rates=tuple(float(r) for r in (rates or DEFAULT_RATES)),
+        patterns=tuple(scenarios if scenarios is not None
+                       else default_scenarios(seed=seed)),
+        layout="gauntlet",
+        baseline=BASELINE_MODEL,
+        title="Missing-pattern gauntlet (MAE)",
     )
-    result = GauntletResult(models=models, rates=rates, scenarios=scenarios)
-    horizon = data_config.output_length
 
-    for scenario in scenarios:
-        for rate in rates:
-            pattern = scenario.with_rate(rate)
-            cfg = _scenario_config(pattern, data_config)
-            ctx = prepare_context(cfg, model_config)
-            achieved = _injected_rate(ctx)
-            if verbose:
-                print(f"scenario {scenario.name} @ {rate:.0%} "
-                      f"(achieved {achieved:.1%})")
-            baseline_mae = None
-            for model in models:
-                run = run_model(model, ctx, trainer_config, horizons=[horizon])
-                pair = run.metric_at(horizon)
-                if model == BASELINE_MODEL:
-                    baseline_mae = pair.mae
-                cell = GauntletCell(
-                    model=model,
-                    scenario=scenario.name,
-                    rate=rate,
-                    mae=pair.mae,
-                    rmse=pair.rmse,
-                    achieved_rate=achieved,
-                    train_seconds=run.train_seconds,
-                    ratio_vs_baseline=(
-                        pair.mae / baseline_mae
-                        if baseline_mae
-                        else None
-                    ),
-                )
-                result.cells.append(cell)
-                if verbose:
-                    ratio = (f"{cell.ratio_vs_baseline:.2f}x"
-                             if cell.ratio_vs_baseline is not None else "-")
-                    print(f"  {model:14s} MAE={pair.mae:8.4f} "
-                          f"RMSE={pair.rmse:8.4f} vs {BASELINE_MODEL} {ratio} "
-                          f"({run.train_seconds:.1f}s)")
-    return result
+
+def gauntlet_payload(grid: Grid) -> dict:
+    """JSON payload for ``BENCH_missing_gauntlet.json``."""
+    spec = grid.spec
+    return {
+        "baseline": spec.baseline,
+        "models": list(spec.models),
+        "rates": list(spec.rates),
+        "scenarios": [s.to_json_dict() for s in spec.patterns],
+        "grid": [
+            {
+                "model": c.model,
+                "scenario": c.pattern,
+                "rate": c.rate,
+                "mae": c.metric_at().mae,
+                "rmse": c.metric_at().rmse,
+                "achieved_rate": c.achieved_rate,
+                "train_seconds": c.train_seconds,
+                "ratio_vs_baseline": c.ratio_vs_baseline,
+            }
+            for c in grid.cells
+        ],
+    }
 
 
 # ----------------------------------------------------------------------
@@ -382,21 +268,15 @@ def run_gauntlet_smoke(
         run_check("shared_mask_path", _check_shared_mask_path, record)
 
     if schema_ok and live:
-        data_config = data_config or DataConfig()
         models = [m for m in SMOKE_MODELS if m in record["models"]]
         rate = float(record["rates"][0])
-        committed_specs = [
-            s for s in record["scenarios"] if s["pattern"] in REQUIRED_KINDS
+        scenarios = [
+            MissingPattern.from_json_dict(s) for s in record["scenarios"]
+            if s["pattern"] in REQUIRED_KINDS
         ]
-        scenarios = [MissingPattern.from_json_dict(s) for s in committed_specs]
-        result = run_missing_gauntlet(
-            models=models,
-            scenarios=scenarios,
-            rates=[rate],
-            data_config=data_config,
-            model_config=model_config,
-            trainer_config=trainer_config,
-            verbose=verbose,
+        result = run_grid(
+            gauntlet(models, [rate], scenarios),
+            data_config, model_config, trainer_config, verbose,
         )
         committed = {
             (c["model"], c["scenario"], round(float(c["rate"]), 6)): c
@@ -407,14 +287,14 @@ def run_gauntlet_smoke(
             if cell.ratio_vs_baseline is None:
                 continue
             ref = committed.get(
-                (cell.model, cell.scenario, round(cell.rate, 6))
+                (cell.model, cell.pattern, round(cell.rate, 6))
             )
             if ref is None or ref.get("ratio_vs_baseline") is None:
                 continue
             bound = ref["ratio_vs_baseline"] * (1.0 + RATIO_SLACK) + RATIO_FLOOR
             if cell.ratio_vs_baseline > bound:
                 regressions.append(
-                    f"{cell.model}/{cell.scenario}@{cell.rate:.0%}: "
+                    f"{cell.model}/{cell.pattern}@{cell.rate:.0%}: "
                     f"{cell.ratio_vs_baseline:.2f}x > bound {bound:.2f}x"
                 )
         checks["no_regression"] = not regressions
@@ -422,7 +302,7 @@ def run_gauntlet_smoke(
             "; ".join(regressions) if regressions
             else f"{len(result.cells)} live cells within bounds"
         )
-        report["live"] = result.to_payload()
+        report["live"] = gauntlet_payload(result)
 
     report.update(
         passed=all(checks.values()), checks=checks, details=details

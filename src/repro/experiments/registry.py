@@ -7,12 +7,24 @@ registry covers the paper's full comparison set:
 * mean-filled neural: FC-LSTM, FC-GCN, GCN-LSTM, ASTGCN, Graph WaveNet
 * imputation-enhanced ablations: FC-LSTM-I, FC-GCN-I, GCN-LSTM-I
 * proposed: RIHGCN
+
+plus the classical imputers RQ2 compares RIHGCN's imputation against
+(:data:`IMPUTERS`), which :func:`build_model` dispatches the same way.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+from ..imputation import (
+    Imputer,
+    KNNImputer,
+    LastObservedImputer,
+    LinearInterpolationImputer,
+    MatrixFactorizationImputer,
+    MeanImputer,
+    TensorDecompositionImputer,
+)
 from ..models import (
     ASTGCN,
     DCRNN,
@@ -39,6 +51,7 @@ __all__ = [
     "NEURAL_MODELS",
     "STATISTICAL_MODELS",
     "ALL_MODEL_NAMES",
+    "IMPUTERS",
     "build_model",
     "is_statistical",
 ]
@@ -136,6 +149,21 @@ STATISTICAL_MODELS: dict[str, Callable[[ExperimentContext], StatisticalForecaste
     "VAR": lambda ctx: VectorAutoRegression(lags=3),
 }
 
+#: RQ2's classical baselines (plus two trivial references), scored by
+#: :func:`~repro.experiments.grid.evaluate_imputer`
+IMPUTERS: dict[str, Callable[[ExperimentContext], Imputer]] = {
+    "Mean": lambda ctx: MeanImputer(),
+    "Last": lambda ctx: LastObservedImputer(),
+    "Interp": lambda ctx: LinearInterpolationImputer(),
+    "KNN": lambda ctx: KNNImputer(k=min(3, max(ctx.num_nodes - 1, 1))),
+    "MF": lambda ctx: MatrixFactorizationImputer(
+        rank=max(2, ctx.num_nodes // 3), iterations=10
+    ),
+    "TD": lambda ctx: TensorDecompositionImputer(
+        rank=4, steps_per_day=ctx.raw.steps_per_day, iterations=10
+    ),
+}
+
 ALL_MODEL_NAMES: list[str] = [
     "HA",
     "SHA",
@@ -161,11 +189,11 @@ def is_statistical(name: str) -> bool:
 
 
 def build_model(name: str, ctx: ExperimentContext):
-    """Instantiate a registered model for the given context."""
-    if name in STATISTICAL_MODELS:
-        return STATISTICAL_MODELS[name](ctx)
-    if name in NEURAL_MODELS:
-        return NEURAL_MODELS[name](ctx)
+    """Instantiate a registered model or imputer for the given context."""
+    for registry in (STATISTICAL_MODELS, NEURAL_MODELS, IMPUTERS):
+        if name in registry:
+            return registry[name](ctx)
     raise KeyError(
-        f"unknown model {name!r}; available: {ALL_MODEL_NAMES}"
+        f"unknown model {name!r}; available: {ALL_MODEL_NAMES} "
+        f"and imputers {list(IMPUTERS)}"
     )

@@ -1,8 +1,8 @@
 """One-shot reproduction report generator.
 
-Runs (a configurable subset of) the paper's experiments and renders a
-single Markdown document with every measured table/figure — the artifact
-a reproduction study attaches to its claims. Used by
+Runs (a configurable subset of) the paper's experiment specs and renders
+a single Markdown document with every measured table/figure — the
+artifact a reproduction study attaches to its claims. Used by
 ``python -m repro.cli report``.
 """
 
@@ -13,25 +13,21 @@ from dataclasses import dataclass, field, replace
 
 from ..training import TrainerConfig
 from .config import DataConfig, ModelConfig, default_trainer_config
-from .fig4 import run_fig4
-from .fig5 import run_fig5
-from .imputation_study import run_imputation_study
-from .table1 import run_table1_horizons, run_table1_missing_rates
-from .table2 import run_table2
+from .grid import run_grid
+from .specs import fig4, fig5, rq2, table1_horizon, table1_missing, table2
 
-__all__ = ["ReportConfig", "generate_report"]
+__all__ = ["ReportConfig", "generate_report", "REPORT_SPECS"]
+
+#: every spec the report knows, in section order
+REPORT_SPECS = ("table1-missing", "table1-horizon", "table2", "imputation",
+                "fig4", "fig5")
 
 
 @dataclass
 class ReportConfig:
-    """Which experiments to include and at what budget."""
+    """Which experiment specs to include and at what budget."""
 
-    include_table1_missing: bool = True
-    include_table1_horizon: bool = True
-    include_table2: bool = True
-    include_imputation: bool = True
-    include_fig4: bool = True
-    include_fig5: bool = True
+    specs: tuple[str, ...] = REPORT_SPECS
     models: list[str] | None = None  # None = registry default
     missing_rates: list[float] = field(default_factory=lambda: [0.4, 0.8])
     graph_counts: list[int] = field(default_factory=lambda: [2, 4, 8])
@@ -40,9 +36,41 @@ class ReportConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     trainer: TrainerConfig = field(default_factory=default_trainer_config)
 
+    def __post_init__(self):
+        unknown = set(self.specs) - set(REPORT_SPECS)
+        if unknown:
+            raise ValueError(f"unknown report specs {sorted(unknown)}; "
+                             f"options: {list(REPORT_SPECS)}")
 
-def _section(title: str, body: str) -> str:
-    return f"## {title}\n\n```\n{body}\n```\n"
+
+def _sections(cfg: ReportConfig) -> dict:
+    """name -> (section heading, spec, table title, trainer config)."""
+    worst = max(cfg.missing_rates)
+    return {
+        "table1-missing": (
+            "Table I (upper) — error vs missing rate",
+            table1_missing(cfg.models, cfg.missing_rates),
+            "PeMS-like, 60-min horizon", cfg.trainer,
+        ),
+        "table1-horizon": (
+            "Table I (lower) — error vs horizon",
+            table1_horizon(cfg.models, worst),
+            f"PeMS-like @ {worst:.0%} missing", cfg.trainer,
+        ),
+        "table2": (
+            "Table II — Stampede roving sensors",
+            table2(cfg.models, num_days=max(cfg.data.num_days, 8)),
+            "Stampede-like (travel time, seconds)", cfg.trainer,
+        ),
+        "imputation": (
+            "RQ2 — imputation comparison", rq2(cfg.missing_rates), None,
+            replace(cfg.trainer, imputation_weight=5.0),
+        ),
+        "fig4": ("Figure 4 — number of temporal graphs",
+                 fig4(cfg.graph_counts), None, cfg.trainer),
+        "fig5": ("Figure 5 — imputation-loss weight",
+                 fig5(cfg.lambdas), None, cfg.trainer),
+    }
 
 
 def generate_report(config: ReportConfig | None = None) -> str:
@@ -51,77 +79,10 @@ def generate_report(config: ReportConfig | None = None) -> str:
     started = time.strftime("%Y-%m-%d %H:%M:%S")
     clock = time.perf_counter()
     sections: list[str] = []
-
-    if cfg.include_table1_missing:
-        result = run_table1_missing_rates(
-            models=cfg.models,
-            missing_rates=cfg.missing_rates,
-            data_config=cfg.data,
-            model_config=cfg.model,
-            trainer_config=cfg.trainer,
-        )
-        sections.append(_section(
-            "Table I (upper) — error vs missing rate",
-            result.render("PeMS-like, 60-min horizon"),
-        ))
-
-    if cfg.include_table1_horizon:
-        result = run_table1_horizons(
-            models=cfg.models,
-            missing_rate=max(cfg.missing_rates),
-            data_config=cfg.data,
-            model_config=cfg.model,
-            trainer_config=cfg.trainer,
-        )
-        sections.append(_section(
-            "Table I (lower) — error vs horizon",
-            result.render(
-                f"PeMS-like @ {max(cfg.missing_rates):.0%} missing"
-            ),
-        ))
-
-    if cfg.include_table2:
-        stampede = replace(cfg.data, dataset="stampede", missing_rate=None,
-                           num_days=max(cfg.data.num_days, 8))
-        result = run_table2(
-            models=cfg.models,
-            data_config=stampede,
-            model_config=cfg.model,
-            trainer_config=cfg.trainer,
-        )
-        sections.append(_section(
-            "Table II — Stampede roving sensors",
-            result.render("Stampede-like (travel time, seconds)"),
-        ))
-
-    if cfg.include_imputation:
-        result = run_imputation_study(
-            missing_rates=cfg.missing_rates,
-            data_config=cfg.data,
-            model_config=cfg.model,
-            trainer_config=replace(cfg.trainer, imputation_weight=5.0),
-        )
-        sections.append(_section("RQ2 — imputation comparison", result.render()))
-
-    if cfg.include_fig4:
-        result = run_fig4(
-            graph_counts=cfg.graph_counts,
-            data_config=cfg.data,
-            model_config=cfg.model,
-            trainer_config=cfg.trainer,
-        )
-        sections.append(_section("Figure 4 — number of temporal graphs",
-                                 result.render()))
-
-    if cfg.include_fig5:
-        result = run_fig5(
-            lambdas=cfg.lambdas,
-            data_config=cfg.data,
-            model_config=cfg.model,
-            trainer_config=cfg.trainer,
-        )
-        sections.append(_section("Figure 5 — imputation-loss weight",
-                                 result.render()))
+    for name, (heading, spec, title, trainer) in _sections(cfg).items():
+        if name in cfg.specs:
+            grid = run_grid(spec, cfg.data, cfg.model, trainer)
+            sections.append(f"## {heading}\n\n```\n{grid.render(title)}\n```\n")
 
     elapsed = time.perf_counter() - clock
     header = (

@@ -11,10 +11,7 @@ instead receives sensor readings one at a time, *with gaps*. The
   (and counts) anything older;
 * marks never-observed entries missing exactly like the offline pipeline
   (:mod:`repro.datasets.missing` semantics: value 0, mask 0), so a model
-  trained on corrupted windows sees the same input distribution online;
-* derives the time-since-last-observation deltas that GRU-D-style decay
-  models consume, matching :func:`repro.models.grud.compute_deltas`
-  step-for-step.
+  trained on corrupted windows sees the same input distribution online.
 
 Values are stored in **original units**; scaling is the engine's job
 (the fitted scaler travels with the model bundle).
@@ -29,7 +26,6 @@ import numpy as np
 
 from ..autodiff import default_dtype
 from ..errors import StateError
-from ..models.grud import compute_deltas
 from ..telemetry import MetricRegistry, get_registry
 
 __all__ = ["StateStore", "StateWindow"]
@@ -40,16 +36,14 @@ class StateWindow:
     """An immutable snapshot of the store, model-ready.
 
     ``x`` is zero-filled at missing entries, ``m`` is the observation
-    mask, ``steps_of_day`` the time-of-day index per slot and ``delta``
-    the per-entry steps-since-last-observation (GRU-D convention: the
-    oldest slot has delta 0). ``version`` identifies the store state the
-    snapshot was taken at — it keys the engine's forecast cache.
+    mask and ``steps_of_day`` the time-of-day index per slot.
+    ``version`` identifies the store state the snapshot was taken at — it
+    keys the engine's forecast cache.
     """
 
     x: np.ndarray  # (L, N, D) observed history, zeros where missing
     m: np.ndarray  # (L, N, D) observation mask
     steps_of_day: np.ndarray  # (L,)
-    delta: np.ndarray  # (L, N, D)
     newest_step: int  # absolute step of the last (most recent) slot
     version: int
 
@@ -268,13 +262,10 @@ class StateStore:
             x = self._values[rows].copy()
             m = self._mask[rows].copy()
             version = self._version
-        # Entries from before the feed started are plain cold-start gaps.
-        delta = compute_deltas(m[None])[0]
         return StateWindow(
             x=x,
             m=m,
             steps_of_day=steps % self.steps_per_day,
-            delta=delta,
             newest_step=int(newest),
             version=version,
         )

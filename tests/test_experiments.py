@@ -1,14 +1,18 @@
 """Integration tests for the experiment harness (tiny configurations)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.datasets import holdout_observed
 from repro.experiments import (
     ALL_MODEL_NAMES,
+    IMPUTERS,
     DataConfig,
+    GridSpec,
     ModelConfig,
     build_model,
-    default_imputers,
     default_trainer_config,
     evaluate_imputer,
     evaluate_model_imputation,
@@ -16,12 +20,15 @@ from repro.experiments import (
     format_series,
     is_statistical,
     prepare_context,
+    rq2,
+    run_grid,
     run_model,
-    run_table1_horizons,
-    run_table1_missing_rates,
-    run_table2,
+    sweep,
+    table1_horizon,
+    table1_missing,
+    table2,
 )
-from repro.imputation import MeanImputer
+from repro.imputation import Imputer, MeanImputer
 from repro.models import RecurrentImputationForecaster
 from repro.training import MetricPair, Trainer
 
@@ -63,9 +70,31 @@ class TestPrepareContext:
 
     def test_holdout_artifacts(self, ctx):
         assert ctx.test_holdout_windows is not None
-        assert ctx.holdout_mask_windows is not None
+        assert ctx.holdout_mask is not None
         # Holdout windows hide strictly more than the plain test windows.
         assert ctx.test_holdout_windows.m.sum() < ctx.test_windows.m.sum()
+
+    def test_holdout_drawn_once_from_the_rq2_stream(self, ctx):
+        """The stored series holdout is the seed + 7 draw RQ2 always used."""
+        reduced, holdout = holdout_observed(
+            ctx.test.mask, TINY_DATA.imputation_holdout,
+            np.random.default_rng(TINY_DATA.seed + 7),
+        )
+        np.testing.assert_array_equal(ctx.holdout_mask, holdout)
+        np.testing.assert_array_equal(ctx.reduced_mask, reduced)
+        np.testing.assert_array_equal(ctx.test_holdout_windows.m[0],
+                                      reduced[:TINY_DATA.input_length])
+
+    def test_graph_cache_keys_on_membership_mode(self, ctx):
+        """Contexts sharing one cache never reuse another mode's graphs."""
+        soft = replace(ctx, model_config=replace(ctx.model_config,
+                                                 membership_mode="soft"))
+        assert soft._graph_cache is ctx._graph_cache
+        hard_graphs, soft_graphs = ctx.graphs(), soft.graphs()
+        assert hard_graphs is not soft_graphs
+        assert (hard_graphs.membership_mode, soft_graphs.membership_mode) == (
+            "hard", "soft")
+        assert ctx.graphs() is hard_graphs
 
     def test_stampede_context(self):
         cfg = DataConfig(
@@ -156,8 +185,15 @@ class TestImputationEvaluation:
         assert pair.rmse >= pair.mae
 
     def test_default_imputers_complete(self, ctx):
-        imputers = default_imputers(ctx)
-        assert {"Last", "KNN", "MF", "TD"}.issubset(imputers)
+        assert {"Last", "KNN", "MF", "TD"}.issubset(IMPUTERS)
+        for name in IMPUTERS:
+            assert isinstance(build_model(name, ctx), Imputer)
+
+    def test_imputer_is_a_model_kind(self, ctx):
+        """run_model dispatches an imputer: imputation only, no forecast."""
+        cell = run_model("Mean", ctx)
+        assert cell.horizon_metrics == {}
+        assert cell.imputation == evaluate_imputer(MeanImputer(), ctx)
 
     def test_requires_holdout_context(self):
         from dataclasses import replace
@@ -170,40 +206,94 @@ class TestImputationEvaluation:
 
 class TestTableRunners:
     def test_table1_missing_rates_structure(self):
-        result = run_table1_missing_rates(
-            models=["HA", "VAR"],
-            missing_rates=[0.2, 0.6],
-            data_config=TINY_DATA,
-            model_config=TINY_MODEL,
-            trainer_config=TINY_TRAINER,
+        grid = run_grid(
+            table1_missing(["HA", "VAR"], [0.2, 0.6]),
+            TINY_DATA, TINY_MODEL, TINY_TRAINER,
         )
-        assert result.column_labels == ["20%", "60%"]
-        assert len(result.cells["HA"]) == 2
-        rendered = result.render("t")
+        assert [c.rate for c in grid.select(model="HA")] == [0.2, 0.6]
+        assert len(grid.select(model="HA")) == 2
+        rendered = grid.render("t")
         assert "HA" in rendered and "60%" in rendered
 
     def test_table1_horizons_structure(self):
-        result = run_table1_horizons(
-            models=["HA"],
-            horizons=[2, 4],
-            data_config=TINY_DATA,
-            model_config=TINY_MODEL,
-            trainer_config=TINY_TRAINER,
+        grid = run_grid(
+            table1_horizon(["HA"], horizons=[2, 4]),
+            TINY_DATA, TINY_MODEL, TINY_TRAINER,
         )
-        assert len(result.cells["HA"]) == 2
+        assert len(grid.cell("HA").horizon_metrics) == 2
 
     def test_table2_runs_on_stampede(self):
-        result = run_table2(
-            models=["HA"],
-            horizons=[2, 4],
-            data_config=DataConfig(
+        grid = run_grid(
+            table2(["HA"], horizons=[2, 4]),
+            DataConfig(
                 dataset="stampede", num_days=4, steps_per_day=96,
                 input_length=6, output_length=4, stride=8,
             ),
-            model_config=TINY_MODEL,
-            trainer_config=TINY_TRAINER,
+            TINY_MODEL, TINY_TRAINER,
         )
-        assert len(result.cells["HA"]) == 2
+        assert len(grid.cell("HA").horizon_metrics) == 2
+
+
+class TestGrid:
+    def test_shared_context_matches_fresh_context_per_m(self):
+        """A Fig. 4-style sweep on one context is bitwise a fresh run per M."""
+        spec = GridSpec("m", ("RIHGCN",), override="num_graphs", values=(2, 3),
+                        show=("pred", "imp"), layout="series")
+        grid = run_grid(spec, TINY_DATA, TINY_MODEL, TINY_TRAINER)
+        for m in (2, 3):
+            fresh = prepare_context(TINY_DATA, replace(TINY_MODEL, num_graphs=m))
+            assert fresh.graphs().num_temporal == m
+            alone = run_model("RIHGCN", fresh, TINY_TRAINER, [4],
+                              evaluate_imputation=True)
+            cell = grid.cell("RIHGCN", value=m)
+            assert cell.horizon_metrics == alone.horizon_metrics
+            assert cell.imputation == alone.imputation
+            assert cell.num_parameters == alone.num_parameters
+        assert "pred MAE" in grid.render("t")
+
+    def test_membership_mode_override_matches_fresh_context(self):
+        grid = run_grid(
+            sweep("membership_mode", ["hard", "soft"], model="RIHGCN"),
+            TINY_DATA, TINY_MODEL, TINY_TRAINER,
+        )
+        for mode in ("hard", "soft"):
+            fresh = prepare_context(
+                TINY_DATA, replace(TINY_MODEL, membership_mode=mode)
+            )
+            alone = run_model("RIHGCN", fresh, TINY_TRAINER, [4])
+            assert grid.cell("RIHGCN", value=mode).horizon_metrics == (
+                alone.horizon_metrics
+            )
+
+    def test_cell_records_effectiveness_and_efficiency(self):
+        grid = run_grid(GridSpec("e", ("HA", "FC-LSTM"), rates=(0.4,)),
+                        TINY_DATA, TINY_MODEL, TINY_TRAINER)
+        ha, lstm = grid.cell("HA"), grid.cell("FC-LSTM")
+        assert ha.achieved_rate == pytest.approx(0.4, abs=0.02)
+        assert ha.achieved_rate == lstm.achieved_rate  # one shared context
+        assert (ha.epochs, ha.num_parameters) == (0, 0)
+        assert lstm.epochs >= 1 and lstm.num_parameters > 0
+        assert lstm.train_seconds > 0
+
+    def test_lookup_errors(self):
+        grid = run_grid(table1_missing(["HA"], [0.2, 0.6]), TINY_DATA)
+        assert grid.cell("HA", rate=0.6).rate == 0.6
+        with pytest.raises(KeyError):
+            grid.cell("HA")  # two rates match
+        with pytest.raises(KeyError):
+            grid.cell("VAR", rate=0.2)
+
+    def test_rq2_spec_renders_imputation(self):
+        grid = run_grid(rq2([0.4], include_model=False), TINY_DATA)
+        assert [c.model for c in grid.cells] == list(IMPUTERS)
+        text = grid.render()
+        assert "Imputation performance (RQ2)" in text and "40%" in text
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError):
+            GridSpec("x", ("HA",), seeds=())
+        with pytest.raises(ValueError):
+            GridSpec("x", ("HA",), layout="pie")
 
 
 class TestFormatting:

@@ -10,8 +10,11 @@ from repro.experiments import (
     DataConfig,
     ModelConfig,
     default_scenarios,
+    default_trainer_config,
+    gauntlet,
+    gauntlet_payload,
     run_gauntlet_smoke,
-    run_missing_gauntlet,
+    run_grid,
 )
 from repro.experiments.gauntlet import REQUIRED_KINDS
 
@@ -36,15 +39,14 @@ def tiny_scenarios():
 
 @pytest.fixture(scope="module")
 def tiny_grid():
-    return run_missing_gauntlet(
-        models=["HA"], scenarios=tiny_scenarios(), rates=[0.3],
-        data_config=TINY_DATA, model_config=TINY_MODEL,
+    return run_grid(
+        gauntlet(["HA"], [0.3], tiny_scenarios()), TINY_DATA, TINY_MODEL,
     )
 
 
 def record_from(result, scale="fast") -> dict:
     record = {"bench": "missing_gauntlet", "scale": scale}
-    record.update(result.to_payload())
+    record.update(gauntlet_payload(result))
     return record
 
 
@@ -52,7 +54,8 @@ class TestGrid:
     def test_complete_and_finite(self, tiny_grid):
         assert len(tiny_grid.cells) == 3  # 1 model x 3 scenarios x 1 rate
         for cell in tiny_grid.cells:
-            assert np.isfinite([cell.mae, cell.rmse, cell.achieved_rate]).all()
+            pair = cell.metric_at()
+            assert np.isfinite([pair.mae, pair.rmse, cell.achieved_rate]).all()
 
     def test_baseline_ratio_is_one_for_baseline(self, tiny_grid):
         for cell in tiny_grid.cells:
@@ -60,19 +63,32 @@ class TestGrid:
                 assert cell.ratio_vs_baseline == pytest.approx(1.0)
 
     def test_cell_lookup(self, tiny_grid):
-        cell = tiny_grid.cell("HA", "blackout-windows", 0.3)
-        assert cell.scenario == "blackout-windows"
+        cell = tiny_grid.cell("HA", pattern="blackout-windows", rate=0.3)
+        assert cell.pattern == "blackout-windows"
         with pytest.raises(KeyError):
-            tiny_grid.cell("HA", "nope", 0.3)
+            tiny_grid.cell("HA", pattern="nope", rate=0.3)
 
     def test_render_and_payload(self, tiny_grid):
         text = tiny_grid.render()
         assert "corridor-outage" in text and "HA" in text
-        payload = tiny_grid.to_payload()
+        payload = gauntlet_payload(tiny_grid)
         assert {c["scenario"] for c in payload["grid"]} == {
-            s.name for s in tiny_grid.scenarios
+            s.name for s in tiny_grid.spec.patterns
         }
         json.dumps(payload)  # record must be JSON-clean
+
+    def test_baseline_ratio_independent_of_model_order(self):
+        """Every model gets its ratio, whether listed before HA or after."""
+        scenarios = tiny_scenarios()[:1]
+        ratios = []
+        for models in (("GCN-LSTM-I", "HA"), ("HA", "GCN-LSTM-I")):
+            grid = run_grid(
+                gauntlet(models, [0.3], scenarios), TINY_DATA, TINY_MODEL,
+                default_trainer_config(max_epochs=1),
+            )
+            ratios.append(grid.cell("GCN-LSTM-I").ratio_vs_baseline)
+        assert ratios[0] is not None
+        assert ratios[0] == ratios[1]
 
     def test_default_scenarios_cover_required_kinds(self):
         kinds = {s.kind for s in default_scenarios()}

@@ -7,8 +7,8 @@ from repro.experiments import (
     DataConfig,
     ModelConfig,
     default_trainer_config,
-    sweep_model_field,
-    sweep_trainer_field,
+    run_grid,
+    sweep,
 )
 from repro.models import GRUDForecaster, compute_deltas, forward_fill_last
 
@@ -104,35 +104,31 @@ class TestGRUD:
         assert history.train_loss[-1] < history.train_loss[0]
 
 
+def run_sweep(field, values, model):
+    return run_grid(sweep(field, values, model=model),
+                    TINY_DATA, TINY_MODEL, TINY_TRAINER)
+
+
 class TestSensitivitySweeps:
     def test_model_field_sweep(self):
-        result = sweep_model_field(
-            "cheb_order", [1, 2], model_name="GCN-LSTM-I",
-            data_config=TINY_DATA, model_config=TINY_MODEL,
-            trainer_config=TINY_TRAINER,
-        )
-        assert len(result.metrics) == 2
-        assert result.best_value() in (1, 2)
-        assert "cheb_order" in result.render()
+        grid = run_sweep("cheb_order", [1, 2], "GCN-LSTM-I")
+        assert len(grid.cells) == 2
+        best = min(grid.cells, key=lambda c: c.metric_at().mae)
+        assert best.value in (1, 2)
+        assert "cheb_order" in grid.render()
 
     def test_graph_affecting_field_rebuilds_context(self):
-        result = sweep_model_field(
-            "num_graphs", [2, 3], model_name="RIHGCN",
-            data_config=TINY_DATA, model_config=TINY_MODEL,
-            trainer_config=TINY_TRAINER,
-        )
-        assert len(result.metrics) == 2
+        grid = run_sweep("num_graphs", [2, 3], "RIHGCN")
+        assert [c.value for c in grid.cells] == [2, 3]
+        # Different graph sets give different models, not one reused set.
+        assert grid.cells[0].metric_at() != grid.cells[1].metric_at()
 
     def test_trainer_field_sweep(self):
-        result = sweep_trainer_field(
-            "imputation_weight", [0.0, 1.0], model_name="FC-LSTM-I",
-            data_config=TINY_DATA, model_config=TINY_MODEL,
-            trainer_config=TINY_TRAINER,
-        )
-        assert len(result.metrics) == 2
+        grid = run_sweep("imputation_weight", [0.0, 1.0], "FC-LSTM-I")
+        assert len(grid.cells) == 2
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
-            sweep_model_field("flux_capacitance", [1])
+            sweep("flux_capacitance", [1])
         with pytest.raises(ValueError):
-            sweep_trainer_field("warp_speed", [1])
+            sweep("warp_speed", [1])

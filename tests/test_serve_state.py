@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.models.grud import compute_deltas
 from repro.errors import StateError
 from repro.serve import StateStore
 
@@ -131,26 +130,6 @@ class TestColdStart:
         window = make_store(length=4).window()
         assert not window.m.any()
         np.testing.assert_allclose(window.x, 0.0)
-
-
-class TestDeltaConsistency:
-    def test_deltas_match_grud_convention(self):
-        """Window deltas equal compute_deltas on the same mask."""
-        store = make_store(n=2, d=1, length=5)
-        rng = np.random.default_rng(0)
-        for t in range(8):
-            mask = (rng.random((2, 1)) > 0.4).astype(float)
-            store.observe(t, full_reading(store, t), mask=mask)
-        window = store.window()
-        np.testing.assert_allclose(window.delta, compute_deltas(window.m[None])[0])
-
-    def test_gap_grows_delta(self):
-        store = make_store(n=1, d=1, length=4)
-        store.observe(0, full_reading(store, 1.0))
-        store.observe(3, full_reading(store, 1.0))
-        delta = store.window().delta[:, 0, 0]
-        # GRU-D: delta[0] = 0; then 1 if previous step observed else +1.
-        np.testing.assert_allclose(delta, [0.0, 1.0, 2.0, 3.0])
 
 
 class TestStepsOfDay:

@@ -41,7 +41,6 @@ class TestRoundTrip:
         a, b = src.window(), dst.window()
         np.testing.assert_array_equal(a.x, b.x)
         np.testing.assert_array_equal(a.m, b.m)
-        np.testing.assert_array_equal(a.delta, b.delta)
         assert a.newest_step == b.newest_step == 10
         assert dst.warm == src.warm
 
