@@ -32,11 +32,8 @@ last-known-rows cache used as the final failover rung. Request routing:
 from __future__ import annotations
 
 import contextlib
-import json
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
-from urllib.parse import parse_qs, urlparse
 
 import numpy as np
 
@@ -51,12 +48,11 @@ from ...telemetry import (
     TraceCollector,
     Tracer,
     default_serving_objectives,
-    extract_trace_context,
     inject_trace_context,
     merge_collapsed,
 )
 from ...telemetry.prometheus import render_prometheus
-from ..http import PlainText, Response
+from ..http import PlainText, Request, Response, Route, dispatch, route_table
 from .config import ClusterConfig
 from .transport import ShardUnavailable
 
@@ -135,6 +131,19 @@ class ClusterRouter:
         # no live shard holds a node. {node: (newest_step, [row, ...])}
         self._stale_rows: dict[int, tuple[int, list]] = {}
         self._stale_lock = threading.Lock()
+        # The scrapes answer span-free: tracing them would pollute the
+        # very buffers they read.
+        self.routes = route_table(
+            Route("POST", "/observe", self._observe_route),
+            Route("GET", "/forecast", self._forecast_route),
+            Route("GET", "/healthz", lambda r: self.healthz()),
+            Route("GET", "/metrics", lambda r: self.metrics(), traced=False),
+            Route("GET", "/traces", lambda r: self.traces(r.arg("limit", int)),
+                  traced=False),
+            Route("GET", "/slo", lambda r: self.slo_status(), traced=False),
+            Route("GET", "/profile", lambda r: self.profile(), traced=False),
+            Route("GET", "/shards", lambda r: self.shards(), traced=False),
+        )
 
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
@@ -611,10 +620,34 @@ class ClusterRouter:
         })
 
     # -- dispatch ------------------------------------------------------
-    #: dispatched span-free: tracing the trace/metric scrapes would
-    #: pollute the very buffers they read (the router samples at the
-    #: configured rate on every serving request).
-    _UNTRACED_ROUTES = frozenset({"/metrics", "/traces", "/slo", "/profile", "/shards"})
+    def _observe_route(self, request: Request) -> Response:
+        payload = request.payload
+        if "values" in payload:
+            values = np.asarray(payload["values"], dtype=default_dtype())
+            rows = values.shape[0] if values.ndim else -1
+            if rows != self.plan.num_nodes:
+                return Response(400, {
+                    "error": "full-network observations need "
+                    f"{self.plan.num_nodes} rows, got {rows}"
+                })
+        return self.observe(payload, request.body or b"{}")
+
+    def _forecast_route(self, request: Request) -> Response:
+        horizon = request.arg("horizon", int)
+        nodes = request.arg("node") or request.arg("nodes")
+        if nodes:
+            return self.forecast_node(int(nodes.split(",")[0]), horizon)
+        return self.forecast_all(horizon)
+
+    def _count(self, route, response, latency_ms, span) -> None:
+        """Per-route request counter; latency histogram for traced routes."""
+        label = route.path.lstrip("/") if route is not None else "unmatched"
+        self.registry.counter(f'cluster/requests{{route="{label}"}}').inc()
+        if span is not None:
+            self.registry.histogram("cluster/latency_ms").observe(
+                latency_ms,
+                exemplar=span.context.trace_id if span.context.sampled else None,
+            )
 
     def handle(
         self,
@@ -623,92 +656,10 @@ class ClusterRouter:
         body: bytes | None,
         headers: dict | None = None,
     ) -> Response:
-        parsed = urlparse(path)
-        route = parsed.path.rstrip("/") or "/"
-        query = parse_qs(parsed.query)
-        self.registry.counter(
-            f'cluster/requests{{route="{route.lstrip("/") or "root"}"}}'
-        ).inc()
-        if route in self._UNTRACED_ROUTES:
-            return self._route(method, route, query, body)
-        parent = extract_trace_context(headers or {})
-        began = time.perf_counter()
-        with self.tracer.span(
-            "cluster",
-            parent=parent,
-            attributes={"method": method, "route": route},
-        ) as span:
-            response = self._route(method, route, query, body)
-            span.set_attribute("status", response.status)
-            if response.status >= 400:
-                span.status = "error"
-            context = span.context
-        latency_ms = (time.perf_counter() - began) * 1e3
-        self.registry.histogram("cluster/latency_ms").observe(
-            latency_ms, exemplar=context.trace_id if context.sampled else None
+        return dispatch(
+            self.routes, method, path, body, headers,
+            tracer=self.tracer, span="cluster", slo=self.slo,
+            registry=self.registry,
+            retry_after=lambda error, scope: {"Retry-After": "1"},
+            on_response=self._count,
         )
-        if self.slo is not None and route in ("/forecast", "/observe"):
-            self.slo.record_request(
-                response.status,
-                latency_ms=latency_ms,
-                degraded=bool(response.headers.get("X-Degraded")),
-            )
-        return response
-
-    def _route(
-        self,
-        method: str,
-        route: str,
-        query: dict,
-        body: bytes | None,
-    ) -> Response:
-        try:
-            if method == "POST" and route == "/observe":
-                try:
-                    payload = json.loads(body or b"")
-                except json.JSONDecodeError as error:
-                    return Response(400, {"error": f"invalid JSON body: {error}"})
-                if not isinstance(payload, dict):
-                    return Response(
-                        400, {"error": "request body must be a JSON object"}
-                    )
-                if "values" in payload:
-                    values = np.asarray(
-                        payload["values"], dtype=default_dtype()
-                    )
-                    rows = values.shape[0] if values.ndim else -1
-                    if rows != self.plan.num_nodes:
-                        return Response(400, {
-                            "error": "full-network observations need "
-                            f"{self.plan.num_nodes} rows, got {rows}"
-                        })
-                return self.observe(payload, body or b"{}")
-            if method == "GET" and route == "/forecast":
-                horizon = query.get("horizon")
-                horizon = int(horizon[0]) if horizon else None
-                node_q = query.get("node") or query.get("nodes")
-                if node_q:
-                    try:
-                        node = int(node_q[0].split(",")[0])
-                    except ValueError:
-                        return Response(
-                            400, {"error": f"bad node id {node_q[0]!r}"}
-                        )
-                    return self.forecast_node(node, horizon)
-                return self.forecast_all(horizon)
-            if method == "GET" and route == "/healthz":
-                return self.healthz()
-            if method == "GET" and route == "/metrics":
-                return self.metrics()
-            if method == "GET" and route == "/traces":
-                limit = query.get("limit")
-                return self.traces(int(limit[0]) if limit else None)
-            if method == "GET" and route == "/slo":
-                return self.slo_status()
-            if method == "GET" and route == "/profile":
-                return self.profile()
-            if method == "GET" and route == "/shards":
-                return self.shards()
-            return Response(404, {"error": f"no route {method} {route}"})
-        except (ValueError, KeyError, TypeError) as error:
-            return Response(400, {"error": str(error)})

@@ -13,20 +13,17 @@ warm from it over the wire.
 
 from __future__ import annotations
 
-import json
-from urllib.parse import parse_qs, urlparse
-
 import numpy as np
 
 from ...autodiff import default_dtype
-from ...errors import ConfigError, Overloaded, ServeError, StateError
+from ...errors import ConfigError
 from ...graphs import ShardPlan
-from ...telemetry import MetricRegistry, extract_trace_context
+from ...telemetry import MetricRegistry
 from ...telemetry.trace import Tracer
 from ..artifact import ModelBundle
 from ..config import DEFAULT_TENANT, ServeConfig
 from ..fleet import EnginePool
-from ..http import Response, ServeApp
+from ..http import Request, Response, Route, ServeApp, dispatch, route_table
 from .sharding import make_shard_bundle, translate_snapshot
 
 __all__ = ["ShardApp"]
@@ -82,6 +79,20 @@ class ShardApp:
         )
         self.inner = ServeApp(pool=pool, config=self.config)
         self.pool = pool
+        # The pool-wide meta routes are the inner app's own; node-addressed
+        # routes translate global ids first. The snapshot plumbing stays
+        # span-free like the meta scrapes.
+        self.routes = route_table(
+            *(route for route in self.inner.routes.values()
+              if route.path not in ("/healthz", "/forecast", "/observe")),
+            Route("GET", "/healthz", lambda r: self.healthz()),
+            Route("GET", "/forecast", self.forecast),
+            Route("POST", "/observe", lambda r: self.observe(r.payload)),
+            Route("GET", "/shard/info", lambda r: self.shard_info(), traced=False),
+            Route("GET", "/shard/snapshot", lambda r: self.snapshot(), traced=False),
+            Route("POST", "/shard/restore", lambda r: self.restore(r.payload),
+                  traced=False),
+        )
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ShardApp":
@@ -158,11 +169,17 @@ class ShardApp:
             "newest_step": self.store.newest_step,
         })
 
+    def healthz(self) -> Response:
+        response = self.inner.healthz(DEFAULT_TENANT)
+        body = dict(response.body, shard={
+            "shard": self.shard,
+            "owned": len(self.owned),
+            "retained": len(self.retained),
+        })
+        return Response(response.status, body, response.headers)
+
     # -- observe/forecast with global-id translation -------------------
-    def _observe(self, body: bytes | None, headers: dict | None) -> Response:
-        payload = self.inner._parse_json(body)
-        if isinstance(payload, Response):
-            return payload
+    def observe(self, payload: dict) -> Response:
         if "node" in payload:
             node = int(payload["node"])
             local = self._local.get(node)
@@ -179,7 +196,7 @@ class ShardApp:
                     f"{self.plan.num_nodes} rows, got {values.shape[0]}"
                 })
             keep = np.asarray(self.retained, dtype=int)
-            payload = dict(payload, values=values[keep].tolist())
+            payload = dict(payload, values=values[keep])
             mask = payload.get("mask")
             if mask is not None:
                 mask = np.asarray(mask, dtype=default_dtype())
@@ -189,18 +206,14 @@ class ShardApp:
                     return Response(400, {
                         "error": f"mask must have {self.plan.num_nodes} rows"
                     })
-                payload["mask"] = mask[keep].tolist()
-        return self.inner.handle(
-            "POST", "/observe", json.dumps(payload).encode(), headers
-        )
+                payload["mask"] = mask[keep]
+        return self.inner.observe(payload, DEFAULT_TENANT)
 
-    def _forecast(self, query: dict) -> Response:
-        horizon = query.get("horizon")
-        horizon = int(horizon[0]) if horizon else None
-        nodes_q = query.get("nodes") or query.get("node")
-        if nodes_q:
-            requested = [int(v) for v in nodes_q[0].split(",") if v != ""]
-        elif query.get("scope", ["owned"])[0] == "retained":
+    def forecast(self, request: Request) -> Response:
+        nodes = request.arg("nodes") or request.arg("node")
+        if nodes:
+            requested = [int(v) for v in nodes.split(",") if v != ""]
+        elif request.arg("scope") == "retained":
             requested = [int(g) for g in self.retained]
         else:
             requested = [int(g) for g in self.owned]
@@ -210,24 +223,8 @@ class ShardApp:
             if row is None:
                 return self._not_held(node)
             local.append(row)
-        runtime = self.inner._runtime(DEFAULT_TENANT)
-        try:
-            result = self.pool.forecast(DEFAULT_TENANT, horizon=horizon)
-        except Overloaded as error:
-            return Response(
-                429, {"error": str(error)}, self.inner._retry_after(runtime, error)
-            )
-        except (StateError, ValueError) as error:
-            return Response(400, {"error": str(error)})
-        except ServeError as error:
-            self.registry.counter("serve/unavailable_responses").inc()
-            return Response(
-                503,
-                {"error": str(error), "cause": type(error).__name__},
-                self.inner._retry_after(runtime, error),
-            )
-        rows = np.asarray(local, dtype=int)
-        prediction = np.asarray(result.prediction)[:, rows, :]
+        result = self.pool.forecast(DEFAULT_TENANT, horizon=request.arg("horizon", int))
+        prediction = np.asarray(result.prediction)[:, np.asarray(local, dtype=int), :]
         headers = {"X-Degraded": result.degraded} if result.degraded else {}
         return Response(200, {
             "shard": self.shard,
@@ -241,12 +238,6 @@ class ShardApp:
         }, headers)
 
     # -- dispatch ------------------------------------------------------
-    #: handled span-free so the router's observability fan-outs do not
-    #: pollute the shard's trace buffer (matches ServeApp's set, plus
-    #: the snapshot/restore plumbing).
-    _UNTRACED = frozenset({"metrics", "traces", "slo", "profile", "info",
-                           "snapshot", "restore"})
-
     def handle(
         self,
         method: str,
@@ -254,61 +245,9 @@ class ShardApp:
         body: bytes | None,
         headers: dict | None = None,
     ) -> Response:
-        parsed = urlparse(path)
-        route = parsed.path.rstrip("/") or "/"
-        if route.rsplit("/", 1)[-1] in self._UNTRACED:
-            return self._handle(method, route, parsed.query, body, headers)
-        # Extract the router's traceparent here so the shard-level span
-        # joins the cluster trace; the inner ServeApp span then nests
-        # under this one via the in-process contextvar.
-        parent = extract_trace_context(headers or {})
-        with self.tracer.span(
-            "shard",
-            parent=parent,
-            attributes={"shard": f"s{self.shard}", "method": method,
-                        "route": route},
-        ) as span:
-            response = self._handle(method, route, parsed.query, body, headers)
-            span.set_attribute("status", response.status)
-            if response.status >= 400:
-                span.status = "error"
-            return response
-
-    def _handle(
-        self,
-        method: str,
-        route: str,
-        query_string: str,
-        body: bytes | None,
-        headers: dict | None,
-    ) -> Response:
-        query = parse_qs(query_string)
-        try:
-            if method == "GET" and route == "/shard/info":
-                return self.shard_info()
-            if method == "GET" and route == "/shard/snapshot":
-                return self.snapshot()
-            if method == "POST" and route == "/shard/restore":
-                payload = self.inner._parse_json(body)
-                if isinstance(payload, Response):
-                    return payload
-                return self.restore(payload)
-            if method == "POST" and route == "/observe":
-                return self._observe(body, headers)
-            if method == "GET" and route == "/forecast":
-                return self._forecast(query)
-        except StateError as error:
-            return Response(400, {"error": str(error)})
-        full_path = route + (f"?{query_string}" if query_string else "")
-        if method == "GET" and route == "/healthz":
-            response = self.inner.handle(method, full_path, body, headers)
-            if response.status == 200 and isinstance(response.body, dict):
-                body_out = dict(response.body)
-                body_out["shard"] = {
-                    "shard": self.shard,
-                    "owned": len(self.owned),
-                    "retained": len(self.retained),
-                }
-                return Response(response.status, body_out, response.headers)
-            return response
-        return self.inner.handle(method, full_path, body, headers)
+        return dispatch(
+            self.routes, method, path, body, headers,
+            tracer=self.tracer, span="shard", attributes={"shard": f"s{self.shard}"},
+            slo=self.inner.slo, registry=self.registry,
+            retry_after=self.inner._retry_after,
+        )

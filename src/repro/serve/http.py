@@ -37,9 +37,12 @@ first: a ``/t/<tenant>/...`` path prefix, an ``X-Tenant`` header, or a
 on the ``default`` tenant (a single-tenant pool's only tenant is the
 implicit default). Unknown tenants are a 404.
 
-Every request runs under an ``http <METHOD> <route>`` root span, so the
-trace tree of a forecast shows HTTP → engine.forecast → queue →
-batch_forward → model_forward in one place.
+Each app is a route table (:class:`Route`) plus a ``handle`` that calls
+:func:`dispatch`, the one request pipeline :class:`ServeApp`, the
+cluster shards and the cluster router share. Every traced request runs
+under an ``http`` root span, so the trace tree of a forecast shows
+HTTP → engine.forecast → queue → batch_forward → model_forward in one
+place.
 
 Threading model: each connection gets a handler thread (the stdlib
 mixin); handlers funnel forecasts through the pool's routing and each
@@ -57,12 +60,14 @@ fallback ladder) → 503, all with ``Retry-After``. Tuning arrives as one
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
 
 import numpy as np
@@ -97,7 +102,18 @@ from .engine import ForecastEngine
 from .fleet import EnginePool
 from .state import StateStore
 
-__all__ = ["PlainText", "Response", "ServeApp", "bind_http", "make_server", "run_server"]
+__all__ = [
+    "PlainText",
+    "Request",
+    "Response",
+    "Route",
+    "ServeApp",
+    "bind_http",
+    "dispatch",
+    "make_server",
+    "route_table",
+    "run_server",
+]
 
 
 @dataclass(frozen=True)
@@ -118,6 +134,175 @@ class Response:
     status: int
     body: dict | PlainText
     headers: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Route:
+    """One route-table entry: ``fn(request)`` answers ``method path``.
+
+    ``traced=False`` answers span-free: meta routes the cluster router
+    scrapes from every worker, whose spans would flood the very buffers
+    they read.
+    """
+
+    method: str
+    path: str
+    fn: Callable[["Request"], Response]
+    traced: bool = True
+
+
+def route_table(*routes: Route) -> dict[tuple[str, str], Route]:
+    """Index ``routes`` by ``(method, path)`` for :func:`dispatch`."""
+    return {(route.method, route.path): route for route in routes}
+
+
+@dataclass
+class Request:
+    """What a route sees: the parsed path, query, headers and body.
+
+    ``payload`` is the JSON object of a POST body. ``scope`` is whatever
+    the app's resolver bound the request to (``ServeApp``: the tenant).
+    """
+
+    method: str
+    path: str
+    query: dict[str, list[str]]
+    headers: dict
+    body: bytes | None
+    payload: dict | None = None
+    scope: Any = None
+
+    def arg(self, name: str, cast: Callable = str) -> Any:
+        """The first ``?name=`` value through ``cast``; None when absent."""
+        values = self.query.get(name)
+        return cast(values[0]) if values else None
+
+
+class _NotFound(Exception):
+    """Raised by a route or resolver to answer 404 with ``body``."""
+
+    def __init__(self, body: dict):
+        super().__init__(body["error"])
+        self.body = body
+
+
+def _guarded(
+    call: Callable[[], Response | None],
+    request: Request,
+    retry_after: Callable[[BaseException, Any], dict],
+    registry: MetricRegistry,
+) -> Response | None:
+    """Run ``call()``; the one map from exceptions onto HTTP statuses."""
+    try:
+        return call()
+    except _NotFound as error:
+        return Response(404, error.body)
+    except Overloaded as error:
+        # Shed load (queue saturation or quota): back off, not degrade.
+        return Response(
+            429, {"error": str(error)}, retry_after(error, request.scope)
+        )
+    # Input errors: bad arguments, malformed bodies, stale observations.
+    except (ConfigError, StateError, DataError, ValueError, KeyError, TypeError) as error:
+        return Response(400, {"error": str(error)})
+    except ServeError as error:
+        # Resilience signals that survived the fallback ladder: open
+        # breaker, blown deadline, dry ladder. The server is alive but
+        # cannot answer — 503 with a backoff hint.
+        registry.counter("serve/unavailable_responses").inc()
+        return Response(
+            503,
+            {"error": str(error), "cause": type(error).__name__},
+            retry_after(error, request.scope),
+        )
+
+
+def _run(route: Route | None, request: Request) -> Response:
+    """Call ``route`` on the parsed body; 404 when nothing matched."""
+    if route is None:
+        return Response(404, {"error": f"no route {request.method} {request.path}"})
+    if route.method == "POST":
+        try:
+            request.payload = json.loads(request.body or b"")
+        except json.JSONDecodeError as error:
+            raise ValueError(f"invalid JSON body: {error}") from None
+        if not isinstance(request.payload, dict):
+            raise ValueError("request body must be a JSON object")
+    return route.fn(request)
+
+
+#: routes whose answers feed the SLO engine.
+_SLO_ROUTES = frozenset({"/forecast", "/observe"})
+
+
+def dispatch(
+    routes: dict[tuple[str, str], Route],
+    method: str,
+    path: str,
+    body: bytes | None,
+    headers: dict | None,
+    *,
+    tracer: Tracer,
+    span: str,
+    slo: SLOEngine | None,
+    registry: MetricRegistry,
+    retry_after: Callable[[BaseException, Any], dict],
+    attributes: dict | None = None,
+    resolve: Callable[[Request], None] | None = None,
+    on_response: Callable | None = None,
+) -> Response:
+    """Answer one request from ``routes``: the pipeline every app shares.
+
+    In order: parse the path and query; let ``resolve`` rewrite
+    ``request.path`` and set ``request.scope`` (raising refuses the
+    request); look the route up; open a ``span`` span unless the route
+    is untraced, parented on the caller's current span, else on the
+    ``traceparent`` header, else a fresh root; parse a POST body as a
+    JSON object; map exceptions onto statuses (:func:`_guarded`, whose
+    ``retry_after(error, scope)`` supplies the backoff header); and feed
+    ``/forecast`` and ``/observe`` answers to ``slo``.
+    ``on_response(route, response, latency_ms, span)`` then sees every
+    answer; ``route`` is None when unmatched, ``span`` when untraced.
+    """
+    parsed = urlparse(path)
+    request = Request(
+        method, parsed.path.rstrip("/") or "/", parse_qs(parsed.query),
+        headers or {}, body,
+    )
+    raw_path = request.path
+    began = time.perf_counter()
+    if resolve is not None:
+        refused = _guarded(lambda: resolve(request), request, retry_after, registry)
+        if refused is not None:
+            return refused
+    route = routes.get((method, request.path))
+    if route is None or route.traced:
+        parent = Tracer.current_context() or extract_trace_context(request.headers)
+        traced = tracer.span(
+            span,
+            parent=parent,
+            attributes={**(attributes or {}), "method": method, "route": raw_path},
+        )
+    else:
+        traced = contextlib.nullcontext()
+    with traced as opened:
+        response = _guarded(
+            lambda: _run(route, request), request, retry_after, registry
+        )
+        if opened is not None:
+            opened.set_attribute("status", response.status)
+            if response.status >= 400:
+                opened.status = "error"
+    latency_ms = (time.perf_counter() - began) * 1e3
+    if slo is not None and request.path in _SLO_ROUTES:
+        slo.record_request(
+            response.status,
+            latency_ms=latency_ms,
+            degraded=bool(response.headers.get("X-Degraded")),
+        )
+    if on_response is not None:
+        on_response(route, response, latency_ms, opened)
+    return response
 
 
 class ServeApp:
@@ -204,6 +389,22 @@ class ServeApp:
             self.profiler = ContinuousProfiler(
                 interval_s=1.0 / self.config.profile_hz, registry=self.registry
             ).start()
+        self.routes = route_table(
+            Route("GET", "/metrics", self._get_metrics, traced=False),
+            Route("GET", "/traces", lambda r: self.traces(r.arg("limit", int)),
+                  traced=False),
+            Route("GET", "/slo", lambda r: self.slo_status(), traced=False),
+            Route("GET", "/profile",
+                  lambda r: self.profile(as_json=_wants_json(r)), traced=False),
+            Route("GET", "/tenants", lambda r: self.tenants()),
+            Route("GET", "/rollouts", lambda r: self.rollouts()),
+            Route("POST", "/rollouts", lambda r: self.rollout_action(r.payload)),
+            Route("GET", "/healthz", lambda r: self.healthz(self._tenant(r))),
+            Route("GET", "/forecast", lambda r: self.forecast(
+                r.arg("horizon", int), self._tenant(r))),
+            Route("POST", "/observe",
+                  lambda r: self.observe(r.payload, self._tenant(r))),
+        )
 
     def close(self) -> None:
         """Stop background observers (the continuous profiler)."""
@@ -251,8 +452,11 @@ class ServeApp:
             self.slo.record_quality(report)
         return report
 
-    def _retry_after(self, runtime, error: BaseException | None = None) -> dict:
+    def _retry_after(self, error: BaseException | None, tenant: str | None) -> dict:
         """``Retry-After`` header for rejected/unavailable responses."""
+        runtime = self._runtime(
+            tenant if tenant is not None else self.pool.tenants()[0]
+        )
         engine = runtime.engine
         after = engine.policy.retry_after_s
         if isinstance(error, QuotaExceeded) and runtime.quota is not None:
@@ -366,7 +570,7 @@ class ServeApp:
             return Response(
                 429,
                 {"error": "server saturated; back off and retry"},
-                self._retry_after(runtime),
+                self._retry_after(None, tenant),
             )
         if "step" not in payload:
             return Response(400, {"error": "observation needs an integer 'step'"})
@@ -407,35 +611,42 @@ class ServeApp:
         return Response(200, result.to_json_dict(), headers)
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _wants_json(query: dict, headers: dict | None) -> bool:
-        fmt = query.get("format", [""])[0].lower()
-        if fmt:
-            return fmt == "json"
-        accept = (headers or {}).get("Accept", "")
-        return "application/json" in accept
+    def _get_metrics(self, request: Request) -> Response:
+        raw = (request.arg("exemplars") or "").lower()
+        return self.metrics(
+            as_json=_wants_json(request),
+            exemplars=None if not raw else raw in ("1", "true", "yes", "on"),
+        )
 
-    def _resolve_tenant(
-        self, route: str, query: dict, headers: dict | None
-    ) -> tuple[str | None, str]:
-        """(tenant, remaining route); path > header > query > default."""
+    def _resolve_tenant(self, request: Request) -> None:
+        """Scope ``request`` to a tenant: path > header > query > default."""
+        route = request.path
         if route == "/t" or route.startswith("/t/"):
             parts = route.split("/", 3)  # ['', 't', tenant, rest?]
             tenant = parts[2] if len(parts) > 2 and parts[2] else None
             rest = "/" + parts[3] if len(parts) > 3 else "/"
-            return tenant, rest.rstrip("/") or "/"
-        header_tenant = (headers or {}).get("X-Tenant")
-        if header_tenant:
-            return header_tenant, route
-        query_tenant = query.get("tenant", [""])[0]
-        if query_tenant:
-            return query_tenant, route
-        return self._default_name(), route
+            request.path = rest.rstrip("/") or "/"
+        else:
+            tenant = (
+                request.headers.get("X-Tenant")
+                or request.arg("tenant")
+                or self._default_name()
+            )
+        if tenant is not None and tenant not in self.pool.tenants():
+            raise _NotFound(
+                {"error": f"no tenant {tenant!r}", "tenants": self.pool.tenants()}
+            )
+        request.scope = tenant
 
-    #: meta routes observed span-free: the router fans /metrics and
-    #: /traces scrapes to every worker at sample rate 1.0, and tracing
-    #: those fetches would flood the very buffers they read.
-    _UNTRACED_ROUTES = frozenset({"/metrics", "/traces", "/slo", "/profile"})
+    def _tenant(self, request: Request) -> str:
+        """The request's tenant; 404 when none was named and none is default."""
+        if request.scope is None:
+            raise _NotFound({
+                "error": "no default tenant; address one via "
+                "/t/<tenant>/..., X-Tenant or ?tenant=",
+                "tenants": self.pool.tenants(),
+            })
+        return request.scope
 
     def handle(
         self,
@@ -445,137 +656,19 @@ class ServeApp:
         headers: dict | None = None,
     ) -> Response:
         """Dispatch one request; exceptions become JSON error responses."""
-        parsed = urlparse(path)
-        route = parsed.path.rstrip("/") or "/"
-        if "/" + route.rsplit("/", 1)[-1] in self._UNTRACED_ROUTES:
-            return self._route(method, route, parsed.query, body, headers)
-        # Parent precedence: an in-process caller (the cluster shard's
-        # wrapping span) wins over a traceparent header; with neither —
-        # or a malformed header — this span starts a fresh root trace.
-        parent = Tracer.current_context()
-        if parent is None:
-            parent = extract_trace_context(headers or {})
-        began = time.perf_counter()
-        with self.tracer.span(
-            "http",
-            parent=parent,
-            attributes={"method": method, "route": route},
-        ) as span:
-            response = self._route(method, route, parsed.query, body, headers)
-            span.set_attribute("status", response.status)
-            if response.status >= 400:
-                span.status = "error"
-        if self.slo is not None and route.split("/")[-1] in ("forecast", "observe"):
-            self.slo.record_request(
-                response.status,
-                latency_ms=(time.perf_counter() - began) * 1e3,
-                degraded=bool(response.headers.get("X-Degraded")),
-            )
-        return response
+        return dispatch(
+            self.routes, method, path, body, headers,
+            tracer=self.tracer, span="http", slo=self.slo,
+            registry=self.registry, retry_after=self._retry_after,
+            resolve=self._resolve_tenant,
+        )
 
-    def _parse_json(self, body: bytes | None) -> dict | Response:
-        try:
-            payload = json.loads(body or b"")
-        except json.JSONDecodeError as error:
-            return Response(400, {"error": f"invalid JSON body: {error}"})
-        if not isinstance(payload, dict):
-            return Response(400, {"error": "request body must be a JSON object"})
-        return payload
 
-    def _route(
-        self,
-        method: str,
-        route: str,
-        query_string: str,
-        body: bytes | None,
-        headers: dict | None,
-    ) -> Response:
-        query = parse_qs(query_string)
-        tenant, route = self._resolve_tenant(route, query, headers)
-        runtime = None
-        try:
-            if tenant is not None:
-                try:
-                    runtime = self.pool.runtime(tenant)
-                except ConfigError:
-                    return Response(
-                        404,
-                        {
-                            "error": f"no tenant {tenant!r}",
-                            "tenants": self.pool.tenants(),
-                        },
-                    )
-            if method == "GET" and route == "/metrics":
-                raw = query.get("exemplars", [""])[0].lower()
-                exemplars = None if not raw else raw in ("1", "true", "yes", "on")
-                return self.metrics(
-                    as_json=self._wants_json(query, headers), exemplars=exemplars
-                )
-            if method == "GET" and route == "/traces":
-                limit = query.get("limit")
-                return self.traces(int(limit[0]) if limit else None)
-            if method == "GET" and route == "/slo":
-                return self.slo_status()
-            if method == "GET" and route == "/profile":
-                return self.profile(as_json=self._wants_json(query, headers))
-            if method == "GET" and route == "/tenants":
-                return self.tenants()
-            if method == "GET" and route == "/rollouts":
-                return self.rollouts()
-            if method == "POST" and route == "/rollouts":
-                payload = self._parse_json(body)
-                if isinstance(payload, Response):
-                    return payload
-                return self.rollout_action(payload)
-            if runtime is None:
-                return Response(
-                    404,
-                    {
-                        "error": "no default tenant; address one via "
-                        "/t/<tenant>/..., X-Tenant or ?tenant=",
-                        "tenants": self.pool.tenants(),
-                    },
-                )
-            if method == "GET" and route == "/healthz":
-                return self.healthz(tenant)
-            if method == "GET" and route == "/forecast":
-                horizon = query.get("horizon")
-                return self.forecast(int(horizon[0]) if horizon else None, tenant)
-            if method == "POST" and route == "/observe":
-                payload = self._parse_json(body)
-                if isinstance(payload, Response):
-                    return payload
-                return self.observe(payload, tenant)
-            return Response(404, {"error": f"no route {method} {route}"})
-        except Overloaded as error:
-            # Shed load (queue saturation or quota): back off, not degrade.
-            return Response(429, {"error": str(error)}, self._retry_after(
-                runtime if runtime is not None else self._any_runtime(), error
-            ))
-        except ConfigError as error:
-            # Rollout/tenant management called with a bad argument.
-            return Response(400, {"error": str(error)})
-        # Input errors stay 400 — StateError and DataError are typed
-        # repro errors now (no stdlib bases), so they are caught by name
-        # next to the stdlib trio raised by payload parsing.
-        except (StateError, DataError, ValueError, KeyError, TypeError) as error:
-            return Response(400, {"error": str(error)})
-        except ServeError as error:
-            # Resilience signals that survived the fallback ladder: open
-            # breaker, blown deadline, dry ladder. The server is alive
-            # but cannot answer — 503 with a backoff hint.
-            self.registry.counter("serve/unavailable_responses").inc()
-            return Response(
-                503,
-                {"error": str(error), "cause": type(error).__name__},
-                self._retry_after(
-                    runtime if runtime is not None else self._any_runtime(), error
-                ),
-            )
-
-    def _any_runtime(self):
-        """Fallback runtime for Retry-After hints on tenant-less errors."""
-        return self._runtime(self.pool.tenants()[0])
+def _wants_json(request: Request) -> bool:
+    fmt = (request.arg("format") or "").lower()
+    if fmt:
+        return fmt == "json"
+    return "application/json" in request.headers.get("Accept", "")
 
 
 class _Handler(BaseHTTPRequestHandler):

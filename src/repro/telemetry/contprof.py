@@ -60,7 +60,6 @@ _PHASE_OF_FRAME = {
     "_call": "fanout",
     "request": "network",
     "handle": "http",
-    "_route": "http",
 }
 
 
