@@ -22,7 +22,6 @@ import pytest
 from bench_config import SCALE, emit_bench_record
 
 from repro.autodiff import dtype_policy
-from repro.graphs import shard_quality
 from repro.serve import ServeApp, bind_http
 from repro.serve.cluster import (
     ClusterConfig,
@@ -32,6 +31,7 @@ from repro.serve.cluster import (
     build_plan,
     corridor_adjacency,
     make_demo_bundle,
+    shard_quality,
 )
 from repro.serve.loadgen import run_load
 from repro.telemetry import MetricRegistry

@@ -19,13 +19,13 @@ import tempfile
 import numpy as np
 
 from repro.autodiff import dtype_policy
-from repro.graphs import shard_quality
 from repro.serve import ServeApp
 from repro.serve.cluster import (
     ClusterConfig,
     LocalCluster,
     corridor_adjacency,
     make_demo_bundle,
+    shard_quality,
 )
 from repro.telemetry import MetricRegistry
 

@@ -3,17 +3,12 @@
 from .dtype import default_dtype, dtype_policy, set_default_dtype
 from .functional import (
     dropout_mask,
-    elu,
-    huber,
     leaky_relu,
-    log_softmax,
     mae,
     masked_mae,
     masked_mse,
     mse,
-    one_hot,
     softmax,
-    softplus,
 )
 from .fused import ChebBasis, cheb_propagate
 from .gradcheck import gradcheck, numerical_gradient
@@ -55,15 +50,10 @@ __all__ = [
     "enable_grad",
     "is_grad_enabled",
     "softmax",
-    "log_softmax",
     "leaky_relu",
-    "elu",
-    "softplus",
     "dropout_mask",
-    "one_hot",
     "mse",
     "mae",
-    "huber",
     "masked_mae",
     "masked_mse",
     "gradcheck",

@@ -5,19 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from .dtype import default_dtype
-from .tensor import Tensor, as_tensor, maximum, where
+from .tensor import Tensor, as_tensor, where
 
 __all__ = [
     "softmax",
-    "log_softmax",
     "leaky_relu",
-    "elu",
-    "softplus",
     "dropout_mask",
-    "one_hot",
     "mse",
     "mae",
-    "huber",
     "masked_mae",
     "masked_mse",
 ]
@@ -30,25 +25,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable ``log(softmax(x))`` along ``axis``."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
     """Leaky rectifier: ``x`` where positive, ``slope * x`` elsewhere."""
     return where(x.data > 0, x, x * negative_slope)
-
-
-def elu(x: Tensor, alpha: float = 1.0) -> Tensor:
-    """Exponential linear unit."""
-    return where(x.data > 0, x, (x.exp() - 1.0) * alpha)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """Smooth approximation of relu: ``log(1 + exp(x))`` (stabilized)."""
-    return maximum(x, 0.0) + ((-x.abs()).exp() + 1.0).log()
 
 
 def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
@@ -57,13 +36,6 @@ def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> 
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     keep = rng.random(shape) >= p
     return keep.astype(default_dtype()) / np.asarray(1.0 - p, dtype=default_dtype())
-
-
-def one_hot(indices: np.ndarray, num_classes: int) -> np.ndarray:
-    """Dense one-hot encoding of an integer index array."""
-    out = np.zeros(indices.shape + (num_classes,), dtype=default_dtype())
-    np.put_along_axis(out, indices[..., None], 1.0, axis=-1)
-    return out
 
 
 def mse(pred: Tensor, target) -> Tensor:
@@ -75,14 +47,6 @@ def mse(pred: Tensor, target) -> Tensor:
 def mae(pred: Tensor, target) -> Tensor:
     """Mean absolute error."""
     return (pred - as_tensor(target)).abs().mean()
-
-
-def huber(pred: Tensor, target, delta: float = 1.0) -> Tensor:
-    """Huber loss: quadratic near zero, linear in the tails."""
-    diff = (pred - as_tensor(target)).abs()
-    quadratic = diff * diff * 0.5
-    linear = diff * delta - 0.5 * delta * delta
-    return where(diff.data <= delta, quadratic, linear).mean()
 
 
 def masked_mae(pred: Tensor, target, mask) -> Tensor:

@@ -599,13 +599,13 @@ def main(argv: list[str] | None = None) -> int:
         app = ServeApp(pool=pool, config=fleet_cfg.default)
         run_server(app)
     elif args.command == "cluster":
-        from .graphs import shard_quality
         from .serve import bind_http, load_bundle
         from .serve.cluster import (
             ClusterConfig,
             ClusterSupervisor,
             build_plan,
             coupling_adjacency,
+            shard_quality,
         )
 
         config = ClusterConfig(

@@ -32,7 +32,7 @@ from ..models import RecurrentImputationForecaster
 from ..training import MetricPair, Trainer, TrainerConfig, evaluate_horizons, masked_mae, masked_rmse
 from .config import DataConfig, ModelConfig, default_trainer_config
 from .context import ExperimentContext, prepare_context
-from .registry import IMPUTERS, build_model, is_statistical
+from .registry import ALL_MODEL_NAMES, IMPUTERS, build_model, is_statistical
 from .tables import format_metric_table, format_series
 
 __all__ = [
@@ -59,6 +59,8 @@ _TRAINER_FIELDS = {f.name for f in fields(TrainerConfig)}
 class GridSpec:
     """The axes of one experiment and how to render it.
 
+    Every entry of ``models`` must be a registered forecaster or imputer;
+    an unknown name raises ``ValueError`` here, before any data is built.
     ``None`` on the ``rates``, ``patterns`` and ``seeds`` axes keeps what
     the :class:`DataConfig` passed to :func:`run_grid` says. A pattern is
     re-targeted to each rate. ``override`` names the :class:`ModelConfig`
@@ -99,6 +101,12 @@ class GridSpec:
         for axis in ("models", "rates", "patterns", "values", "seeds"):
             if not getattr(self, axis):
                 raise ValueError(f"grid axis {axis!r} needs at least one entry")
+        unknown = [m for m in self.models if m not in ALL_MODEL_NAMES and m not in IMPUTERS]
+        if unknown:
+            raise ValueError(
+                f"unknown model(s) {unknown}; available: {ALL_MODEL_NAMES} "
+                f"and imputers {list(IMPUTERS)}"
+            )
         if self.layout not in ("rates", "horizons", "series", "gauntlet"):
             raise ValueError(f"unknown grid layout {self.layout!r}")
 
@@ -391,12 +399,8 @@ def run_model(
 
     if is_statistical(name):
         model.fit(ctx.train.data, ctx.train.mask)
-        kwargs = {}
-        if getattr(model, "needs_steps_of_day", False):
-            kwargs["steps_of_day"] = ctx.test_windows.steps_of_day
         pred = model.predict(
-            ctx.test_windows.x, ctx.test_windows.m,
-            ctx.data_config.output_length, **kwargs,
+            ctx.test_windows.x, ctx.test_windows.m, ctx.data_config.output_length
         )
         epochs = num_parameters = 0
     else:

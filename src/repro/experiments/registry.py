@@ -8,7 +8,8 @@ registry covers the paper's full comparison set:
 * imputation-enhanced ablations: FC-LSTM-I, FC-GCN-I, GCN-LSTM-I
 * proposed: RIHGCN
 
-plus the classical imputers RQ2 compares RIHGCN's imputation against
+plus MagiNet, the mask-conditioned baseline the missing-pattern gauntlet
+runs, and the classical imputers RQ2 compares RIHGCN's imputation against
 (:data:`IMPUTERS`), which :func:`build_model` dispatches the same way.
 """
 
@@ -27,13 +28,9 @@ from ..imputation import (
 )
 from ..models import (
     ASTGCN,
-    DCRNN,
-    STGCN,
     GraphWaveNet,
-    GRUDForecaster,
     HistoricalAverage,
     MagiNetForecaster,
-    SeasonalHistoricalAverage,
     NeuralForecaster,
     StatisticalForecaster,
     VectorAutoRegression,
@@ -86,14 +83,12 @@ def _imputation_common(ctx: ExperimentContext) -> dict:
     )
 
 
+STATISTICAL_MODELS: dict[str, Callable[[ExperimentContext], StatisticalForecaster]] = {
+    "HA": lambda ctx: HistoricalAverage(),
+    "VAR": lambda ctx: VectorAutoRegression(lags=3),
+}
+
 NEURAL_MODELS: dict[str, Callable[[ExperimentContext], NeuralForecaster]] = {
-    "FC-LSTM": lambda ctx: fc_lstm(**_dims(ctx), **_nn_common(ctx)),
-    "FC-GCN": lambda ctx: fc_gcn(
-        adjacency=ctx.adjacency, **_dims(ctx), **_nn_common(ctx)
-    ),
-    "GCN-LSTM": lambda ctx: gcn_lstm(
-        adjacency=ctx.adjacency, **_dims(ctx), **_nn_common(ctx)
-    ),
     "ASTGCN": lambda ctx: ASTGCN(
         adjacency=ctx.adjacency,
         hidden_channels=ctx.model_config.embed_dim,
@@ -107,30 +102,12 @@ NEURAL_MODELS: dict[str, Callable[[ExperimentContext], NeuralForecaster]] = {
         seed=ctx.model_config.seed,
         **_dims(ctx),
     ),
-    "FC-LSTM-I": lambda ctx: fc_lstm_i(**_dims(ctx), **_imputation_common(ctx)),
-    "FC-GCN-I": lambda ctx: fc_gcn_i(
-        adjacency=ctx.adjacency, **_dims(ctx), **_imputation_common(ctx)
+    "FC-LSTM": lambda ctx: fc_lstm(**_dims(ctx), **_nn_common(ctx)),
+    "FC-GCN": lambda ctx: fc_gcn(
+        adjacency=ctx.adjacency, **_dims(ctx), **_nn_common(ctx)
     ),
-    "GCN-LSTM-I": lambda ctx: gcn_lstm_i(
-        adjacency=ctx.adjacency, **_dims(ctx), **_imputation_common(ctx)
-    ),
-    "STGCN": lambda ctx: STGCN(
-        adjacency=ctx.adjacency,
-        hidden_channels=ctx.model_config.embed_dim,
-        cheb_order=ctx.model_config.cheb_order,
-        seed=ctx.model_config.seed,
-        **_dims(ctx),
-    ),
-    "DCRNN": lambda ctx: DCRNN(
-        adjacency=ctx.adjacency,
-        hidden_dim=ctx.model_config.hidden_dim,
-        seed=ctx.model_config.seed,
-        **_dims(ctx),
-    ),
-    "GRU-D": lambda ctx: GRUDForecaster(
-        hidden_dim=ctx.model_config.hidden_dim,
-        seed=ctx.model_config.seed,
-        **_dims(ctx),
+    "GCN-LSTM": lambda ctx: gcn_lstm(
+        adjacency=ctx.adjacency, **_dims(ctx), **_nn_common(ctx)
     ),
     "MagiNet": lambda ctx: MagiNetForecaster(
         embed_dim=ctx.model_config.embed_dim,
@@ -138,16 +115,20 @@ NEURAL_MODELS: dict[str, Callable[[ExperimentContext], NeuralForecaster]] = {
         seed=ctx.model_config.seed,
         **_dims(ctx),
     ),
+    "FC-LSTM-I": lambda ctx: fc_lstm_i(**_dims(ctx), **_imputation_common(ctx)),
+    "FC-GCN-I": lambda ctx: fc_gcn_i(
+        adjacency=ctx.adjacency, **_dims(ctx), **_imputation_common(ctx)
+    ),
+    "GCN-LSTM-I": lambda ctx: gcn_lstm_i(
+        adjacency=ctx.adjacency, **_dims(ctx), **_imputation_common(ctx)
+    ),
     "RIHGCN": lambda ctx: rihgcn(
         graphs=ctx.graphs(), **_dims(ctx), **_imputation_common(ctx)
     ),
 }
 
-STATISTICAL_MODELS: dict[str, Callable[[ExperimentContext], StatisticalForecaster]] = {
-    "HA": lambda ctx: HistoricalAverage(),
-    "SHA": lambda ctx: SeasonalHistoricalAverage(steps_per_day=ctx.raw.steps_per_day),
-    "VAR": lambda ctx: VectorAutoRegression(lags=3),
-}
+#: every forecaster in table-row order (the default ``--models`` set)
+ALL_MODEL_NAMES: list[str] = [*STATISTICAL_MODELS, *NEURAL_MODELS]
 
 #: RQ2's classical baselines (plus two trivial references), scored by
 #: :func:`~repro.experiments.grid.evaluate_imputer`
@@ -163,25 +144,6 @@ IMPUTERS: dict[str, Callable[[ExperimentContext], Imputer]] = {
         rank=4, steps_per_day=ctx.raw.steps_per_day, iterations=10
     ),
 }
-
-ALL_MODEL_NAMES: list[str] = [
-    "HA",
-    "SHA",
-    "VAR",
-    "ASTGCN",
-    "Graph WaveNet",
-    "FC-LSTM",
-    "FC-GCN",
-    "GCN-LSTM",
-    "STGCN",
-    "DCRNN",
-    "GRU-D",
-    "MagiNet",
-    "FC-LSTM-I",
-    "FC-GCN-I",
-    "GCN-LSTM-I",
-    "RIHGCN",
-]
 
 
 def is_statistical(name: str) -> bool:

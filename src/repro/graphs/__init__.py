@@ -23,13 +23,9 @@ from .laplacian import (
 )
 from .partition import (
     PartitionConfig,
-    ShardPlan,
     TimelinePartition,
     TimelinePartitioner,
     daily_profile,
-    k_hop_reach,
-    plan_shards,
-    shard_quality,
     wrap_slice,
 )
 
@@ -50,10 +46,6 @@ __all__ = [
     "build_heterogeneous_graphs",
     "build_weekly_temporal_graphs",
     "wrap_slice",
-    "ShardPlan",
-    "plan_shards",
-    "shard_quality",
-    "k_hop_reach",
     "edge_density",
     "edge_jaccard",
     "weighted_similarity",

@@ -1,19 +1,16 @@
 """Model zoo: the paper's RIHGCN, its ablations and all baselines."""
 
 from .astgcn import ASTGCN
-from .dcrnn import DCRNN, DCGRUCell, DiffusionConv, random_walk_supports
 from .base import ForecastOutput, NeuralForecaster, StatisticalForecaster
 from .graph_wavenet import GraphWaveNet
-from .grud import GRUDForecaster, compute_deltas, forward_fill_last
 from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder
-from .historical_average import HistoricalAverage, SeasonalHistoricalAverage
-from .maginet import MagiNetForecaster
+from .historical_average import HistoricalAverage
+from .maginet import MagiNetForecaster, compute_deltas
 from .recurrent_imputation import (
     RecurrentImputationForecaster,
     build_spatial_encoder,
 )
 from .rihgcn import fc_gcn_i, fc_lstm_i, gcn_lstm_i, rihgcn
-from .stgcn import STGCN
 from .spatiotemporal import SpatioTemporalForecaster, fc_gcn, fc_lstm, gcn_lstm
 from .var import VectorAutoRegression
 
@@ -37,16 +34,8 @@ __all__ = [
     "gcn_lstm",
     "ASTGCN",
     "GraphWaveNet",
-    "STGCN",
-    "DCRNN",
-    "DCGRUCell",
-    "DiffusionConv",
-    "random_walk_supports",
-    "GRUDForecaster",
     "MagiNetForecaster",
     "compute_deltas",
-    "forward_fill_last",
     "HistoricalAverage",
-    "SeasonalHistoricalAverage",
     "VectorAutoRegression",
 ]

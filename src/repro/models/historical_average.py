@@ -1,15 +1,10 @@
-"""Historical Average baselines.
+"""Historical Average baseline.
 
 :class:`HistoricalAverage` follows the paper: "we calculate the average
 traffic information for each time series, and use it as the predicted
 value for future timestamps". With missing data the average runs over
 *observed* entries of the input window; a fully-missing window falls back
 to the training mean.
-
-:class:`SeasonalHistoricalAverage` is the stronger classic variant common
-in the traffic literature: the prediction for a future timestamp is the
-training-set average at the same *time of day* — it captures the daily
-cycle that plain HA flattens.
 """
 
 from __future__ import annotations
@@ -18,7 +13,7 @@ import numpy as np
 
 from .base import StatisticalForecaster
 
-__all__ = ["HistoricalAverage", "SeasonalHistoricalAverage"]
+__all__ = ["HistoricalAverage"]
 
 
 class HistoricalAverage(StatisticalForecaster):
@@ -47,56 +42,3 @@ class HistoricalAverage(StatisticalForecaster):
             count > 0, window_sum / np.maximum(count, 1.0), self._train_mean
         )  # (B, N, D)
         return np.repeat(mean[:, None, :, :], output_length, axis=1)
-
-
-class SeasonalHistoricalAverage(StatisticalForecaster):
-    """Time-of-day average forecaster (needs ``steps_of_day`` at predict).
-
-    Fit computes the observed mean per (slot-of-day, node, feature) on the
-    training history; prediction looks up the slots of the forecast steps.
-    Slots never observed in training fall back to the global series mean.
-    """
-
-    #: the experiment runner passes the windows' steps_of_day when set
-    needs_steps_of_day = True
-
-    def __init__(self, steps_per_day: int = 288):
-        if steps_per_day < 1:
-            raise ValueError(f"steps_per_day must be >= 1, got {steps_per_day}")
-        self.steps_per_day = steps_per_day
-        self._profile: np.ndarray | None = None  # (S, N, D)
-        self._train_mean: np.ndarray | None = None  # (N, D)
-
-    def fit(self, data: np.ndarray, mask: np.ndarray) -> "SeasonalHistoricalAverage":
-        from ..graphs.partition import daily_profile
-
-        data = np.asarray(data, dtype=np.float64)
-        mask = np.asarray(mask, dtype=np.float64)
-        self._profile = daily_profile(data, mask, self.steps_per_day)
-        count = np.maximum(mask.sum(axis=0), 1.0)
-        self._train_mean = (data * mask).sum(axis=0) / count
-        return self
-
-    def predict(
-        self,
-        x: np.ndarray,
-        m: np.ndarray,
-        output_length: int,
-        steps_of_day: np.ndarray | None = None,
-    ) -> np.ndarray:
-        if self._profile is None or self._train_mean is None:
-            raise RuntimeError("call fit() before predict()")
-        x = np.asarray(x, dtype=np.float64)
-        batch, _t_in, nodes, features = x.shape
-        if steps_of_day is None:
-            raise ValueError(
-                "SeasonalHistoricalAverage needs the windows' steps_of_day"
-            )
-        steps_of_day = np.asarray(steps_of_day)
-        out = np.zeros((batch, output_length, nodes, features))
-        for b in range(batch):
-            last = int(steps_of_day[b, -1])
-            for step in range(output_length):
-                slot = (last + step + 1) % self.steps_per_day
-                out[b, step] = self._profile[slot]
-        return out

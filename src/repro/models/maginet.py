@@ -30,9 +30,25 @@ import numpy as np
 from ..autodiff import Tensor, concat, default_dtype, no_grad, stack, where
 from ..nn import GRUCell, Linear
 from .base import ForecastOutput, NeuralForecaster
-from .grud import compute_deltas
 
-__all__ = ["MagiNetForecaster"]
+__all__ = ["MagiNetForecaster", "compute_deltas"]
+
+
+def compute_deltas(mask: np.ndarray) -> np.ndarray:
+    """Time since the last observation, per entry.
+
+    ``mask``: ``(B, T, N, D)``; returns ``delta`` of the same shape where
+    ``delta[:, t]`` is the number of steps since the entry was last
+    observed (counting from the previous step, so an entry observed at
+    ``t-1`` has delta 1; the first step has delta 0 by convention).
+    """
+    mask = np.asarray(mask)
+    delta = np.zeros_like(mask, dtype=default_dtype())
+    for t in range(1, mask.shape[1]):
+        delta[:, t] = np.where(
+            mask[:, t - 1] > 0, 1.0, delta[:, t - 1] + 1.0
+        )
+    return delta
 
 
 class _MaskGatedPass:

@@ -16,7 +16,6 @@ from .loss import (
     MSELoss,
 )
 from .module import Module, Parameter
-from .norm import LayerNorm
 from .rnn import GRUCell, LSTM, LSTMCell
 from .serialization import checkpoint_path, load_checkpoint, save_checkpoint
 from .temporal import CausalConv1d, GatedTCNBlock
@@ -33,7 +32,6 @@ __all__ = [
     "LeakyReLU",
     "Softmax",
     "Dropout",
-    "LayerNorm",
     "Sequential",
     "ModuleList",
     "LSTMCell",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, default_dtype, split, stack
+from ..autodiff import Tensor, default_dtype, split, stack
 from . import init
 from .module import Module, Parameter
 
@@ -147,8 +147,3 @@ class LSTM(Module):
             h_c = (h, c)
             outputs.append(h)
         return stack(outputs, axis=1), h_c
-
-
-def concat_features(*tensors: Tensor) -> Tensor:
-    """Concatenate along the last axis (the ``[s; m]`` op of Eq. 4)."""
-    return concat(list(tensors), axis=-1)

@@ -1,6 +1,6 @@
 """Sharded N-worker serving topology over the engine pool.
 
-A :class:`~repro.graphs.ShardPlan` (consistent-hashed contiguous
+A :class:`~repro.serve.cluster.ShardPlan` (consistent-hashed contiguous
 regions + k-hop halos) assigns sensor nodes to shards; each shard runs
 an :class:`~repro.serve.fleet.EnginePool`-backed
 :class:`~.shard.ShardApp` over an exactly-sliced sub-model; a thin
@@ -19,8 +19,12 @@ from .process import ClusterSupervisor, shard_worker_main
 from .router import ClusterRouter, merge_prometheus
 from .shard import ShardApp
 from .sharding import (
+    ShardPlan,
     coupling_adjacency,
+    k_hop_reach,
     make_shard_bundle,
+    plan_shards,
+    shard_quality,
     spatial_hops,
     translate_snapshot,
 )
@@ -35,15 +39,19 @@ __all__ = [
     "LocalCluster",
     "LocalShardClient",
     "ShardApp",
+    "ShardPlan",
     "ShardUnavailable",
     "build_plan",
     "corridor_adjacency",
     "coupling_adjacency",
+    "k_hop_reach",
     "make_demo_bundle",
     "make_shard_bundle",
     "merge_prometheus",
+    "plan_shards",
     "resolve_halo_hops",
     "run_cluster_smoke",
+    "shard_quality",
     "shard_worker_main",
     "spatial_hops",
     "translate_snapshot",

@@ -13,13 +13,12 @@ from __future__ import annotations
 import json
 
 from ...errors import ConfigError, StateError
-from ...graphs import ShardPlan, plan_shards
 from ...telemetry import MetricRegistry
 from ..artifact import ModelBundle
 from .config import ClusterConfig
 from .router import ClusterRouter
 from .shard import ShardApp
-from .sharding import coupling_adjacency, spatial_hops
+from .sharding import ShardPlan, coupling_adjacency, plan_shards, spatial_hops
 from .transport import LocalShardClient, ShardUnavailable
 
 __all__ = ["LocalCluster", "resolve_halo_hops", "build_plan"]

@@ -15,10 +15,10 @@ import multiprocessing
 import time
 
 from ...errors import ServeError
-from ...graphs import ShardPlan
 from ..http import bind_http
 from .config import ClusterConfig
 from .router import ClusterRouter
+from .sharding import ShardPlan
 from .transport import HTTPShardClient, ShardUnavailable
 
 __all__ = ["ClusterSupervisor", "shard_worker_main"]

@@ -1,7 +1,7 @@
 """The cluster front tier: fan-out writes, scatter-gather reads.
 
 The :class:`ClusterRouter` holds no model and no state — it owns the
-:class:`~repro.graphs.ShardPlan`, one client per shard, one
+:class:`~repro.serve.cluster.ShardPlan`, one client per shard, one
 :class:`~repro.reliability.CircuitBreaker` per shard, and a small
 last-known-rows cache used as the final failover rung. Request routing:
 
@@ -39,7 +39,6 @@ import numpy as np
 
 from ...autodiff import default_dtype
 from ...errors import ServeError
-from ...graphs import ShardPlan
 from ...reliability import Deadline
 from ...telemetry import (
     ContinuousProfiler,
@@ -54,6 +53,7 @@ from ...telemetry import (
 from ...telemetry.prometheus import render_prometheus
 from ..http import PlainText, Request, Response, Route, dispatch, route_table
 from .config import ClusterConfig
+from .sharding import ShardPlan
 from .transport import ShardUnavailable
 
 __all__ = ["ClusterRouter", "merge_prometheus"]

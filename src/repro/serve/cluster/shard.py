@@ -17,14 +17,13 @@ import numpy as np
 
 from ...autodiff import default_dtype
 from ...errors import ConfigError
-from ...graphs import ShardPlan
 from ...telemetry import MetricRegistry
 from ...telemetry.trace import Tracer
 from ..artifact import ModelBundle
 from ..config import DEFAULT_TENANT, ServeConfig
 from ..fleet import EnginePool
 from ..http import Request, Response, Route, ServeApp, dispatch, route_table
-from .sharding import make_shard_bundle, translate_snapshot
+from .sharding import ShardPlan, make_shard_bundle, translate_snapshot
 
 __all__ = ["ShardApp"]
 

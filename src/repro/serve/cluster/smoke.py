@@ -39,13 +39,13 @@ from urllib.parse import parse_qsl, urlparse
 import numpy as np
 
 from ...autodiff import dtype_policy
-from ...graphs import shard_quality
 from ...telemetry import critical_path, format_critical_path
 from ..config import ServeConfig
 from .config import ClusterConfig
 from .demo import corridor_adjacency, make_demo_bundle
 from .local import LocalCluster, build_plan
 from .process import ClusterSupervisor
+from .sharding import shard_quality
 
 __all__ = ["run_cluster_smoke"]
 

@@ -56,7 +56,6 @@ from ..telemetry import (
 )
 from .artifact import ModelBundle, load_bundle
 from .config import (
-    DEFAULT_TENANT,
     CanaryConfig,
     FleetConfig,
     ServeConfig,

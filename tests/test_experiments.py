@@ -294,6 +294,19 @@ class TestGrid:
             GridSpec("x", ("HA",), seeds=())
         with pytest.raises(ValueError):
             GridSpec("x", ("HA",), layout="pie")
+        with pytest.raises(ValueError, match="available"):
+            GridSpec("x", ("HA", "TransformerXL"))
+
+    def test_unknown_model_fails_before_any_context(self, monkeypatch):
+        """A bad name raises at spec time, not after earlier models trained."""
+        import repro.experiments.grid as grid_module
+
+        def no_context(*args, **kwargs):
+            raise AssertionError("prepare_context ran before the name check")
+
+        monkeypatch.setattr(grid_module, "prepare_context", no_context)
+        with pytest.raises(ValueError, match="STGCN"):
+            run_grid(table1_missing(["HA", "GCN-LSTM", "STGCN"], [0.4]), TINY_DATA)
 
 
 class TestFormatting:

@@ -1,12 +1,12 @@
 """Node-sharding tests: shard plans, halo coverage, quality metrics.
 
-Property-based invariants of :func:`repro.graphs.plan_shards`:
+Property-based invariants of :func:`repro.serve.cluster.plan_shards`:
 
 * every node appears in exactly one primary shard (disjoint cover);
 * halos cover all k-hop boundary edges — every node reachable within
   ``halo_hops`` of a shard's owned set is retained by that shard;
 * plans are deterministic and JSON round-trip exactly;
-* :func:`repro.graphs.shard_quality` metrics live in their stated
+* :func:`repro.serve.cluster.shard_quality` metrics live in their stated
   ranges (edge cut in [0, 1], balance >= 1, replication >= 1).
 """
 
@@ -15,8 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import ShardPlan, k_hop_reach, plan_shards, shard_quality
-from repro.serve.cluster import corridor_adjacency
+from repro.serve.cluster import (
+    ShardPlan,
+    corridor_adjacency,
+    k_hop_reach,
+    plan_shards,
+    shard_quality,
+)
 
 
 def random_adjacency(num_nodes: int, density: float, seed: int) -> np.ndarray:

@@ -13,10 +13,7 @@ from repro.graphs import TimelinePartition, build_temporal_graphs, gaussian_kern
 from repro.graphs.heterograph import HeterogeneousGraphSet
 from repro.models import (
     ASTGCN,
-    DCRNN,
     GraphWaveNet,
-    GRUDForecaster,
-    STGCN,
     fc_lstm,
     fc_lstm_i,
     gcn_lstm,
@@ -73,12 +70,6 @@ BUILDERS = {
         adjacency=adj, hidden_channels=4, seed=0, **dims),
     "graph_wavenet": lambda dims, adj, graphs: GraphWaveNet(
         adjacency=adj, residual_channels=4, num_layers=1, seed=0, **dims),
-    "stgcn": lambda dims, adj, graphs: STGCN(
-        adjacency=adj, hidden_channels=4, num_blocks=1, seed=0, **dims),
-    "dcrnn": lambda dims, adj, graphs: DCRNN(
-        adjacency=adj, hidden_dim=5, seed=0, **dims),
-    "grud": lambda dims, adj, graphs: GRUDForecaster(
-        hidden_dim=5, seed=0, **dims),
 }
 
 

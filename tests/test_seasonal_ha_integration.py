@@ -1,4 +1,5 @@
-"""Tests for SeasonalHistoricalAverage + a full model-zoo integration run."""
+"""A full model-zoo integration run: every registered forecaster trains or
+fits and predicts on one context."""
 
 import numpy as np
 import pytest
@@ -11,51 +12,6 @@ from repro.experiments import (
     prepare_context,
     run_model,
 )
-from repro.models import SeasonalHistoricalAverage
-
-
-class TestSeasonalHA:
-    def test_learns_daily_cycle(self):
-        """On perfectly periodic data, SHA is exact while HA is not."""
-        spd, days, nodes = 24, 6, 2
-        slots = np.arange(spd)
-        profile = 50 + 10 * np.sin(2 * np.pi * slots / spd)
-        data = np.tile(profile, days)[:, None, None].repeat(nodes, axis=1)
-        mask = np.ones_like(data)
-        sha = SeasonalHistoricalAverage(steps_per_day=spd).fit(data, mask)
-        x = data[None, :6]
-        steps = np.arange(6)[None, :]
-        pred = sha.predict(x, mask[None, :6], 4, steps_of_day=steps)
-        expected = data[6:10]
-        assert np.allclose(pred[0], expected)
-
-    def test_wraps_midnight(self):
-        spd = 24
-        data = np.arange(spd * 2, dtype=float)[:, None, None] % spd
-        mask = np.ones_like(data)
-        sha = SeasonalHistoricalAverage(steps_per_day=spd).fit(data, mask)
-        # Window ends at slot 22 -> forecasts cover slots 23, 0, 1.
-        steps = np.array([[20, 21, 22]])
-        pred = sha.predict(data[None, :3], mask[None, :3], 3, steps_of_day=steps)
-        assert pred[0, 0, 0, 0] == pytest.approx(23.0)
-        assert pred[0, 1, 0, 0] == pytest.approx(0.0)
-        assert pred[0, 2, 0, 0] == pytest.approx(1.0)
-
-    def test_requires_steps(self):
-        sha = SeasonalHistoricalAverage(steps_per_day=24)
-        sha.fit(np.ones((48, 1, 1)), np.ones((48, 1, 1)))
-        with pytest.raises(ValueError):
-            sha.predict(np.ones((1, 3, 1, 1)), np.ones((1, 3, 1, 1)), 2)
-
-    def test_unfitted_raises(self):
-        sha = SeasonalHistoricalAverage(steps_per_day=24)
-        with pytest.raises(RuntimeError):
-            sha.predict(np.ones((1, 3, 1, 1)), np.ones((1, 3, 1, 1)), 2,
-                        steps_of_day=np.zeros((1, 3)))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SeasonalHistoricalAverage(steps_per_day=0)
 
 
 class TestFullModelZoo:
