@@ -185,15 +185,17 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve forecasts from a bundle over HTTP (see docs/SERVING.md)",
     )
     p.add_argument("--bundle", required=True, help="bundle base path from 'export'")
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", help="bind address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=8787,
                    help="TCP port; 0 picks an ephemeral port (printed on start)")
-    p.add_argument("--max-batch-size", type=int, default=8,
-                   help="requests fused per forward pass (1 = sequential)")
-    p.add_argument("--max-wait-ms", type=float, default=2.0,
-                   help="how long a forming batch waits for followers")
-    p.add_argument("--trace-sample", type=float, default=0.0,
-                   help="request-trace sampling rate in [0, 1] (0 = off)")
+    p.add_argument("--max-batch-size", type=int,
+                   help="requests fused per forward pass (default 8; "
+                        "1 = sequential)")
+    p.add_argument("--max-wait-ms", type=float,
+                   help="how long a forming batch waits for followers "
+                        "(default 2)")
+    p.add_argument("--trace-sample", type=float,
+                   help="request-trace sampling rate in [0, 1] (default 0 = off)")
     p.add_argument("--trace-export", type=str, default=None,
                    help="append finished spans to this JSONL file")
     p.add_argument("--no-plan", action="store_true",
@@ -315,6 +317,44 @@ def _configs(args) -> tuple[DataConfig, ModelConfig, object]:
     )
     trainer = default_trainer_config(max_epochs=args.epochs or preset["epochs"])
     return data, model, trainer
+
+
+#: ``--no-*`` switches of ``serve``/``chaos`` and the field each turns off
+_OFF_SWITCHES = {
+    "no_plan": "plan_enabled",
+    "no_slo": "slo_enabled",
+    "no_breaker": "breaker",
+    "no_fallback": "fallback",
+}
+
+
+def _serve_config(args):
+    """The ``ServeConfig`` the ``serve``/``chaos`` flags ask for.
+
+    Flags left unset keep the config's defaults. Every other flag is
+    named after the field it sets, so the set flags are sorted into the
+    codec's nested shape: ``ServeConfig`` fields at the top, resilience
+    fields under ``resilience``.
+    """
+    from dataclasses import fields
+
+    from .codec import from_dict
+    from .reliability import ResiliencePolicy
+    from .serve import ServeConfig
+
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    if "max_wait_ms" in given:
+        given["max_wait_s"] = given.pop("max_wait_ms") / 1e3
+    for switch, name in _OFF_SWITCHES.items():
+        if given.pop(switch, False):
+            given[name] = False
+
+    def section(cls) -> dict:
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return from_dict(
+        ServeConfig, {**section(ServeConfig), "resilience": section(ResiliencePolicy)}
+    )
 
 
 def _fetch_json(source: str, route: str) -> dict:
@@ -534,10 +574,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"relative MAE drift vs float32: {drift:.4%} "
                   f"(gate {gate:.2%})")
     elif args.command == "serve":
-        from .serve import ServeApp, ServeConfig, load_bundle, run_server
+        from .serve import ServeApp, load_bundle, run_server
         from .telemetry import Tracer, set_tracer
 
-        config = ServeConfig.from_args(args)
+        config = _serve_config(args)
         bundle = load_bundle(args.bundle)
         print(f"loaded {bundle.model_name} bundle: {bundle.num_nodes} nodes, "
               f"{bundle.num_features} features, window {bundle.input_length} "
@@ -556,10 +596,10 @@ def main(argv: list[str] | None = None) -> int:
         import json
 
         from .reliability import FaultPlan
-        from .serve import ServeConfig, load_bundle
+        from .serve import load_bundle
         from .smoke import chaos_soak, finish
 
-        config = ServeConfig.from_args(args)
+        config = _serve_config(args)
         bundle = load_bundle(args.bundle)
         if args.drop_scenario:
             source = args.drop_scenario

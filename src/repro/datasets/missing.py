@@ -107,8 +107,7 @@ class MissingPattern:
     from ``seed``, so repeated calls return identical masks and two
     consumers of the same scenario JSON (offline eval, chaos injection)
     provably agree. Pass an explicit ``rng`` only to join an existing
-    stream (the deprecated wrappers and the legacy experiment-context
-    path do this for mask-for-mask compatibility).
+    generator stream.
     """
 
     #: registry key; subclasses must override.

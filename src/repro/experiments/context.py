@@ -71,15 +71,11 @@ def _corrupt(dataset: TrafficDataset, cfg: DataConfig) -> TrafficDataset:
     pattern = corruption_pattern(cfg)
     if pattern is None:
         return dataset
-    # Legacy kinds join the historical rng stream (identical masks to the
-    # pre-pattern releases); structured kinds use the pattern's own seed
-    # and may need the sensor adjacency or the readings themselves.
-    rng = np.random.default_rng(cfg.seed + 1)
+    # Structured kinds may need the sensor adjacency or the readings.
     injected = pattern.mask(
         dataset.data.shape,
         adjacency=gaussian_kernel_adjacency(dataset.network.distances),
         data=dataset.data,
-        rng=rng if cfg.missing_kind in ("mcar", "sensor", "block") else None,
     )
     return dataset.with_mask(dataset.mask * injected)
 

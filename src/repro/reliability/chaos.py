@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,23 +93,6 @@ class FaultPlan:
             or self.clock_skew_steps
             or self.dropped_sensors
         )
-
-    def to_json_dict(self) -> dict:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        pattern = self.drop_pattern
-        payload["dropped_sensors"] = (
-            pattern.to_json_dict() if pattern is not None
-            else list(self.dropped_sensors)
-        )
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultPlan":
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown FaultPlan fields: {sorted(unknown)}")
-        return cls(**payload)
 
     def injector(self) -> "FaultInjector":
         return FaultInjector(self)

@@ -3,9 +3,10 @@
 :class:`ResiliencePolicy` is the ``api_redesign`` surface: instead of
 threading deadline/retry/breaker parameters through engine, HTTP layer
 and CLI as loose kwargs, the whole policy is a single validated frozen
-dataclass that rides inside :class:`~repro.serve.config.ServeConfig`.
-Factories (:meth:`make_breaker`, :meth:`make_retry`,
-:meth:`make_deadline`) turn the numbers into live primitives.
+dataclass that rides inside :class:`~repro.serve.config.ServeConfig`
+and crosses JSON with it through :mod:`repro.codec`. Factories
+(:meth:`make_breaker`, :meth:`make_retry`, :meth:`make_deadline`) turn
+the numbers into live primitives.
 
 ``ResiliencePolicy.disabled()`` switches every mechanism off — that is
 the bitwise-identical-to-pre-policy baseline the overhead benchmark
@@ -15,7 +16,7 @@ compares against.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import ConfigError
@@ -103,37 +104,6 @@ class ResiliencePolicy:
             fallback=False,
             max_queue_depth=0,
         )
-
-    def with_overrides(self, **changes) -> "ResiliencePolicy":
-        return replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    # Manifest round-trip: fleet manifests carry per-tenant overrides
-    # as plain JSON objects.
-    # ------------------------------------------------------------------
-    def to_json_dict(self) -> dict:
-        """Every field as a JSON-serialisable mapping."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ResiliencePolicy":
-        """Build a policy from a JSON mapping of overrides.
-
-        Unknown keys raise :class:`~repro.errors.ConfigError` (a typo in
-        a fleet manifest must not silently fall back to defaults).
-        """
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                f"resilience overrides must be a JSON object, got {type(payload).__name__}"
-            )
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown resilience policy field(s) {unknown}; "
-                f"valid fields: {sorted(known)}"
-            )
-        return cls(**payload)
 
     # ------------------------------------------------------------------
     def make_deadline(

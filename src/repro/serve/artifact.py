@@ -22,6 +22,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ..autodiff import default_dtype
+from ..codec import from_dict, to_dict
 from ..datasets import ZScoreScaler
 from ..errors import (
     BundleFormatError,
@@ -603,7 +604,7 @@ def save_fleet_manifest(fleet, path: str | os.PathLike) -> str:
     out = os.fspath(path)
     if not out.endswith(".json"):
         out += ".json"
-    payload = {"format_version": FLEET_FORMAT_VERSION, **fleet.to_json_dict()}
+    payload = {"format_version": FLEET_FORMAT_VERSION, **to_dict(fleet)}
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -633,11 +634,11 @@ def load_fleet_manifest(path: str | os.PathLike):
         raise BundleFormatError(
             f"fleet manifest {manifest!r} must be a JSON object"
         )
-    version = payload.get("format_version")
+    version = payload.pop("format_version", None)
     if version != FLEET_FORMAT_VERSION:
         raise BundleFormatError(
             f"fleet manifest {manifest!r} has format version {version!r}; "
             f"this build reads version {FLEET_FORMAT_VERSION}"
         )
-    fleet = FleetConfig.from_dict(payload)
+    fleet = from_dict(FleetConfig, payload, "manifest")
     return fleet, os.path.dirname(os.path.abspath(manifest))

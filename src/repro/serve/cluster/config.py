@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from ...errors import ConfigError
 from ..config import ServeConfig
@@ -42,25 +42,3 @@ class ClusterConfig:
             )
         if self.load_factor < 1.0:
             raise ConfigError(f"load_factor must be >= 1, got {self.load_factor}")
-
-    def with_overrides(self, **overrides) -> "ClusterConfig":
-        return replace(self, **overrides)
-
-    def to_json_dict(self) -> dict:
-        payload = asdict(self)
-        payload["serve"] = self.serve.to_json_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClusterConfig":
-        payload = dict(payload)
-        serve = payload.pop("serve", None)
-        if isinstance(serve, dict):
-            payload["serve"] = ServeConfig.from_dict(serve)
-        elif isinstance(serve, ServeConfig):
-            payload["serve"] = serve
-        known = {f.name for f in fields(cls)}
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigError(f"unknown cluster config keys {sorted(unknown)}")
-        return cls(**payload)

@@ -15,6 +15,7 @@ import multiprocessing
 import time
 
 from ...errors import ServeError
+from ..config import ServeConfig
 from ..http import bind_http
 from .config import ClusterConfig
 from .router import ClusterRouter
@@ -26,20 +27,20 @@ __all__ = ["ClusterSupervisor", "shard_worker_main"]
 
 def shard_worker_main(
     bundle_path: str,
-    plan_payload: dict,
+    plan: ShardPlan,
     shard: int,
-    serve_payload: dict,
+    config: ServeConfig,
     conn,
 ) -> None:
-    """Entry point of one shard worker process (spawn-safe, top level)."""
+    """Entry point of one shard worker process (spawn-safe, top level).
+
+    ``plan`` and ``config`` arrive pickled by the spawn start method.
+    """
     from ..artifact import load_bundle
-    from ..config import ServeConfig
     from .shard import ShardApp
 
     try:
-        plan = ShardPlan.from_json_dict(plan_payload)
         bundle = load_bundle(bundle_path)
-        config = ServeConfig.from_dict(serve_payload)
         app = ShardApp(bundle, plan, shard, config=config)
         server = bind_http(app, "127.0.0.1", 0)
         app.start()
@@ -80,9 +81,9 @@ class ClusterSupervisor:
             target=shard_worker_main,
             args=(
                 self.bundle_path,
-                self.plan.to_json_dict(),
+                self.plan,
                 shard,
-                self.config.serve.to_json_dict(),
+                self.config.serve,
                 child,
             ),
             daemon=True,

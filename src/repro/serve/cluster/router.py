@@ -38,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from ...autodiff import default_dtype
+from ...codec import to_dict
 from ...errors import ServeError
 from ...reliability import Deadline
 from ...telemetry import (
@@ -609,7 +610,7 @@ class ClusterRouter:
 
     def shards(self) -> Response:
         return Response(200, {
-            "plan": self.plan.to_json_dict(),
+            "plan": to_dict(self.plan),
             "clients": [
                 client.describe() if hasattr(client, "describe") else {}
                 for client in self.clients

@@ -221,32 +221,6 @@ class ShardPlan:
         """Failover order: the other shards, nearest ring successor first."""
         return tuple((shard + off) % self.num_shards for off in range(1, self.num_shards))
 
-    # -- serialization -------------------------------------------------
-    def to_json_dict(self) -> dict:
-        return {
-            "num_nodes": self.num_nodes,
-            "num_shards": self.num_shards,
-            "halo_hops": self.halo_hops,
-            "assignment": list(self.assignment),
-            "halos": [list(h) for h in self.halos],
-            "regions": [list(r) for r in self.regions],
-            "region_shard": list(self.region_shard),
-            "salt": self.salt,
-        }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "ShardPlan":
-        return cls(
-            num_nodes=int(payload["num_nodes"]),
-            num_shards=int(payload["num_shards"]),
-            halo_hops=int(payload["halo_hops"]),
-            assignment=tuple(int(s) for s in payload["assignment"]),
-            halos=tuple(tuple(int(n) for n in h) for h in payload["halos"]),
-            regions=tuple(tuple(int(n) for n in r) for r in payload["regions"]),
-            region_shard=tuple(int(s) for s in payload["region_shard"]),
-            salt=str(payload.get("salt", "")),
-        )
-
 
 def plan_shards(
     adjacency: np.ndarray,

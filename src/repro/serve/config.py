@@ -4,18 +4,15 @@
 ``ForecastEngine``, ``make_server``, ``run_server`` and the CLI
 ``serve`` flags. :class:`ServeConfig` collapses all of it — batching,
 cache, tracing, quality thresholds and the resilience policy — into a
-single frozen dataclass with three constructors:
-
-* ``ServeConfig(...)`` — programmatic, validated in ``__post_init__``;
-* ``ServeConfig.from_env()`` — ``REPRO_SERVE_*`` environment variables
-  over the defaults (containers, CI);
-* ``ServeConfig.from_args(ns)`` — an ``argparse`` namespace from the
-  CLI ``serve``/``chaos`` subcommands.
+single frozen dataclass, validated in ``__post_init__``. Every config
+here crosses JSON (fleet manifests) through :func:`repro.codec.from_dict`
+and :func:`repro.codec.to_dict`; copies with changes come from
+:func:`dataclasses.replace`, which re-runs the validation.
 
 The multi-tenant fleet layers on top: a :class:`FleetConfig` is a base
 ``ServeConfig`` plus one :class:`TenantConfig` per tenant, each naming
-its model bundle, an optional token-bucket quota, per-tenant resilience
-overrides and optional :class:`ShadowConfig` / :class:`CanaryConfig`
+its model bundle, an optional token-bucket quota, an optional
+``ServeConfig`` override and optional :class:`ShadowConfig` / :class:`CanaryConfig`
 rollout plans. ``FleetConfig.single()`` wraps a lone ``ServeConfig``
 into a one-tenant fleet, which is how the legacy single-engine entry
 points keep working unchanged.
@@ -23,9 +20,8 @@ points keep working unchanged.
 
 from __future__ import annotations
 
-import os
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 from ..errors import ConfigError
 from ..reliability import ResiliencePolicy
@@ -48,18 +44,6 @@ DEFAULT_TENANT = "default"
 # and manifests want one predictable charset, so names are restricted
 # up front.
 _TENANT_NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
-
-
-def _env_value(env, key: str, cast, default):
-    raw = env.get(key)
-    if raw is None:
-        return default
-    try:
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    except ValueError as error:
-        raise ConfigError(f"cannot parse {key}={raw!r}: {error}") from error
 
 
 @dataclass(frozen=True)
@@ -114,151 +98,6 @@ class ServeConfig:
                 f"got {type(self.resilience).__name__}"
             )
 
-    def with_overrides(self, **changes) -> "ServeConfig":
-        """A copy with ``changes`` applied (re-validated)."""
-        return replace(self, **changes)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_env(cls, env=None, prefix: str = "REPRO_SERVE_") -> "ServeConfig":
-        """Defaults overridden by ``REPRO_SERVE_*`` environment variables.
-
-        Recognised keys (suffix after the prefix): ``HOST``, ``PORT``,
-        ``MAX_BATCH_SIZE``, ``MAX_WAIT_MS``, ``CACHE_SIZE``, ``PLAN``
-        (bool), ``TRACE_SAMPLE``, ``TRACE_EXPORT``, ``SLO`` (bool),
-        ``SLO_LATENCY_MS``, ``PROFILE_HZ``, ``EXEMPLARS`` (bool),
-        ``DEADLINE_S``, ``RETRY_ATTEMPTS``, ``BREAKER`` (bool),
-        ``BREAKER_OPEN_S``, ``FALLBACK`` (bool), ``MAX_QUEUE_DEPTH``.
-        """
-        env = os.environ if env is None else env
-        base = cls()
-        deadline_raw = env.get(prefix + "DEADLINE_S")
-        resilience = base.resilience.with_overrides(
-            deadline_s=(
-                (float(deadline_raw) if deadline_raw.strip().lower() != "none" else None)
-                if deadline_raw is not None
-                else base.resilience.deadline_s
-            ),
-            retry_attempts=_env_value(
-                env, prefix + "RETRY_ATTEMPTS", int, base.resilience.retry_attempts
-            ),
-            breaker=_env_value(env, prefix + "BREAKER", bool, base.resilience.breaker),
-            breaker_open_s=_env_value(
-                env, prefix + "BREAKER_OPEN_S", float, base.resilience.breaker_open_s
-            ),
-            fallback=_env_value(
-                env, prefix + "FALLBACK", bool, base.resilience.fallback
-            ),
-            max_queue_depth=_env_value(
-                env, prefix + "MAX_QUEUE_DEPTH", int, base.resilience.max_queue_depth
-            ),
-        )
-        return cls(
-            host=env.get(prefix + "HOST", base.host),
-            port=_env_value(env, prefix + "PORT", int, base.port),
-            max_batch_size=_env_value(
-                env, prefix + "MAX_BATCH_SIZE", int, base.max_batch_size
-            ),
-            max_wait_s=_env_value(
-                env, prefix + "MAX_WAIT_MS", float, base.max_wait_s * 1e3
-            )
-            / 1e3,
-            cache_size=_env_value(env, prefix + "CACHE_SIZE", int, base.cache_size),
-            plan_enabled=_env_value(env, prefix + "PLAN", bool, base.plan_enabled),
-            trace_sample=_env_value(
-                env, prefix + "TRACE_SAMPLE", float, base.trace_sample
-            ),
-            trace_export=env.get(prefix + "TRACE_EXPORT", base.trace_export),
-            slo_enabled=_env_value(env, prefix + "SLO", bool, base.slo_enabled),
-            slo_latency_ms=_env_value(
-                env, prefix + "SLO_LATENCY_MS", float, base.slo_latency_ms
-            ),
-            profile_hz=_env_value(env, prefix + "PROFILE_HZ", float, base.profile_hz),
-            exemplars=_env_value(env, prefix + "EXEMPLARS", bool, base.exemplars),
-            resilience=resilience,
-        )
-
-    @classmethod
-    def from_args(cls, args) -> "ServeConfig":
-        """Build from an ``argparse`` namespace (CLI ``serve``/``chaos``).
-
-        Only attributes present on the namespace override the defaults,
-        so both subcommands can share this without carrying every flag.
-        """
-
-        def pick(name, default):
-            value = getattr(args, name, None)
-            return default if value is None else value
-
-        base = cls()
-        resilience = base.resilience.with_overrides(
-            deadline_s=pick("deadline_s", base.resilience.deadline_s),
-            retry_attempts=int(pick("retry_attempts", base.resilience.retry_attempts)),
-            breaker=not getattr(args, "no_breaker", False),
-            breaker_open_s=float(
-                pick("breaker_open_s", base.resilience.breaker_open_s)
-            ),
-            fallback=not getattr(args, "no_fallback", False),
-            max_queue_depth=int(
-                pick("max_queue_depth", base.resilience.max_queue_depth)
-            ),
-        )
-        return cls(
-            host=pick("host", base.host),
-            port=int(pick("port", base.port)),
-            max_batch_size=int(pick("max_batch_size", base.max_batch_size)),
-            max_wait_s=float(pick("max_wait_ms", base.max_wait_s * 1e3)) / 1e3,
-            cache_size=int(pick("cache_size", base.cache_size)),
-            plan_enabled=not getattr(args, "no_plan", False),
-            trace_sample=float(pick("trace_sample", base.trace_sample)),
-            trace_export=getattr(args, "trace_export", None),
-            slo_enabled=not getattr(args, "no_slo", False),
-            slo_latency_ms=float(pick("slo_latency_ms", base.slo_latency_ms)),
-            profile_hz=float(pick("profile_hz", base.profile_hz)),
-            exemplars=bool(getattr(args, "exemplars", False)),
-            resilience=resilience,
-        )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ServeConfig":
-        """Build from a JSON mapping (fleet manifests).
-
-        ``resilience`` and ``quality`` may be nested JSON objects of
-        overrides; every other key maps straight onto a field. Unknown
-        keys raise :class:`~repro.errors.ConfigError`.
-        """
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                f"serve config must be a JSON object, got {type(payload).__name__}"
-            )
-        payload = dict(payload)
-        kwargs = {}
-        if "resilience" in payload:
-            kwargs["resilience"] = ResiliencePolicy.from_dict(payload.pop("resilience"))
-        if "quality" in payload:
-            quality = payload.pop("quality")
-            if not isinstance(quality, dict):
-                raise ConfigError(
-                    f"quality must be a JSON object, got {type(quality).__name__}"
-                )
-            kwargs["quality"] = QualityThresholds(**quality)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown serve config field(s) {unknown}; "
-                f"valid fields: {sorted(known)}"
-            )
-        kwargs.update(payload)
-        return cls(**kwargs)
-
-    def to_json_dict(self) -> dict:
-        """Every field as a JSON-serialisable mapping (fleet manifests)."""
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["quality"] = asdict(self.quality)
-        out["resilience"] = self.resilience.to_json_dict()
-        return out
-
 
 @dataclass(frozen=True)
 class ShadowConfig:
@@ -281,13 +120,6 @@ class ShadowConfig:
             raise ConfigError(
                 f"mirror_fraction must be in (0, 1], got {self.mirror_fraction}"
             )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bundle": self.bundle,
-            "mirror_fraction": self.mirror_fraction,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -357,20 +189,6 @@ class CanaryConfig:
                 f"slo_burn_threshold must be positive, got {self.slo_burn_threshold}"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "bundle": self.bundle,
-            "stages": list(self.stages),
-            "stage_requests": self.stage_requests,
-            "max_failure_ratio": self.max_failure_ratio,
-            "min_failure_samples": self.min_failure_samples,
-            "seed": self.seed,
-            "slo_target": self.slo_target,
-            "slo_fast_s": self.slo_fast_s,
-            "slo_slow_s": self.slo_slow_s,
-            "slo_burn_threshold": self.slo_burn_threshold,
-        }
-
 
 @dataclass(frozen=True)
 class TenantConfig:
@@ -412,43 +230,6 @@ class TenantConfig:
                 f"tenant {self.name!r}: run shadow and canary rollouts one at a "
                 "time (shadow first, then canary)"
             )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TenantConfig":
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                f"tenant entry must be a JSON object, got {type(payload).__name__}"
-            )
-        payload = dict(payload)
-        kwargs = {}
-        if "config" in payload:
-            kwargs["config"] = ServeConfig.from_dict(payload.pop("config"))
-        if "shadow" in payload and payload["shadow"] is not None:
-            kwargs["shadow"] = ShadowConfig(**payload.pop("shadow"))
-        if "canary" in payload and payload["canary"] is not None:
-            canary = dict(payload.pop("canary"))
-            if "stages" in canary:
-                canary["stages"] = tuple(canary["stages"])
-            kwargs["canary"] = CanaryConfig(**canary)
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(payload) - known)
-        if unknown:
-            raise ConfigError(
-                f"unknown tenant field(s) {unknown}; valid fields: {sorted(known)}"
-            )
-        kwargs.update({k: v for k, v in payload.items() if k not in kwargs})
-        return cls(**kwargs)
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"name": self.name, "bundle": self.bundle}
-        if self.quota_rps:
-            out["quota_rps"] = self.quota_rps
-            out["quota_burst"] = self.quota_burst
-        if self.shadow is not None:
-            out["shadow"] = self.shadow.to_json_dict()
-        if self.canary is not None:
-            out["canary"] = self.canary.to_json_dict()
-        return out
 
 
 @dataclass(frozen=True)
@@ -492,25 +273,3 @@ class FleetConfig:
         """The effective ServeConfig for ``name`` (tenant override or base)."""
         entry = self.tenant(name)
         return entry.config if entry.config is not None else self.default
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FleetConfig":
-        if not isinstance(payload, dict):
-            raise ConfigError(
-                f"fleet manifest must be a JSON object, got {type(payload).__name__}"
-            )
-        default = ServeConfig.from_dict(payload.get("default", {}))
-        raw_tenants = payload.get("tenants", [])
-        if not isinstance(raw_tenants, list):
-            raise ConfigError("fleet manifest 'tenants' must be a JSON array")
-        tenants = tuple(TenantConfig.from_dict(entry) for entry in raw_tenants)
-        unknown = sorted(set(payload) - {"default", "tenants", "format_version"})
-        if unknown:
-            raise ConfigError(f"unknown fleet manifest field(s) {unknown}")
-        return cls(default=default, tenants=tenants)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "default": self.default.to_json_dict(),
-            "tenants": [tenant.to_json_dict() for tenant in self.tenants],
-        }

@@ -22,6 +22,8 @@ from dataclasses import replace
 
 import numpy as np
 
+from .codec import to_dict
+
 __all__ = ["SMOKES", "chaos_soak", "finish"]
 
 #: model every bundle-backed smoke exports, with untrained weights
@@ -189,7 +191,7 @@ def chaos_soak(
     from .serve import make_chaos_app, run_load
 
     print(f"chaos soak of {bundle.model_name}: {clients} clients x "
-          f"{requests} rounds, plan {plan.to_json_dict()}")
+          f"{requests} rounds, plan {to_dict(plan)}")
     app, injector = make_chaos_app(bundle, plan, config=config)
     with app.engine:
         load = run_load(
@@ -218,7 +220,7 @@ def chaos_soak(
         print(f"  drop scenario      {scenario.get('name')} "
               f"({scenario.get('pattern')}, seed {scenario.get('seed')})")
     report = {
-        "plan": plan.to_json_dict(),
+        "plan": to_dict(plan),
         "load": load.to_json_dict(),
         "injected": injector.snapshot(),
         "fallback": fallback,

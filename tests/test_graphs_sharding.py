@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codec import from_dict, to_dict
 from repro.serve.cluster import (
     ShardPlan,
     corridor_adjacency,
@@ -83,9 +84,9 @@ class TestPlanProperties:
         adjacency = random_adjacency(n, density, seed)
         plan_a = plan_shards(adjacency, shards, halo_hops=halo, salt="x")
         plan_b = plan_shards(adjacency, shards, halo_hops=halo, salt="x")
-        assert plan_a.to_json_dict() == plan_b.to_json_dict()
-        restored = ShardPlan.from_json_dict(plan_a.to_json_dict())
-        assert restored.to_json_dict() == plan_a.to_json_dict()
+        assert to_dict(plan_a) == to_dict(plan_b)
+        restored = from_dict(ShardPlan, to_dict(plan_a))
+        assert to_dict(restored) == to_dict(plan_a)
         assert restored.num_shards == plan_a.num_shards
         assert [restored.owner(i) for i in range(n)] == [
             plan_a.owner(i) for i in range(n)

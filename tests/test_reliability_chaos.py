@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.codec import from_dict, to_dict
 from repro.datasets import make_pattern
 from repro.errors import ConfigError, InjectedFault
 from repro.experiments import build_model
@@ -76,11 +77,11 @@ class TestFaultPlan:
         plan = FaultPlan(
             seed=7, latency_rate=0.1, error_rate=0.05, dropped_sensors=(2, 3)
         )
-        assert FaultPlan.from_dict(plan.to_json_dict()) == plan
+        assert from_dict(FaultPlan, to_dict(plan)) == plan
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError):
-            FaultPlan.from_dict({"seed": 0, "blast_radius": 1.0})
+            from_dict(FaultPlan, {"seed": 0, "blast_radius": 1.0})
 
     def test_active_flag(self):
         assert not FaultPlan().active
@@ -121,14 +122,14 @@ class TestPatternDrops:
         assert plan.drop_pattern == make_pattern(
             "sensor", rate=0.4, seed=5, name="flaky-loop"
         )
-        assert FaultPlan.from_dict(plan.to_json_dict()) == plan
+        assert from_dict(FaultPlan, to_dict(plan)) == plan
 
     def test_tuple_plans_keep_working(self):
         plan = FaultPlan(dropped_sensors=[2, 0])
         assert plan.dropped_sensors == (2, 0)
         assert plan.drop_pattern is None
         assert plan.scenario is None
-        assert plan.to_json_dict()["dropped_sensors"] == [2, 0]
+        assert to_dict(plan)["dropped_sensors"] == [2, 0]
 
     def _corridor(self):
         # A steady corridor outage: the drop-scenario kind chaos consumes.

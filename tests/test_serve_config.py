@@ -1,9 +1,11 @@
 """Tests for ServeConfig (repro.serve.config) and the retired call styles."""
 
 import argparse
+from dataclasses import replace
 
 import pytest
 
+from repro.cli import _build_parser, _serve_config
 from repro.errors import ConfigError, ReproError
 from repro.reliability import ResiliencePolicy
 from repro.serve import Response, ServeApp, ServeConfig, make_server, run_server
@@ -45,52 +47,18 @@ class TestValidation:
 
     def test_with_overrides_revalidates(self):
         config = ServeConfig()
-        assert config.with_overrides(port=9000).port == 9000
+        assert replace(config, port=9000).port == 9000
         with pytest.raises(ConfigError):
-            config.with_overrides(port=-2)
+            replace(config, port=-2)
 
     def test_frozen(self):
         with pytest.raises(Exception):
             ServeConfig().port = 1234
 
 
-class TestFromEnv:
-    def test_empty_env_gives_defaults(self):
-        assert ServeConfig.from_env(env={}) == ServeConfig()
-
-    def test_overrides_parse(self):
-        config = ServeConfig.from_env(env={
-            "REPRO_SERVE_HOST": "0.0.0.0",
-            "REPRO_SERVE_PORT": "9000",
-            "REPRO_SERVE_MAX_BATCH_SIZE": "4",
-            "REPRO_SERVE_MAX_WAIT_MS": "5",
-            "REPRO_SERVE_CACHE_SIZE": "64",
-            "REPRO_SERVE_DEADLINE_S": "2.5",
-            "REPRO_SERVE_RETRY_ATTEMPTS": "3",
-            "REPRO_SERVE_BREAKER": "false",
-            "REPRO_SERVE_MAX_QUEUE_DEPTH": "16",
-        })
-        assert config.host == "0.0.0.0" and config.port == 9000
-        assert config.max_batch_size == 4
-        assert config.max_wait_s == pytest.approx(0.005)
-        assert config.cache_size == 64
-        assert config.resilience.deadline_s == 2.5
-        assert config.resilience.retry_attempts == 3
-        assert config.resilience.breaker is False
-        assert config.resilience.max_queue_depth == 16
-
-    def test_deadline_none_disables(self):
-        config = ServeConfig.from_env(env={"REPRO_SERVE_DEADLINE_S": "none"})
-        assert config.resilience.deadline_s is None
-
-    def test_unparseable_value_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            ServeConfig.from_env(env={"REPRO_SERVE_PORT": "not-a-port"})
-
-
 class TestFromArgs:
     def test_namespace_without_flags_gives_defaults(self):
-        assert ServeConfig.from_args(argparse.Namespace()) == ServeConfig()
+        assert _serve_config(argparse.Namespace()) == ServeConfig()
 
     def test_cli_flags_map(self):
         ns = argparse.Namespace(
@@ -99,7 +67,7 @@ class TestFromArgs:
             deadline_s=3.0, retry_attempts=4, no_breaker=True,
             no_fallback=False, max_queue_depth=32,
         )
-        config = ServeConfig.from_args(ns)
+        config = _serve_config(ns)
         assert config.host == "10.0.0.1" and config.port == 8787
         assert config.max_wait_s == pytest.approx(0.001)
         assert config.trace_sample == 0.5
@@ -109,6 +77,80 @@ class TestFromArgs:
         assert config.resilience.breaker is False
         assert config.resilience.fallback is True
         assert config.resilience.max_queue_depth == 32
+
+
+def _cli_config(*argv: str) -> ServeConfig:
+    return _serve_config(_build_parser().parse_args(list(argv)))
+
+
+class TestCliServeConfig:
+    """Fixed ``serve``/``chaos`` argv against literal expected configs."""
+
+    def test_serve_bundle_and_ephemeral_port(self):
+        assert _cli_config("serve", "--bundle", "B", "--port", "0") == ServeConfig()
+
+    def test_serve_without_port_uses_the_cli_default(self):
+        assert _cli_config("serve", "--bundle", "B") == ServeConfig(port=8787)
+
+    def test_every_serve_flag_once(self):
+        config = _cli_config(
+            "serve", "--bundle", "B",
+            "--host", "0.0.0.0", "--port", "9000",
+            "--max-batch-size", "4", "--max-wait-ms", "5",
+            "--trace-sample", "0.25", "--trace-export", "spans.jsonl",
+            "--no-plan",
+            "--deadline-s", "3", "--retry-attempts", "4",
+            "--no-breaker", "--no-fallback", "--max-queue-depth", "16",
+            "--no-slo", "--slo-latency-ms", "100",
+            "--profile-hz", "50", "--exemplars",
+        )
+        assert config == ServeConfig(
+            host="0.0.0.0",
+            port=9000,
+            max_batch_size=4,
+            max_wait_s=0.005,
+            trace_sample=0.25,
+            trace_export="spans.jsonl",
+            plan_enabled=False,
+            slo_enabled=False,
+            slo_latency_ms=100.0,
+            profile_hz=50.0,
+            exemplars=True,
+            resilience=ResiliencePolicy(
+                deadline_s=3.0,
+                retry_attempts=4,
+                breaker=False,
+                fallback=False,
+                max_queue_depth=16,
+            ),
+        )
+
+    def test_chaos_defaults(self):
+        assert _cli_config("chaos", "--bundle", "B") == ServeConfig()
+
+    def test_every_chaos_flag_once(self):
+        config = _cli_config(
+            "chaos", "--bundle", "B",
+            "--clients", "2", "--requests", "10", "--chaos-seed", "3",
+            "--latency-rate", "0.2", "--latency-ms", "10",
+            "--error-rate", "0.1", "--corrupt-rate", "0.05",
+            "--drop-sensors", "0", "1", "--availability-target", "0.9",
+            "--deadline-s", "1.5", "--retry-attempts", "1",
+            "--no-breaker", "--no-fallback", "--max-queue-depth", "0",
+        )
+        assert config == ServeConfig(
+            resilience=ResiliencePolicy(
+                deadline_s=1.5,
+                retry_attempts=1,
+                breaker=False,
+                fallback=False,
+                max_queue_depth=0,
+            ),
+        )
+
+    def test_invalid_flag_value_is_config_error(self):
+        with pytest.raises(ConfigError):
+            _cli_config("serve", "--bundle", "B", "--trace-sample", "2")
 
 
 def _unpack_response(bundle):

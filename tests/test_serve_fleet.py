@@ -16,13 +16,14 @@ Covers the fleet acceptance criteria end to end:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError, QuotaExceeded
 from repro.experiments import build_model
-from repro.reliability import ChaosModel, FaultPlan
+from repro.reliability import ChaosModel, FaultPlan, ResiliencePolicy
 from repro.serve import (
     CanaryConfig,
     EnginePool,
@@ -398,6 +399,81 @@ class TestManifest:
         assert set(pool.tenants()) == {"alpha", "beta"}
         assert pool.runtime("alpha").quota is not None
         assert pool.runtime("beta").quota is None
+
+    def test_round_trip_is_exact_with_tenant_overrides(self, tmp_path):
+        fleet = FleetConfig(
+            default=ServeConfig(port=0, max_batch_size=4),
+            tenants=(
+                TenantConfig(
+                    name="alpha", bundle="bundle_0",
+                    quota_rps=5.0, quota_burst=20.0,
+                    config=ServeConfig(
+                        cache_size=16,
+                        resilience=ResiliencePolicy(
+                            deadline_s=None, retry_attempts=3, breaker=False
+                        ),
+                    ),
+                    shadow=ShadowConfig(bundle="bundle_2", mirror_fraction=0.5),
+                ),
+                TenantConfig(
+                    name="beta", bundle="bundle_1",
+                    canary=CanaryConfig(bundle="bundle_3", stages=(0.25, 1.0)),
+                ),
+            ),
+        )
+        loaded, _ = load_fleet_manifest(
+            save_fleet_manifest(fleet, str(tmp_path / "fleet"))
+        )
+        assert loaded == fleet
+        assert loaded.config_for("alpha").resilience.retry_attempts == 3
+
+    @pytest.mark.parametrize("section", [
+        "tenants[0].shadow",
+        "tenants[1].canary",
+        "default.quality",
+        "default.resilience",
+        "tenants[0].config",
+    ])
+    def test_nested_typo_is_config_error_naming_fields(self, tmp_path, section):
+        payload = {
+            "format_version": 1,
+            "default": {"quality": {}, "resilience": {}},
+            "tenants": [
+                {"name": "alpha", "bundle": "b0",
+                 "config": {}, "shadow": {"bundle": "b2"}},
+                {"name": "beta", "bundle": "b1", "canary": {"bundle": "b3"}},
+            ],
+        }
+        node = payload
+        for key in section.replace("[", ".").replace("]", "").split("."):
+            node = node[int(key)] if key.isdigit() else node[key]
+        node["typo_field"] = 1
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match="typo_field.*valid fields"):
+            load_fleet_manifest(str(path))
+
+    @pytest.mark.parametrize("tenants, message", [
+        ({"name": "alpha", "bundle": "b0"}, "JSON array"),
+        (["alpha"], "JSON object"),
+    ])
+    def test_malformed_tenants_are_config_errors(self, tmp_path, tenants, message):
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps({"format_version": 1, "tenants": tenants}))
+        with pytest.raises(ConfigError, match=message):
+            load_fleet_manifest(str(path))
+
+    def test_docs_manifest_example_loads(self, tmp_path):
+        doc = (Path(__file__).parents[1] / "docs" / "FLEET.md").read_text()
+        example = doc.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "fleet.json"
+        path.write_text(example)
+        fleet, _ = load_fleet_manifest(str(path))
+        assert [t.name for t in fleet.tenants] == ["alpha", "beta"]
+        alpha = fleet.config_for("alpha")
+        assert alpha.max_batch_size == 4
+        assert alpha.resilience.retry_attempts == 3
+        assert fleet.config_for("beta") == fleet.default
 
     def test_hostile_tenant_name_rejected_up_front(self):
         with pytest.raises(ConfigError, match="invalid"):

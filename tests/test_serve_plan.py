@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, dtype_policy, inference_mode
+from repro.cli import _build_parser, _serve_config
+from repro.codec import from_dict, to_dict
 from repro.experiments import build_model
 from repro.serve import ServeConfig, export_bundle, load_bundle
 from repro.serve.fleet import EnginePool
@@ -248,20 +250,13 @@ class TestZeroAllocation:
 class TestConfigPlumbing:
     def test_serve_config_round_trip(self):
         config = ServeConfig(plan_enabled=False)
-        payload = config.to_json_dict()
+        payload = to_dict(config)
         assert payload["plan_enabled"] is False
-        assert ServeConfig.from_dict(payload) == config
-
-    def test_from_env(self):
-        config = ServeConfig.from_env(env={"REPRO_SERVE_PLAN": "0"})
-        assert config.plan_enabled is False
-        assert ServeConfig.from_env(env={}).plan_enabled is True
+        assert from_dict(ServeConfig, payload) == config
 
     def test_from_args_no_plan(self):
-        class Namespace:
-            no_plan = True
-
-        assert ServeConfig.from_args(Namespace()).plan_enabled is False
+        args = _build_parser().parse_args(["serve", "--bundle", "B", "--no-plan"])
+        assert _serve_config(args).plan_enabled is False
 
     def test_pool_wires_plan_and_fingerprint(self, served):
         bundle, _store, _ = served
