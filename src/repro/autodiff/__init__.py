@@ -25,6 +25,7 @@ from .tensor import (
     maximum,
     minimum,
     no_grad,
+    sigmoid_split,
     split,
     stack,
     where,
@@ -36,6 +37,7 @@ __all__ = [
     "as_tensor",
     "concat",
     "split",
+    "sigmoid_split",
     "stack",
     "where",
     "maximum",

@@ -38,6 +38,7 @@ __all__ = [
     "as_tensor",
     "concat",
     "split",
+    "sigmoid_split",
     "stack",
     "where",
     "maximum",
@@ -519,19 +520,10 @@ class Tensor:
         return Tensor._make(data, (self,), backward, "tanh")
 
     def sigmoid(self) -> "Tensor":
-        # Numerically stable logistic: exp(-|x|) is in (0, 1], so one
-        # exp call covers both branches without clipping.
-        t = np.exp(-np.abs(self.data))
-        t += 1.0
-        pos = np.divide(1.0, t, out=t)  # 1 / (1 + exp(-|x|)), buffer reused
-        data = np.where(self.data >= 0, pos, 1.0 - pos)
+        data = _sigmoid(self.data)
         if not _grad_mode.enabled:
             return Tensor._wrap(data)
-
-        def backward(g, out=data):
-            return (g * out * (1.0 - out),)
-
-        return Tensor._make(data, (self,), backward, "sigmoid")
+        return Tensor._make(data, (self,), _sigmoid_backward(data), "sigmoid")
 
     def relu(self) -> "Tensor":
         if not _grad_mode.enabled:
@@ -796,18 +788,27 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(data, tuple(tensors), backward, "concat")
 
 
-def split(x: Tensor, sections: int | Sequence[int], axis: int = -1) -> tuple[Tensor, ...]:
-    """Split ``x`` into chunks along ``axis`` — the inverse of :func:`concat`.
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic of an array.
 
-    ``sections`` is either a chunk count (the axis must divide evenly,
-    like ``numpy.split``) or an explicit sequence of chunk sizes summing
-    to the axis length. The forward pass returns zero-copy views; each
-    chunk's backward is a :class:`SliceGrad`, so all chunks accumulate
-    into one shared parent buffer — this replaces the sliced-``getitem``
-    gate reads in :class:`~repro.nn.LSTMCell` (4 dense ``np.add.at``
-    scatters per step) with in-place writes into a single buffer.
+    exp(-|x|) is in (0, 1], so one exp call covers both branches without
+    clipping.
     """
-    x = as_tensor(x)
+    t = np.exp(-np.abs(a))
+    t += 1.0
+    pos = np.divide(1.0, t, out=t)  # 1 / (1 + exp(-|x|)), buffer reused
+    return np.where(a >= 0, pos, 1.0 - pos)
+
+
+def _sigmoid_backward(out: np.ndarray):
+    def backward(g, out=out):
+        return (g * out * (1.0 - out),)
+
+    return backward
+
+
+def _split_indices(x: Tensor, sections: int | Sequence[int], axis: int) -> list[tuple]:
+    """Basic indices of the chunks :func:`split` cuts ``x`` into."""
     ndim = x.data.ndim
     if not -ndim <= axis < ndim:
         raise ValueError(f"axis {axis} out of range for shape {x.shape}")
@@ -826,11 +827,24 @@ def split(x: Tensor, sections: int | Sequence[int], axis: int = -1) -> tuple[Ten
                 f"section sizes {sizes} must be positive and sum to {length}"
             )
     head = (slice(None),) * axis
+    offsets = np.cumsum([0] + sizes)
+    return [head + (slice(int(a), int(b)),) for a, b in zip(offsets[:-1], offsets[1:])]
+
+
+def split(x: Tensor, sections: int | Sequence[int], axis: int = -1) -> tuple[Tensor, ...]:
+    """Split ``x`` into chunks along ``axis`` — the inverse of :func:`concat`.
+
+    ``sections`` is either a chunk count (the axis must divide evenly,
+    like ``numpy.split``) or an explicit sequence of chunk sizes summing
+    to the axis length. The forward pass returns zero-copy views; each
+    chunk's backward is a :class:`SliceGrad`, so all chunks accumulate
+    into one shared parent buffer — this replaces the sliced-``getitem``
+    gate reads in :class:`~repro.nn.LSTMCell` (4 dense ``np.add.at``
+    scatters per step) with in-place writes into a single buffer.
+    """
+    x = as_tensor(x)
     outs = []
-    offset = 0
-    for size in sizes:
-        index = head + (slice(offset, offset + size),)
-        offset += size
+    for index in _split_indices(x, sections, axis):
         if not _grad_mode.enabled:
             outs.append(Tensor._wrap(x.data[index]))
             continue
@@ -840,6 +854,30 @@ def split(x: Tensor, sections: int | Sequence[int], axis: int = -1) -> tuple[Ten
 
         outs.append(Tensor._make(x.data[index], (x,), backward, "split"))
     return tuple(outs)
+
+
+def sigmoid_split(
+    x: Tensor, sections: int | Sequence[int], axis: int = -1
+) -> tuple[Tensor, ...]:
+    """``tuple(c.sigmoid() for c in split(x, sections, axis))`` with one
+    sigmoid evaluation over the whole of ``x``.
+
+    The LSTM gate nonlinearity: one elementwise pass over the ``(B, 4H)``
+    pre-activation instead of one per gate block. Each chunk keeps its
+    own split-then-sigmoid backward, so values *and* gradients are
+    bitwise those of the per-chunk form — the sigmoid derivative is
+    taken per chunk in the upstream gradient's dtype, before the split
+    scatters it into ``x``'s buffer.
+    """
+    x = as_tensor(x)
+    data = _sigmoid(x.data)
+    indices = _split_indices(x, sections, axis)
+    if not _grad_mode.enabled:
+        return tuple(Tensor._wrap(data[index]) for index in indices)
+    return tuple(
+        Tensor._make(data[index], (chunk,), _sigmoid_backward(data[index]), "sigmoid")
+        for index, chunk in zip(indices, split(x, sections, axis))
+    )
 
 
 def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

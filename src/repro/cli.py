@@ -141,8 +141,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1,
                    help="batch rows to trace the plan for")
     p.add_argument("--verify", action="store_true",
-                   help="replay the plan on fresh inputs and require bitwise "
-                        "equality with the eager forward (exit 1 on mismatch)")
+                   help="compile every plan signature of the bundle's day, "
+                        "replay each at a different start step and require "
+                        "bitwise equality with the eager forward (exit 1 on "
+                        "mismatch)")
 
     p = sub.add_parser(
         "quantize",
@@ -193,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         "1 = sequential)")
     p.add_argument("--max-wait-ms", type=float,
                    help="how long a forming batch waits for followers "
-                        "(default 2)")
+                        "(default 0)")
     p.add_argument("--trace-sample", type=float,
                    help="request-trace sampling rate in [0, 1] (default 0 = off)")
     p.add_argument("--trace-export", type=str, default=None,

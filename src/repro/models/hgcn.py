@@ -18,20 +18,38 @@ from ..autodiff import Tensor, default_dtype
 from ..graphs import HeterogeneousGraphSet, chebyshev_polynomials
 from ..nn import ChebConv, Linear, Module, ModuleList
 
-__all__ = ["SpatialEncoder", "LinearEncoder", "GCNEncoder", "HGCNBlock"]
+__all__ = [
+    "SpatialEncoder", "LinearEncoder", "GCNEncoder", "HGCNBlock", "temporal_activity",
+]
+
+
+def temporal_activity(weights: np.ndarray) -> np.ndarray:
+    """Which temporal graphs a window uses: ``(M,)`` booleans.
+
+    ``weights`` is a window's ``(B, T, M)`` interval weights; a graph is
+    active when any sample weights it at any step. :class:`HGCNBlock`
+    runs exactly the active graphs at every step of the window, and the
+    RIHGCN plan signature is this mask, so the signature fixes the
+    forward's control flow wherever an interval boundary falls inside
+    the window.
+    """
+    # asarray: a tracing subclass must not record this host-side decision.
+    return (np.asarray(weights) != 0).any(axis=(0, 1))
 
 
 class SpatialEncoder(Module):
     """Interface: map node features ``(B, N, D)`` to embeddings ``(B, N, p)``.
 
-    ``weights`` carries per-sample temporal-graph weights ``(B, M)``;
-    encoders that ignore the heterogeneous structure accept and discard it.
+    ``weights`` carries per-sample temporal-graph weights ``(B, M)`` and
+    ``active`` the window's :func:`temporal_activity` mask; encoders that
+    ignore the heterogeneous structure accept and discard both.
     """
 
     #: whether forward() consumes interval weights
     needs_interval_weights: bool = False
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None,
+                active: np.ndarray | None = None) -> Tensor:
         raise NotImplementedError
 
 
@@ -47,7 +65,8 @@ class LinearEncoder(SpatialEncoder):
         super().__init__()
         self.proj = Linear(in_channels, out_channels, rng=rng)
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None,
+                active: np.ndarray | None = None) -> Tensor:
         return self.proj(x).relu()
 
 
@@ -69,7 +88,8 @@ class GCNEncoder(SpatialEncoder):
         stack = chebyshev_polynomials(adjacency, cheb_order)
         self.conv = ChebConv(in_channels, out_channels, stack, rng=rng)
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None,
+                active: np.ndarray | None = None) -> Tensor:
         return self.conv(x).relu()
 
 
@@ -110,22 +130,30 @@ class HGCNBlock(SpatialEncoder):
     def num_temporal(self) -> int:
         return len(self.temporal_convs)
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
-        """``x``: ``(B, N, D)``; ``weights``: ``(B, M)`` interval weights."""
+    def forward(self, x: Tensor, weights: np.ndarray | None = None,
+                active: np.ndarray | None = None) -> Tensor:
+        """``x``: ``(B, N, D)``; ``weights``: ``(B, M)`` interval weights.
+
+        ``active`` (``(M,)`` booleans) names the temporal graphs to run;
+        the rest are skipped. Recurrent callers pass the whole window's
+        :func:`temporal_activity`, so every step of a window takes the
+        same branches (an active graph at a step where its weight is 0
+        adds an exact zero). ``None`` runs the graphs ``weights`` uses.
+        """
         if weights is None:
             raise ValueError("HGCNBlock requires per-sample interval weights")
-        # asanyarray: tracing subclasses must survive; the per-graph
-        # ``w.any()`` skip below is data-dependent control flow, guarded
-        # upstream by the model's plan signature (activity bitmask).
+        # asanyarray: tracing subclasses must survive the cast.
         weights = np.asanyarray(weights, dtype=default_dtype())
         if weights.ndim != 2 or weights.shape[1] != self.num_temporal:
             raise ValueError(
                 f"weights must be (B, {self.num_temporal}), got {weights.shape}"
             )
+        if active is None:
+            active = (np.asarray(weights) != 0).any(axis=0)
         out = self.geo_conv(x)
         for idx, conv in enumerate(self.temporal_convs):
+            if not active[idx]:
+                continue  # interval inactive for the whole window
             w = weights[:, idx]
-            if not w.any():
-                continue  # interval inactive for the whole batch
             out = out + conv(x) * Tensor(w.reshape(-1, 1, 1))
         return out.relu()

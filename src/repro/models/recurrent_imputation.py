@@ -34,7 +34,7 @@ from ..autodiff import Tensor, concat, default_dtype, no_grad, stack, where
 from ..graphs import HeterogeneousGraphSet
 from ..nn import Linear, LSTMCell, Module
 from .base import ForecastOutput, NeuralForecaster
-from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder
+from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder, temporal_activity
 
 __all__ = ["RecurrentImputationForecaster", "build_spatial_encoder"]
 
@@ -113,6 +113,12 @@ class _DirectionPass(Module):
         z_store: list[Tensor | None] = [None] * steps
         estimates: list[Tensor | None] = [None] * steps
 
+        # Graph skips are decided once for the window, from the mask the
+        # plan signature keys on; deciding them per step would make the
+        # branches depend on where an interval boundary falls in the window.
+        active = (
+            temporal_activity(interval_weights) if interval_weights is not None else None
+        )
         est_prev: Tensor | None = None
         state = None
         for t in order:
@@ -124,7 +130,7 @@ class _DirectionPass(Module):
                 feed = est_prev.detach() if detach_imputation else est_prev
                 x_comp = where(m_t > 0, x_t, feed)  # Eq. 3
             w_t = interval_weights[:, t] if interval_weights is not None else None
-            s_t = self.spatial(x_comp, w_t)  # (B, N, p)
+            s_t = self.spatial(x_comp, w_t, active)  # (B, N, p)
             if self.use_lstm:
                 s_flat = s_t.reshape(batch * nodes, self.embed_dim)
                 m_flat = Tensor(m_t.reshape(batch * nodes, features))
@@ -320,9 +326,10 @@ class RecurrentImputationForecaster(NeuralForecaster):
         The interval-weight lookup is data-dependent (it indexes the
         timeline partition by step-of-day), so it runs eagerly here and
         the resulting ``(B, T, M)`` weights become a plan *input*. The
-        signature is the per-graph activity bitmask — ``HGCNBlock``
-        skips temporal graphs whose weights are all zero, so a plan is
-        only valid for requests activating the same graph subset.
+        signature is the window's per-graph activity bitmask
+        (:func:`temporal_activity`) — ``HGCNBlock`` skips the temporal
+        graphs outside it at every step of the window, so a plan is
+        valid for every request activating the same graph subset.
         """
         x = np.asarray(x, dtype=default_dtype())
         m = np.asarray(m, dtype=default_dtype())
@@ -332,7 +339,7 @@ class RecurrentImputationForecaster(NeuralForecaster):
             return inputs, ()
         weights = np.asarray(weights, dtype=default_dtype())
         inputs["weights"] = weights
-        signature = tuple(bool(b) for b in (weights != 0).any(axis=(0, 1)))
+        signature = tuple(bool(b) for b in temporal_activity(weights))
         return inputs, signature
 
     def plan_forward(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, default_dtype, split, stack
+from ..autodiff import Tensor, default_dtype, sigmoid_split, split, stack
 from . import init
 from .module import Module, Parameter
 
@@ -61,13 +61,14 @@ class LSTMCell(Module):
             state = self.init_state(x.shape[0])
         h_prev, c_prev = state
         z = x.matmul(self.weight_ih) + h_prev.matmul(self.weight_hh) + self.bias
-        # One fused split: the four gate reads share a single gradient
-        # buffer on the way back instead of four dense scatters.
-        z_i, z_f, z_g, z_o = split(z, 4, axis=-1)
-        i_gate = z_i.sigmoid()
-        f_gate = z_f.sigmoid()
-        g_cell = z_g.tanh()
-        o_gate = z_o.sigmoid()
+        # One sigmoid pass over all four gate blocks instead of three
+        # per-gate calls (the cell block's sigmoid is discarded): values
+        # and gradients are bitwise those of the per-gate form. The gate
+        # reads share a single gradient buffer on the way back instead
+        # of four dense scatters.
+        hidden = self.hidden_size
+        i_gate, f_gate, _, o_gate = sigmoid_split(z, 4, axis=-1)
+        g_cell = z[:, 2 * hidden : 3 * hidden].tanh()
         c_new = f_gate * c_prev + i_gate * g_cell
         h_new = o_gate * c_new.tanh()
         return h_new, c_new

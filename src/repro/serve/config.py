@@ -53,7 +53,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the CLI defaults to 8787 via its flag
     max_batch_size: int = 8
-    max_wait_s: float = 0.002
+    max_wait_s: float = 0.0  # > 0 holds each batch open for followers
     cache_size: int = 256
     plan_enabled: bool = True  # traced execution plans on the forward path
     trace_sample: float = 0.0

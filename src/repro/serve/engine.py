@@ -5,11 +5,15 @@ snapshot to a forecast in original units:
 
 1. **cache** — forecasts are pure in ``(state version, horizon)``; an
    LRU in front of the model answers repeats between observations;
-2. **micro-batching** — concurrent requests landing within
-   ``max_wait_s`` of each other (up to ``max_batch_size``) are stacked
-   into one ``(B, L, N, D)`` forward pass, amortising per-call dispatch
-   over the vectorised numpy kernels; identical state versions inside a
-   batch are deduplicated and share one forward row;
+2. **micro-batching** — the dispatcher is work-conserving: it runs
+   the head request at once, fused with every request already queued
+   behind it (up to ``max_batch_size``), so under concurrency batches
+   form from the requests that arrived during the previous forward and
+   a lone request never waits. The fused ``(B, L, N, D)`` forward
+   amortises per-call dispatch over the vectorised numpy kernels;
+   identical state versions inside a batch are deduplicated and share
+   one forward row. A positive ``max_wait_s`` additionally holds each
+   batch open that long for followers;
 3. **no-grad inference** — every forward runs under
    :func:`repro.autodiff.inference_mode`, so no backward graph or
    closures are allocated on the hot path.
@@ -115,7 +119,9 @@ class ForecastEngine:
         micro-batching (the sequential dispatch baseline).
     max_wait_s:
         How long the dispatcher holds the first request of a batch open
-        for followers (the classic size-or-deadline queue).
+        for followers (the classic size-or-deadline queue). The default
+        0 never holds: a batch is the head request plus whatever is
+        already queued.
     cache_size:
         LRU capacity over ``(version, horizon)`` keys; 0 disables.
     policy:
@@ -151,7 +157,7 @@ class ForecastEngine:
         scaler: ZScoreScaler,
         store: StateStore,
         max_batch_size: int = 8,
-        max_wait_s: float = 0.002,
+        max_wait_s: float = 0.0,
         cache_size: int = 256,
         registry: MetricRegistry | None = None,
         tracer: Tracer | None = None,
@@ -478,6 +484,8 @@ class ForecastEngine:
             if head is None:
                 return
             batch = [head]
+            # Take what is already queued without blocking; only a
+            # positive max_wait_s waits (timed) for followers.
             deadline = time.perf_counter() + self.max_wait_s
             while len(batch) < self.max_batch_size:
                 remaining = deadline - time.perf_counter()

@@ -210,32 +210,39 @@ class PlanRuntime:
 def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> dict:
     """Trace ``bundle``'s forward for ``batch`` rows on seeded inputs.
 
-    With ``verify`` the plan is replayed on a fresh draw and must be
-    bitwise-equal to the eager forward, as a server's validate step
-    requires. Returns ``{"compiled", "verified", "reason"}`` plus, as far
-    as the check got, ``"signature"``, ``"stats"`` and ``"max_abs_diff"``;
-    ``reason`` explains an uncompiled or unverified plan and ``verified``
-    is ``None`` without ``verify``.
+    With ``verify``, every plan signature the bundle's day produces is
+    compiled on one window and replayed on a fresh draw at a *different*
+    start step with the same signature; the replay must be bitwise-equal
+    to the eager forward, as a server's validate step requires. Moving
+    the start moves any interval boundary inside the window, so control
+    flow the signature fails to capture shows up as a mismatch. Returns
+    ``{"compiled", "verified", "reason"}`` plus, as far as the check
+    got, the seeded draw's ``"signature"`` and ``"stats"`` and the
+    largest ``"max_abs_diff"`` seen; ``reason`` explains an uncompiled
+    plan or names the first failing signature, and ``verified`` is
+    ``None`` without ``verify``.
     """
     model = bundle.model
     rng = np.random.default_rng(seed)
-    shape = (batch, bundle.input_length, bundle.num_nodes, bundle.num_features)
+    length = bundle.input_length
+    shape = (batch, length, bundle.num_nodes, bundle.num_features)
     steps_per_day = bundle.data_config.steps_per_day
-    day_steps = (int(rng.integers(0, steps_per_day))
-                 + np.arange(bundle.input_length)) % steps_per_day
-    steps = np.broadcast_to(day_steps, (batch, bundle.input_length)).copy()
 
-    def draw():
+    def draw(start: int):
+        day_steps = (start + np.arange(length)) % steps_per_day
+        steps = np.broadcast_to(day_steps, (batch, length)).copy()
         m = (rng.random(shape) >= 0.2).astype(default_dtype())
         x = rng.standard_normal(shape).astype(default_dtype()) * m
         return model.plan_inputs(x, m, steps)
 
     result = {"compiled": False, "verified": None, "reason": None}
-    split = draw()
+    first = int(rng.integers(0, steps_per_day))
+    split = draw(first)
     if split is None:
         result["reason"] = f"{bundle.model_name} does not implement traced plans"
         return result
-    inputs, result["signature"] = split
+    inputs, signature = split
+    result["signature"] = signature
     try:
         plan, _ = trace(model.plan_forward, inputs)
     except PlanUnsupported as error:
@@ -244,18 +251,41 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     result.update(compiled=True, stats=plan.stats.as_dict())
     if not verify:
         return result
-    inputs, signature = draw()
-    if signature != result["signature"]:
-        result.update(verified=False, reason="a fresh draw changed the plan "
-                      "signature; a server would retrace instead of replaying")
-        return result
-    replayed = plan.replay(inputs)
-    with inference_mode():
-        eager = np.asarray(model.plan_forward(**inputs))
-    result["max_abs_diff"] = float(np.max(np.abs(
-        replayed.astype(np.float64) - eager.astype(np.float64)
-    )))
-    result["verified"] = replayed.dtype == eager.dtype and bool(
-        np.array_equal(replayed, eager, equal_nan=True)
-    )
+
+    # Start steps of the day grouped by the signature of their window.
+    starts: dict[tuple, list[int]] = {}
+    for start in range(steps_per_day):
+        starts.setdefault(draw(start)[1], []).append(start)
+    result["max_abs_diff"] = 0.0
+    for signature, group in starts.items():
+        if signature == result["signature"]:
+            checked, compiled_at = plan, first
+        else:
+            compiled_at = group[0]
+            try:
+                checked, _ = trace(model.plan_forward, draw(compiled_at)[0])
+            except PlanUnsupported as error:
+                result.update(verified=False, reason=f"plan for signature "
+                              f"{signature} unsupported: {error}")
+                return result
+        others = [start for start in group if start != compiled_at] or group
+        replayed_at = others[int(rng.integers(0, len(others)))]
+        inputs, _ = draw(replayed_at)
+        replayed = checked.replay(inputs)
+        with inference_mode():
+            eager = np.asarray(model.plan_forward(**inputs))
+        diff = float(np.max(np.abs(
+            replayed.astype(np.float64) - eager.astype(np.float64)
+        )))
+        result["max_abs_diff"] = max(result["max_abs_diff"], diff)
+        if replayed.dtype != eager.dtype or not np.array_equal(
+            replayed, eager, equal_nan=True
+        ):
+            result.update(verified=False, reason=(
+                f"plan for signature {signature} compiled at step {compiled_at} "
+                f"diverges from the eager forward at step {replayed_at} "
+                f"(max |diff| {diff:.3e})"
+            ))
+            return result
+    result["verified"] = True
     return result

@@ -3,8 +3,42 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor, dtype_policy, gradcheck, inference_mode, split
 from repro.nn import GRUCell, LSTM, LSTMCell
+from repro.telemetry import profile
+
+
+def _three_sigmoid_step(cell, x, state):
+    """The per-gate LSTM step: one sigmoid per gate block."""
+    h_prev, c_prev = state
+    z = x.matmul(cell.weight_ih) + h_prev.matmul(cell.weight_hh) + cell.bias
+    z_i, z_f, z_g, z_o = split(z, 4, axis=-1)
+    c_new = z_f.sigmoid() * c_prev + z_i.sigmoid() * z_g.tanh()
+    return z_o.sigmoid() * c_new.tanh(), c_new
+
+
+def _unroll_with_grads(cell, step, dtype, seed=0):
+    """Three steps of ``step``; returns outputs and every gradient as bytes."""
+    rng = np.random.default_rng(seed)
+    xs = [Tensor(rng.normal(size=(3, cell.input_size)).astype(dtype),
+                 requires_grad=True) for _ in range(3)]
+    h0 = Tensor(rng.normal(size=(3, cell.hidden_size)).astype(dtype) * 0.5,
+                requires_grad=True)
+    c0 = Tensor(rng.normal(size=(3, cell.hidden_size)).astype(dtype) * 0.5,
+                requires_grad=True)
+    cell.zero_grad()
+    state = (h0, c0)
+    outputs = []
+    for x in xs:
+        state = step(cell, x, state)
+        outputs.extend(state)
+    probes = [rng.normal(size=out.shape).astype(dtype) for out in outputs]
+    loss = sum(((out * probe).sum() for out, probe in zip(outputs, probes)), Tensor(0.0))
+    loss.backward()
+    values = [out.data.tobytes() for out in outputs]
+    grads = [t.grad.tobytes() for t in xs + [h0, c0]]
+    grads += [param.grad.tobytes() for _name, param in cell.named_parameters()]
+    return values, grads
 
 
 class TestLSTMCell:
@@ -50,6 +84,40 @@ class TestLSTMCell:
         (h.sum() + c.sum()).backward()
         for name, param in self.cell.named_parameters():
             assert param.grad is not None, f"no grad for {name}"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_sigmoid_bitwise_equals_per_gate_sigmoids(self, dtype):
+        """Values and every gradient equal the three-sigmoid step bit for bit."""
+        with dtype_policy(dtype):
+            cell = LSTMCell(5, 7, rng=np.random.default_rng(4))
+            fused = _unroll_with_grads(cell, lambda c, x, s: c(x, s), dtype)
+            reference = _unroll_with_grads(cell, _three_sigmoid_step, dtype)
+        assert fused[0] == reference[0]
+        assert fused[1] == reference[1]
+
+    def test_one_sigmoid_pass_per_step(self, monkeypatch):
+        calls = []
+        real_exp = np.exp
+
+        def counting_exp(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real_exp(*args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", counting_exp)
+        with inference_mode():
+            self.cell(Tensor(np.ones((2, 4))))
+        assert calls == [(2, 4 * self.cell.hidden_size)]
+
+    def test_gate_split_in_op_profile(self):
+        with profile() as prof:
+            x = Tensor(np.random.default_rng(1).normal(size=(2, 4)), requires_grad=True)
+            h, c = self.cell(x)
+            (h.sum() + c.sum()).backward()
+        assert prof.stats["split"].calls == 4
+        # The input, forget and output gates route their gradients
+        # through the split; the discarded cell-block sigmoid does not.
+        assert prof.stats["sigmoid"].backward_calls == 3
+        assert prof.stats["split"].backward_calls == 3
 
     def test_deterministic_given_seed(self):
         a = LSTMCell(4, 6, rng=np.random.default_rng(42))

@@ -1,12 +1,20 @@
 """Tests for the forecast engine and LRU cache (repro.serve)."""
 
+import inspect
 import threading
 
 import numpy as np
 import pytest
 
 from repro.experiments import build_model, default_trainer_config
-from repro.serve import LRUCache, StateStore, export_bundle, load_bundle
+from repro.serve import (
+    ForecastEngine,
+    LRUCache,
+    ServeConfig,
+    StateStore,
+    export_bundle,
+    load_bundle,
+)
 from repro.serve.engine import _Request
 from repro.telemetry import MetricRegistry
 from repro.training import Trainer
@@ -174,6 +182,48 @@ class TestEngine:
         engine.start()
         assert engine.forecast().prediction.shape[0] == bundle.output_length
         engine.stop()
+
+
+class TestDispatcher:
+    """Work-conserving batching: no hold on an idle engine."""
+
+    def test_max_wait_defaults_to_zero(self, served):
+        bundle, store, _ = served
+        assert ServeConfig().max_wait_s == 0
+        default = inspect.signature(ForecastEngine).parameters["max_wait_s"].default
+        assert default == 0
+        assert bundle.make_engine(store=store, registry=MetricRegistry()).max_wait_s == 0
+
+    def test_already_queued_requests_fuse_into_one_batch(self, served):
+        bundle, store, _ = served
+        registry = MetricRegistry()
+        engine = bundle.make_engine(store=store, cache_size=0, registry=registry)
+        window = store.window()
+        requests = [_Request(window, bundle.output_length, 0.0) for _ in range(5)]
+        for request in requests:
+            engine._queue.put_nowait(request)
+        with engine:
+            results = [request.future.result(timeout=30) for request in requests]
+        assert len(results) == 5
+        assert registry.counter("serve/batches").value == 1
+        sizes = registry.histogram("serve/batch_size")
+        assert sizes.count == 1 and sizes.max == 5
+
+    def test_lone_request_never_waits_on_a_timed_get(self, served):
+        bundle, store, _ = served
+        engine = bundle.make_engine(store=store, registry=MetricRegistry())
+        calls = []
+        real_get = engine._queue.get
+
+        def spy(block=True, timeout=None):
+            calls.append((block, timeout))
+            return real_get(block=block, timeout=timeout)
+
+        engine._queue.get = spy
+        with engine:
+            engine.forecast()
+        assert (False, None) in calls  # looked for followers without waiting
+        assert all(timeout is None for _block, timeout in calls)
 
 
 class TestLRUCache:

@@ -10,11 +10,12 @@ policy, not just ``(version, horizon)``.
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, dtype_policy, inference_mode
+from repro.autodiff import Tensor, dtype_policy, inference_mode, trace
 from repro.cli import _build_parser, _serve_config
 from repro.codec import from_dict, to_dict
 from repro.experiments import build_model
-from repro.serve import ServeConfig, export_bundle, load_bundle
+from repro.models import HGCNBlock
+from repro.serve import ServeConfig, check_plan, export_bundle, load_bundle
 from repro.serve.fleet import EnginePool
 from repro.serve.planner import PlanRuntime
 from repro.telemetry import MetricRegistry, Tracer
@@ -169,6 +170,106 @@ class TestValidationFallback:
             np.testing.assert_array_equal(out, np.tanh(value) + 1.0)
             entry = next(iter(runtime._entries.values()))
             assert entry.state == state
+
+
+@pytest.fixture()
+def rihgcn_bundle(tiny_ctx, tmp_path):
+    base = str(tmp_path / "rihgcn")
+    export_bundle(build_model("RIHGCN", tiny_ctx), "RIHGCN", tiny_ctx, base)
+    return load_bundle(base)
+
+
+def _window_inputs(model, start, steps_per_day, rng):
+    """Plan inputs for one random window whose first step is ``start``."""
+    shape = (1, model.input_length, model.num_nodes, model.num_features)
+    steps = (start + np.arange(model.input_length)) % steps_per_day
+    m = (rng.random(shape) >= 0.2).astype(np.float64)
+    x = rng.standard_normal(shape) * m
+    return model.plan_inputs(x, m, steps[None])
+
+
+def _per_step_skip(monkeypatch):
+    """Make HGCN decide its graph skips per step (ignoring the window mask)."""
+    forward = HGCNBlock.forward
+    monkeypatch.setattr(
+        HGCNBlock, "forward",
+        lambda self, x, weights=None, active=None: forward(self, x, weights),
+    )
+
+
+class TestIntervalBoundaries:
+    """RIHGCN plans stay exact on windows that straddle an interval boundary.
+
+    The plan signature is the window's temporal-graph activity mask, so
+    two windows crossing the same boundary at different offsets share a
+    plan; HGCN must therefore take the same branches at every offset.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_straddling_plan_replays_exactly_at_every_offset(self, tiny_ctx, dtype):
+        spd = tiny_ctx.data_config.steps_per_day
+        rng = np.random.default_rng(0)
+        with dtype_policy(dtype):
+            model = build_model("RIHGCN", tiny_ctx).eval()
+            groups = {}
+            for start in range(spd):
+                signature = _window_inputs(model, start, spd, rng)[1]
+                groups.setdefault(signature, []).append(start)
+            straddling = {sig: starts for sig, starts in groups.items() if sum(sig) > 1}
+            assert straddling, "no window crosses an interval boundary"
+            for starts in straddling.values():
+                assert len(starts) > 1
+                plan, _ = trace(model.plan_forward, _window_inputs(model, starts[0], spd, rng)[0])
+                for start in starts[1:]:
+                    inputs, _ = _window_inputs(model, start, spd, rng)
+                    with inference_mode():
+                        eager = model.plan_forward(**inputs)
+                    np.testing.assert_array_equal(plan.replay(inputs), eager)
+
+    def test_window_skip_matches_per_step_skip_bitwise(self, tiny_ctx):
+        """Running an active graph at a zero-weight step adds an exact zero."""
+        block = build_model("RIHGCN", tiny_ctx).forward_pass.spatial
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.standard_normal((2, tiny_ctx.data_config.num_nodes, 4)))
+        weights = np.zeros((2, block.num_temporal))
+        weights[:, 0] = 1.0
+        with inference_mode():
+            skipped = block(x, weights).data
+            run_all = block(x, weights, np.ones(block.num_temporal, dtype=bool)).data
+        assert skipped.tobytes() == run_all.tobytes()
+
+    def test_warm_day_serves_every_forecast_planned(self, rihgcn_bundle):
+        bundle = rihgcn_bundle
+        spd = bundle.data_config.steps_per_day
+        registry = MetricRegistry()
+        store = bundle.make_store(start_step=0)
+        engine = bundle.make_engine(store=store, registry=registry, cache_size=0)
+        eager = bundle.make_engine(store=store, registry=MetricRegistry(), plan=False)
+        rng = np.random.default_rng(2)
+        shape = (bundle.num_nodes, bundle.num_features)
+        for step in range(spd + bundle.input_length):
+            store.observe(step, rng.standard_normal(shape) + 50.0)
+            if step + 1 >= bundle.input_length:
+                np.testing.assert_array_equal(
+                    engine.forecast().prediction, eager.forecast().prediction
+                )
+        counters = registry.snapshot()["counters"]
+        assert counters.get("serve/plan_fallbacks", 0) == 0
+        assert counters.get('serve/engine_exec_mode{mode="eager"}', 0) == 0
+
+    def test_check_plan_verifies_every_signature(self, rihgcn_bundle):
+        result = check_plan(rihgcn_bundle, seed=3)
+        assert result["compiled"] and result["verified"] is True, result["reason"]
+        assert result["max_abs_diff"] == 0.0
+
+    def test_check_plan_names_a_position_dependent_signature(
+        self, rihgcn_bundle, monkeypatch
+    ):
+        _per_step_skip(monkeypatch)
+        result = check_plan(rihgcn_bundle, seed=3)
+        assert result["compiled"] and result["verified"] is False
+        assert "signature (True, True)" in result["reason"]
+        assert result["max_abs_diff"] > 0
 
 
 class TestCacheKeyRegression:
