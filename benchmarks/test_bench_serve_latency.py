@@ -126,7 +126,6 @@ def test_serve_latency(tmp_path):
     x = rng.normal(size=shape)
     m = np.ones_like(x)
     steps = np.tile(np.arange(bundle.input_length), (1, 1))
-    model.eval()
     grad_ms = _time_forward(model, x, m, steps, FORWARD_REPEATS)
     with no_grad():
         nograd_ms = _time_forward(model, x, m, steps, FORWARD_REPEATS)

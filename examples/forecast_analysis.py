@@ -7,12 +7,15 @@ operations team would inspect it:
 * error per road segment (which sensors are hard?);
 * error stratified by how incomplete the input window was (the paper's
   robustness-to-missingness claim, measured per window);
-* checkpoint round-trip (save the trained model, reload, verify).
+* bundle round-trip (export the trained model, reload, verify).
 
 Usage::
 
     python examples/forecast_analysis.py
 """
+
+import os
+import tempfile
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from repro.experiments import (
     default_trainer_config,
     prepare_context,
 )
-from repro.nn import load_checkpoint, save_checkpoint
+from repro.serve import export_bundle, load_bundle
 from repro.training import (
     Trainer,
     error_by_missingness,
@@ -65,15 +68,15 @@ def main() -> None:
     ):
         print(f"  ~{missing_rate:5.1%} of history missing -> MAE={pair.mae:6.3f}")
 
-    # Checkpoint round-trip.
-    path = "/tmp/rihgcn_checkpoint.npz"
-    save_checkpoint(model, path)
-    clone = load_checkpoint(build_model("RIHGCN", ctx), path)
-    with no_grad():
-        a = model(windows.x[:4], windows.m[:4], windows.steps_of_day[:4])
-        b = clone(windows.x[:4], windows.m[:4], windows.steps_of_day[:4])
-    assert np.allclose(a.prediction.data, b.prediction.data)
-    print(f"\ncheckpoint round-trip OK ({path})")
+    # Bundle round-trip: the serving format is the one on-disk weight format.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = export_bundle(model, "RIHGCN", ctx, os.path.join(tmp, "rihgcn"))
+        clone = load_bundle(path).model
+        with no_grad():
+            a = model(windows.x[:4], windows.m[:4], windows.steps_of_day[:4])
+            b = clone(windows.x[:4], windows.m[:4], windows.steps_of_day[:4])
+    assert np.array_equal(a.prediction.data, b.prediction.data)
+    print("\nbundle round-trip OK (forecasts identical)")
 
 
 if __name__ == "__main__":

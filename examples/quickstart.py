@@ -73,8 +73,9 @@ def main() -> None:
     trainer.fit(train_w, val_w, callbacks=[EpochLogger()])
 
     # 8. Evaluate the forecast in mph on the average-speed channel.
-    mae, rmse = trainer.evaluate(test_w, scaler=scaler, target_feature=0)
-    print(f"\ntest forecast (60-min horizon): MAE={mae:.3f} mph  RMSE={rmse:.3f} mph")
+    report = trainer.evaluate(test_w, scaler=scaler, target_feature=0)
+    print(f"\ntest forecast (60-min horizon): MAE={report.mae:.3f} mph  "
+          f"RMSE={report.rmse:.3f} mph")
 
     # 9. Use the built-in imputation to fill one window's missing history.
     filled = model.impute(test_w.x[:1], test_w.m[:1], test_w.steps_of_day[:1])

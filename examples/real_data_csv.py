@@ -95,10 +95,10 @@ def main() -> None:
         trainer = Trainer(model, TrainerConfig(max_epochs=6))
         trainer.fit(make_windows(train, stride=3), make_windows(val, stride=3),
                     callbacks=[EpochLogger()])
-        mae, rmse = trainer.evaluate(make_windows(test, stride=3), scaler=scaler,
-                                     target_feature=0)
+        report = trainer.evaluate(make_windows(test, stride=3), scaler=scaler,
+                                  target_feature=0)
         # Real data has no simulator truth: metrics cover observed targets.
-        print(f"\ntest (observed targets only): MAE={mae:.3f} RMSE={rmse:.3f}")
+        print(f"\ntest (observed targets only): MAE={report.mae:.3f} RMSE={report.rmse:.3f}")
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ Top-level convenience re-exports; see the subpackages for the full API:
 
 * :mod:`repro.autodiff` -- numpy-backed reverse-mode autodiff engine
 * :mod:`repro.nn` -- neural layers (Linear, LSTM, ChebConv, attention, TCN)
-* :mod:`repro.optim` -- Adam/SGD, clipping, schedulers, early stopping
+* :mod:`repro.optim` -- Adam, gradient clipping, early stopping
 * :mod:`repro.graphs` -- Eq. 8 adjacency, Laplacians, timeline partition,
   heterogeneous graph sets
 * :mod:`repro.distances` -- DTW / ERP / LCSS series distances

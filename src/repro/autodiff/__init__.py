@@ -1,15 +1,7 @@
 """Reverse-mode autodiff substrate (numpy-backed)."""
 
 from .dtype import default_dtype, dtype_policy, set_default_dtype
-from .functional import (
-    dropout_mask,
-    leaky_relu,
-    mae,
-    masked_mae,
-    masked_mse,
-    mse,
-    softmax,
-)
+from .functional import mae, masked_mae, masked_mse, mse, softmax
 from .fused import ChebBasis, cheb_propagate
 from .gradcheck import gradcheck, numerical_gradient
 from .plan import ExecutionPlan, PlanStats, PlanUnsupported, TraceArray, trace
@@ -52,8 +44,6 @@ __all__ = [
     "enable_grad",
     "is_grad_enabled",
     "softmax",
-    "leaky_relu",
-    "dropout_mask",
     "mse",
     "mae",
     "masked_mae",

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dtype import default_dtype
-from .tensor import Tensor, as_tensor, where
+from .tensor import Tensor, as_tensor
 
 __all__ = [
     "softmax",
-    "leaky_relu",
-    "dropout_mask",
     "mse",
     "mae",
     "masked_mae",
@@ -23,19 +20,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
     exp = shifted.exp()
     return exp / exp.sum(axis=axis, keepdims=True)
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """Leaky rectifier: ``x`` where positive, ``slope * x`` elsewhere."""
-    return where(x.data > 0, x, x * negative_slope)
-
-
-def dropout_mask(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
-    """Inverted-dropout mask: zeros with prob ``p``, survivors scaled by 1/(1-p)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    keep = rng.random(shape) >= p
-    return keep.astype(default_dtype()) / np.asarray(1.0 - p, dtype=default_dtype())
 
 
 def mse(pred: Tensor, target) -> Tensor:

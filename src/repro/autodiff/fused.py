@@ -13,8 +13,8 @@ windows pays a single BLAS call per layer instead of ``K`` small ones
 plus a concat — and the autodiff graph records one node instead of
 ``K + 1``. The reordering from ``(..., K·N, C)`` to the concat layout
 ``(..., N, K·C)`` is a reshape/moveaxis, bitwise identical to the loop
-version, so existing ``(K·C, out)`` weight layouts (checkpoints,
-bundles) are untouched.
+version, so existing ``(K·C, out)`` weight layouts (in saved bundles)
+are untouched.
 """
 
 from __future__ import annotations

@@ -441,10 +441,6 @@ class ExecutionPlan:
         self.stats = stats
         self._lock = threading.Lock()
 
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(self._inputs)
-
     def replay(self, inputs: dict[str, np.ndarray], *, copy: bool = True) -> np.ndarray:
         """Execute the plan on fresh inputs.
 

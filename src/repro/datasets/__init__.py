@@ -1,6 +1,5 @@
 """Datasets: road networks, traffic simulation, missingness, windowing."""
 
-from .analysis import MissingnessProfile, gap_length_distribution, profile_missingness
 from .csv_loader import load_csv_dataset, load_distances_csv, load_readings_csv
 from .dataset import TrafficDataset
 from .loader import BatchLoader
@@ -66,7 +65,4 @@ __all__ = [
     "load_csv_dataset",
     "load_readings_csv",
     "load_distances_csv",
-    "MissingnessProfile",
-    "profile_missingness",
-    "gap_length_distribution",
 ]

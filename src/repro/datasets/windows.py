@@ -76,23 +76,6 @@ class WindowSet:
             m_daily=self.m_daily[indices] if self.m_daily is not None else None,
         )
 
-    def truncate_horizon(self, steps: int) -> "WindowSet":
-        """Keep only the first ``steps`` forecast rows (horizon sweeps)."""
-        if not 1 <= steps <= self.output_length:
-            raise ValueError(
-                f"horizon {steps} out of range 1..{self.output_length}"
-            )
-        return WindowSet(
-            x=self.x,
-            m=self.m,
-            y=self.y[:, :steps],
-            y_mask=self.y_mask[:, :steps],
-            steps_of_day=self.steps_of_day,
-            horizon_steps=self.horizon_steps[:steps],
-            x_daily=self.x_daily,
-            m_daily=self.m_daily,
-        )
-
 
 def make_windows(
     dataset: TrafficDataset,

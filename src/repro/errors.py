@@ -15,8 +15,10 @@ only from the typed hierarchy. Catch the typed classes — e.g.
 Layers:
 
 * :class:`DataError` — malformed input data (CSV loaders, arrays);
-* :class:`CheckpointError` — ``load_state_dict`` problems, with
-  :class:`MissingParameterError` / :class:`ShapeMismatchError`;
+* :class:`CheckpointError` — a state dict that does not fit the model
+  (``Module.load_state_dict``; ``load_bundle`` re-raises the same class
+  with the bundle path in front), with :class:`MissingParameterError` /
+  :class:`ShapeMismatchError`;
 * :class:`BundleError` — serving-bundle format/registry problems;
 * :class:`ConfigError` — invalid configuration values;
 * :class:`ServeError` — anything that fails a serving request, with

@@ -1,20 +1,8 @@
 """Graph construction: adjacency kernels, Laplacians, timeline partitioning
 and the heterogeneous graph set of Section III-D."""
 
-from .analysis import (
-    edge_density,
-    edge_jaccard,
-    graph_disagreement_matrix,
-    heterogeneity_score,
-    weighted_similarity,
-)
 from .adjacency import add_self_loops, gaussian_kernel_adjacency, normalize_adjacency
-from .heterograph import (
-    HeterogeneousGraphSet,
-    build_heterogeneous_graphs,
-    build_temporal_graphs,
-    build_weekly_temporal_graphs,
-)
+from .heterograph import HeterogeneousGraphSet, build_heterogeneous_graphs, build_temporal_graphs
 from .laplacian import (
     chebyshev_polynomials,
     max_eigenvalue,
@@ -44,11 +32,5 @@ __all__ = [
     "HeterogeneousGraphSet",
     "build_temporal_graphs",
     "build_heterogeneous_graphs",
-    "build_weekly_temporal_graphs",
     "wrap_slice",
-    "edge_density",
-    "edge_jaccard",
-    "weighted_similarity",
-    "graph_disagreement_matrix",
-    "heterogeneity_score",
 ]

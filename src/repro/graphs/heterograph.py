@@ -28,7 +28,6 @@ __all__ = [
     "HeterogeneousGraphSet",
     "build_temporal_graphs",
     "build_heterogeneous_graphs",
-    "build_weekly_temporal_graphs",
 ]
 
 
@@ -117,24 +116,6 @@ class HeterogeneousGraphSet:
         """Chebyshev polynomial stacks ``(K, N, N)`` for every graph."""
         return [chebyshev_polynomials(adj, order) for adj in self.all_adjacencies()]
 
-    def merged_adjacency(self, weights: np.ndarray | None = None) -> np.ndarray:
-        """Merge all graphs into one (Section III-D's "typical heterogeneous
-        graph with different edge types" view).
-
-        ``weights`` assigns one coefficient per graph (geographic first);
-        defaults to the uniform average. Useful for analysis and for models
-        that cannot consume multiple graphs.
-        """
-        adjacencies = self.all_adjacencies()
-        if weights is None:
-            weights = np.full(len(adjacencies), 1.0 / len(adjacencies))
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(adjacencies),):
-            raise ValueError(
-                f"need {len(adjacencies)} weights, got shape {weights.shape}"
-            )
-        return sum(w * adj for w, adj in zip(weights, adjacencies))
-
     def interval_weights(self, steps_of_day: np.ndarray) -> np.ndarray:
         """Per-timestamp temporal-graph weights ``(len(steps), M)``.
 
@@ -188,41 +169,3 @@ def build_heterogeneous_graphs(
         partition=partition,
         membership_mode=membership_mode,
     )
-
-
-def build_weekly_temporal_graphs(
-    data: np.ndarray,
-    mask: np.ndarray | None,
-    partition: TimelinePartition,
-    days_of_week: np.ndarray,
-    weekend_days: tuple[int, ...] = (5, 6),
-    metric: str = "dtw",
-    epsilon: float = 0.1,
-    downsample_to: int = 24,
-) -> dict[str, list[np.ndarray]]:
-    """Weekday/weekend-split temporal graphs (the paper's suggested
-    extension: "incorporate more graph structures, e.g., certain time
-    intervals across weeks").
-
-    Builds the per-interval temporal graphs twice — once from weekday
-    history, once from weekend history — so a model can switch graph sets
-    by day type. Returns ``{"weekday": [...], "weekend": [...]}``.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    days_of_week = np.asarray(days_of_week)
-    if len(days_of_week) != len(data):
-        raise ValueError(
-            f"days_of_week length {len(days_of_week)} != T {len(data)}"
-        )
-    weekend_sel = np.isin(days_of_week, weekend_days)
-    out: dict[str, list[np.ndarray]] = {}
-    for label, selector in (("weekday", ~weekend_sel), ("weekend", weekend_sel)):
-        if not selector.any():
-            raise ValueError(f"no {label} timestamps in the provided history")
-        sub_data = data[selector]
-        sub_mask = mask[selector] if mask is not None else None
-        out[label] = build_temporal_graphs(
-            sub_data, sub_mask, partition, metric=metric, epsilon=epsilon,
-            downsample_to=downsample_to,
-        )
-    return out

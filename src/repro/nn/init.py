@@ -19,9 +19,6 @@ __all__ = [
     "zeros",
     "ones",
     "xavier_uniform",
-    "xavier_normal",
-    "kaiming_uniform",
-    "kaiming_normal",
     "orthogonal",
 ]
 
@@ -63,26 +60,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     fan_in, fan_out = _fans(shape)
     bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(default_dtype(), copy=False)
-
-
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal variant."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * math.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(default_dtype(), copy=False)
-
-
-def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    """He uniform, suited to relu activations."""
-    fan_in, _fan_out = _fans(shape)
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(default_dtype(), copy=False)
-
-
-def kaiming_normal(shape, rng: np.random.Generator) -> np.ndarray:
-    """He normal, suited to relu activations."""
-    fan_in, _fan_out = _fans(shape)
-    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape).astype(default_dtype(), copy=False)
 
 
 def orthogonal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:

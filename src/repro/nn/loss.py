@@ -13,32 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, as_tensor, masked_mae, masked_mse
+from ..autodiff import Tensor, as_tensor, masked_mae
 from .module import Module
 
-__all__ = [
-    "MAELoss",
-    "MSELoss",
-    "MaskedMAELoss",
-    "MaskedMSELoss",
-    "ImputationConsistencyLoss",
-    "JointLoss",
-]
-
-
-class MAELoss(Module):
-    """Plain mean absolute error."""
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        return (pred - as_tensor(target)).abs().mean()
-
-
-class MSELoss(Module):
-    """Plain mean squared error."""
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        diff = pred - as_tensor(target)
-        return (diff * diff).mean()
+__all__ = ["MaskedMAELoss", "ImputationConsistencyLoss", "JointLoss"]
 
 
 class MaskedMAELoss(Module):
@@ -46,13 +24,6 @@ class MaskedMAELoss(Module):
 
     def forward(self, pred: Tensor, target, mask) -> Tensor:
         return masked_mae(pred, target, mask)
-
-
-class MaskedMSELoss(Module):
-    """MSE restricted to entries where ``mask == 1``."""
-
-    def forward(self, pred: Tensor, target, mask) -> Tensor:
-        return masked_mse(pred, target, mask)
 
 
 class ImputationConsistencyLoss(Module):

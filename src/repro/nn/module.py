@@ -1,8 +1,8 @@
 """Module/Parameter abstractions mirroring the familiar torch.nn API surface.
 
 The paper's models (RIHGCN and all learned baselines) are expressed as
-compositions of Modules so that parameter collection, train/eval switching
-and state (de)serialization work uniformly across the whole model zoo.
+compositions of Modules so that parameter collection and state
+(de)serialization work uniformly across the whole model zoo.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from ..autodiff import Tensor, default_dtype
 from ..errors import MissingParameterError, ShapeMismatchError
 
 __all__ = ["Parameter", "Module"]
+
+
+def _and_more(found: list) -> str:
+    return f" (and {len(found) - 1} more)" if len(found) > 1 else ""
 
 
 class Parameter(Tensor):
@@ -42,14 +46,15 @@ class Module:
     """Base class for all neural network modules.
 
     Subclasses assign :class:`Parameter` and :class:`Module` instances as
-    attributes; they are discovered automatically for
-    :meth:`parameters`, :meth:`state_dict` and train/eval propagation.
+    attributes; they are discovered automatically for :meth:`parameters`
+    and :meth:`state_dict`. Modules hold no train/eval mode: no layer
+    behaves differently at inference, and gradient recording is switched
+    by :func:`repro.autodiff.no_grad` instead.
     """
 
     def __init__(self):
         self._parameters: "OrderedDict[str, Parameter]" = OrderedDict()
         self._modules: "OrderedDict[str, Module]" = OrderedDict()
-        self.training: bool = True
 
     # ------------------------------------------------------------------
     # Attribute registration
@@ -100,19 +105,6 @@ class Module:
             param.grad = None
 
     # ------------------------------------------------------------------
-    # Mode switching
-    # ------------------------------------------------------------------
-    def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects e.g. Dropout)."""
-        for module in self.modules():
-            module.training = mode
-        return self
-
-    def eval(self) -> "Module":
-        """Set evaluation mode recursively."""
-        return self.train(False)
-
-    # ------------------------------------------------------------------
     # State (de)serialization
     # ------------------------------------------------------------------
     def state_dict(self) -> "OrderedDict[str, np.ndarray]":
@@ -124,34 +116,44 @@ class Module:
     def load_state_dict(self, state: dict) -> None:
         """Load parameter values saved by :meth:`state_dict`.
 
-        Raises :class:`~repro.errors.MissingParameterError` on missing
-        entries and :class:`~repro.errors.ShapeMismatchError` on shape
-        mismatch (``KeyError``/``ValueError`` compatible for one
-        release) so silent weight corruption cannot happen. Values whose
-        float dtype differs from the parameter's (e.g. a float64
-        checkpoint loaded under the float32 policy) are cast, with a
-        single warning naming the conversion.
+        Every entry is checked before any parameter changes, so a failed
+        load leaves the model as it was. A missing entry raises
+        :class:`~repro.errors.MissingParameterError` and a wrong shape
+        :class:`~repro.errors.ShapeMismatchError`; each names the first
+        offending parameter and how many more are affected. Values whose
+        float dtype differs from the parameter's (e.g. a float64 state
+        loaded under the float32 policy) are cast, with a single warning
+        naming the conversion.
         """
+        expected = list(self.named_parameters())
+        missing = [name for name, _param in expected if name not in state]
+        if missing:
+            raise MissingParameterError(
+                f"state_dict is missing parameter {missing[0]!r}" + _and_more(missing)
+            )
+        values = {name: np.asarray(state[name]) for name, _param in expected}
+        mismatched = [
+            (name, param.shape, values[name].shape)
+            for name, param in expected
+            if values[name].shape != param.shape
+        ]
+        if mismatched:
+            name, want, got = mismatched[0]
+            raise ShapeMismatchError(
+                f"shape mismatch for {name!r}: expected {want}, got {got}"
+                + _and_more(mismatched)
+            )
         cast_from: set[str] = set()
-        for name, param in self.named_parameters():
-            if name not in state:
-                raise MissingParameterError(
-                    f"state_dict is missing parameter {name!r}"
-                )
-            value = np.asarray(state[name])
-            if value.shape != param.shape:
-                raise ShapeMismatchError(
-                    f"shape mismatch for {name!r}: "
-                    f"expected {param.shape}, got {value.shape}"
-                )
+        for name, param in expected:
+            value = values[name]
             if value.dtype.kind == "f" and value.dtype != param.data.dtype:
                 cast_from.add(f"{value.dtype}->{param.data.dtype}")
             param.data = value.astype(param.data.dtype).copy()
         if cast_from:
             warnings.warn(
                 "load_state_dict cast parameter dtypes "
-                f"({', '.join(sorted(cast_from))}); the checkpoint was "
-                "saved under a different dtype policy — re-save it to "
+                f"({', '.join(sorted(cast_from))}); the weights were "
+                "saved under a different dtype policy — re-export them to "
                 "silence this",
                 UserWarning,
                 stacklevel=2,

@@ -1,25 +1,12 @@
-"""Optimizers, gradient clipping, schedulers and early stopping."""
+"""Optimizers, gradient clipping and early stopping."""
 
 from .adam import Adam
-from .optimizer import Optimizer, clip_grad_norm, clip_grad_value
-from .scheduler import (
-    CosineAnnealingLR,
-    EarlyStopping,
-    ExponentialLR,
-    ReduceLROnPlateau,
-    StepLR,
-)
-from .sgd import SGD
+from .optimizer import Optimizer, clip_grad_norm
+from .scheduler import EarlyStopping
 
 __all__ = [
     "Optimizer",
     "Adam",
-    "SGD",
     "clip_grad_norm",
-    "clip_grad_value",
-    "StepLR",
-    "ExponentialLR",
-    "CosineAnnealingLR",
-    "ReduceLROnPlateau",
     "EarlyStopping",
 ]

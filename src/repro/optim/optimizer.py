@@ -8,7 +8,7 @@ import numpy as np
 
 from ..nn.module import Parameter
 
-__all__ = ["Optimizer", "clip_grad_norm", "clip_grad_value"]
+__all__ = ["Optimizer", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -50,10 +50,3 @@ def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
         for p in params:
             p.grad = p.grad * scale
     return total
-
-
-def clip_grad_value(params: Iterable[Parameter], clip_value: float) -> None:
-    """Clamp each gradient element to ``[-clip_value, clip_value]``."""
-    for p in params:
-        if p.grad is not None:
-            np.clip(p.grad, -clip_value, clip_value, out=p.grad)

@@ -1,102 +1,10 @@
-"""Learning-rate schedulers and early stopping."""
+"""Early stopping on the validation loss."""
 
 from __future__ import annotations
 
 import math
 
-from .optimizer import Optimizer
-
-__all__ = ["StepLR", "ExponentialLR", "CosineAnnealingLR", "ReduceLROnPlateau", "EarlyStopping"]
-
-
-class _Scheduler:
-    """Base: remembers the initial lr and the epoch counter."""
-
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> float:
-        """Advance one epoch; returns the new learning rate."""
-        self.epoch += 1
-        self.optimizer.lr = self._lr_at(self.epoch)
-        return self.optimizer.lr
-
-    def _lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(_Scheduler):
-    """Multiply lr by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        if step_size < 1:
-            raise ValueError(f"step_size must be >= 1, got {step_size}")
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** (epoch // self.step_size)
-
-
-class ExponentialLR(_Scheduler):
-    """Multiply lr by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
-        super().__init__(optimizer)
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * self.gamma ** epoch
-
-
-class CosineAnnealingLR(_Scheduler):
-    """Cosine decay from the base lr to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        if t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {t_max}")
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def _lr_at(self, epoch: int) -> float:
-        frac = min(epoch, self.t_max) / self.t_max
-        return self.eta_min + 0.5 * (self.base_lr - self.eta_min) * (1 + math.cos(math.pi * frac))
-
-
-class ReduceLROnPlateau:
-    """Halve (by ``factor``) the lr when a monitored metric stops improving."""
-
-    def __init__(
-        self,
-        optimizer: Optimizer,
-        factor: float = 0.5,
-        patience: int = 3,
-        min_lr: float = 1e-6,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        self.optimizer = optimizer
-        self.factor = factor
-        self.patience = patience
-        self.min_lr = min_lr
-        self.best = math.inf
-        self.bad_epochs = 0
-
-    def step(self, metric: float) -> float:
-        """Report the latest validation metric; returns the (new) lr."""
-        if metric < self.best - 1e-12:
-            self.best = metric
-            self.bad_epochs = 0
-        else:
-            self.bad_epochs += 1
-            if self.bad_epochs > self.patience:
-                self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
-                self.bad_epochs = 0
-        return self.optimizer.lr
+__all__ = ["EarlyStopping"]
 
 
 class EarlyStopping:

@@ -188,7 +188,7 @@ class ChaosModel:
     """A forecaster whose forwards misbehave according to a plan.
 
     Wraps any model the engine accepts; attribute access (shapes,
-    ``eval``, parameters) passes through, only ``__call__`` injects
+    parameters) passes through, only ``__call__`` injects
     latency, :class:`~repro.errors.InjectedFault` throws, and NaN
     poisoning of the prediction (which the engine's output validation
     must catch and degrade on).
@@ -201,14 +201,6 @@ class ChaosModel:
 
     def __getattr__(self, name):
         return getattr(self._model, name)
-
-    def eval(self):
-        self._model.eval()
-        return self
-
-    def train(self, mode: bool = True):
-        self._model.train(mode)
-        return self
 
     def plan_inputs(self, x, m, steps_of_day):
         # A compiled plan would replay the bare forward and route around

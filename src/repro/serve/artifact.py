@@ -24,13 +24,7 @@ import numpy as np
 from ..autodiff import default_dtype
 from ..codec import from_dict, to_dict
 from ..datasets import ZScoreScaler
-from ..errors import (
-    BundleFormatError,
-    BundleModelError,
-    MissingParameterError,
-    QuantizationError,
-    ShapeMismatchError,
-)
+from ..errors import BundleFormatError, BundleModelError, CheckpointError, QuantizationError
 from ..experiments.config import DataConfig, ModelConfig
 from ..experiments.registry import NEURAL_MODELS
 from ..graphs import HeterogeneousGraphSet, TimelinePartition
@@ -543,27 +537,10 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
         for name, value in arrays.items()
         if name.startswith(_PARAM_PREFIX)
     }
-    expected = list(model.named_parameters())
-    missing = [name for name, _param in expected if name not in state]
-    if missing:
-        raise MissingParameterError(
-            f"bundle {npz_path!r} is missing parameter {missing[0]!r}"
-            + (f" (and {len(missing) - 1} more)" if len(missing) > 1 else "")
-        )
-    mismatched = [
-        (name, param.shape, state[name].shape)
-        for name, param in expected
-        if state[name].shape != param.shape
-    ]
-    if mismatched:
-        name, want, got = mismatched[0]
-        raise ShapeMismatchError(
-            f"bundle {npz_path!r} has shape {got} for parameter {name!r}, "
-            f"rebuilt model expects {want}"
-            + (f" (and {len(mismatched) - 1} more mismatches)" if len(mismatched) > 1 else "")
-        )
-    model.load_state_dict(state)
-    model.eval()
+    try:
+        model.load_state_dict(state)
+    except CheckpointError as exc:
+        raise type(exc)(f"bundle {npz_path!r}: {exc}") from None
 
     scaler = ZScoreScaler(per_node=header["scaler"]["per_node"])
     # A bundle exported under another dtype policy serves under this one:

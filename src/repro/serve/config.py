@@ -262,14 +262,3 @@ class FleetConfig:
             default=config,
             tenants=(TenantConfig(name=DEFAULT_TENANT, bundle=bundle),),
         )
-
-    def tenant(self, name: str) -> TenantConfig:
-        for entry in self.tenants:
-            if entry.name == name:
-                return entry
-        raise ConfigError(f"no tenant named {name!r} in the fleet")
-
-    def config_for(self, name: str) -> ServeConfig:
-        """The effective ServeConfig for ``name`` (tenant override or base)."""
-        entry = self.tenant(name)
-        return entry.config if entry.config is not None else self.default

@@ -174,7 +174,7 @@ class ForecastEngine:
                 f"store window length {store.input_length} != "
                 f"model input length {model.input_length}"
             )
-        self.model = model.eval()
+        self.model = model
         self.scaler = scaler
         self.store = store
         self.max_batch_size = max_batch_size

@@ -382,28 +382,3 @@ class StateStore:
             self._last_seen = np.asarray(payload["last_seen"], dtype=np.int64)
             self._seen_ever = np.asarray(payload["seen_ever"], dtype=bool)
             self._version = max(self._version, int(payload["version"])) + 1
-
-    def load_history(
-        self, data: np.ndarray, mask: np.ndarray | None = None,
-        end_step: int | None = None,
-    ) -> None:
-        """Bulk-prime the store from offline arrays ``(T, N, D)``.
-
-        The last ``input_length`` rows land in the ring with the final
-        row at ``end_step`` (default: ``start + T - 1``). Used to warm a
-        server from the tail of a recorded feed before going live.
-        """
-        data = np.asarray(data, dtype=default_dtype())
-        if data.ndim != 3 or data.shape[1:] != (self.num_nodes, self.num_features):
-            raise StateError(
-                f"history must be (T, {self.num_nodes}, {self.num_features}), "
-                f"got {data.shape}"
-            )
-        if mask is None:
-            mask = np.ones_like(data)
-        total = data.shape[0]
-        if end_step is None:
-            end_step = self._start_step + total - 1
-        first = max(0, total - self.input_length)
-        for offset in range(first, total):
-            self.observe(end_step - (total - 1 - offset), data[offset], mask[offset])

@@ -26,7 +26,7 @@ Five layers, usable independently:
   the Prometheus scrape format (:func:`render_prometheus`);
 * :mod:`repro.telemetry.profiler` — an autodiff op profiler that hooks
   ``Tensor`` op dispatch and reports per-op counts, forward/backward
-  wall time and allocation sizes (:func:`profile_report`);
+  wall time and allocation sizes (:meth:`OpProfiler.report`);
 * :mod:`repro.telemetry.callbacks` — the ``Trainer`` event bus
   (:class:`Callback`) with built-in :class:`EpochLogger`,
   :class:`JSONLRunRecorder`, :class:`Profiler` and :class:`TraceSpans`
@@ -52,7 +52,7 @@ from .distributed import (
     merge_trace_payloads,
     parse_traceparent,
 )
-from .profiler import OpProfiler, OpStats, active_profiler, profile, profile_report
+from .profiler import OpProfiler, OpStats, profile
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import escape_label_value, label_block, render_prometheus
 from .quality import QualityMonitor, QualityReport, QualityThresholds
@@ -129,8 +129,6 @@ __all__ = [
     "OpProfiler",
     "OpStats",
     "profile",
-    "profile_report",
-    "active_profiler",
     "Callback",
     "CallbackList",
     "EpochLogger",

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 from ..autodiff import tensor as _tensor_mod
 from ..autodiff.tensor import Tensor
 
-__all__ = ["OpStats", "OpProfiler", "profile", "profile_report", "active_profiler"]
+__all__ = ["OpStats", "OpProfiler", "profile"]
 
 
 @dataclass
@@ -107,12 +107,6 @@ _FREE_FUNCTION_OPS: dict[str, str] = {
 }
 
 _ACTIVE: "OpProfiler | None" = None
-_LAST: "OpProfiler | None" = None
-
-
-def active_profiler() -> "OpProfiler | None":
-    """The currently installed profiler, if any."""
-    return _ACTIVE
 
 
 class OpProfiler:
@@ -140,12 +134,12 @@ class OpProfiler:
 
     # -- installation --------------------------------------------------
     def activate(self) -> "OpProfiler":
-        global _ACTIVE, _LAST
+        global _ACTIVE
         if _ACTIVE is self:
             return self
         if _ACTIVE is not None:
             raise RuntimeError("another OpProfiler is already active")
-        _ACTIVE = _LAST = self
+        _ACTIVE = self
         self._install_make_hook()
         self._install_forward_shims()
         return self
@@ -294,10 +288,3 @@ def profile(clock: Callable[[], float] = time.perf_counter) -> Iterator[OpProfil
     finally:
         prof.deactivate()
 
-
-def profile_report(top: int | None = None, sort_by: str = "total_seconds") -> str:
-    """Hotspot table of the active (or most recently active) profiler."""
-    prof = _ACTIVE or _LAST
-    if prof is None:
-        return "(no profiling data: no OpProfiler has been activated)"
-    return prof.report(top=top, sort_by=sort_by)

@@ -247,11 +247,6 @@ class QualityMonitor:
         reg.gauge(self._name("quality/cold_resets")).set(report.cold_resets)
 
     # ------------------------------------------------------------------
-    @property
-    def last_report(self) -> QualityReport | None:
-        """The most recent :meth:`update` result (``None`` before any)."""
-        return self._last
-
     def verdict(self) -> dict:
         """JSON-ready summary of the latest report (healthy before any)."""
         if self._last is None:

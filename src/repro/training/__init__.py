@@ -1,7 +1,6 @@
 """Training loop and evaluation metrics."""
 
 from ..telemetry.callbacks import Callback, EpochLogger, JSONLRunRecorder, Profiler
-from .cross_validation import FoldResult, RollingOriginCV, rolling_origin_folds
 from .evaluation import error_by_missingness, per_node_metrics, per_step_metrics
 from .metrics import (
     MetricPair,
@@ -11,7 +10,6 @@ from .metrics import (
     masked_rmse,
     rmse,
 )
-from .rolling import ForecastTrace, rolling_forecast
 from .trainer import EvalReport, Trainer, TrainerConfig, TrainingHistory
 
 __all__ = [
@@ -32,9 +30,4 @@ __all__ = [
     "per_step_metrics",
     "per_node_metrics",
     "error_by_missingness",
-    "ForecastTrace",
-    "rolling_forecast",
-    "FoldResult",
-    "RollingOriginCV",
-    "rolling_origin_folds",
 ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,27 +71,13 @@ class TrainingHistory:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Structured result of :meth:`Trainer.evaluate`.
-
-    Iterates (and indexes) as the legacy ``(mae, rmse)`` 2-tuple, so
-    ``mae, rmse = trainer.evaluate(...)`` keeps working; the extra
-    fields are attribute-only.
-    """
+    """Structured result of :meth:`Trainer.evaluate`."""
 
     mae: float
     rmse: float
     mape: float
     num_observed: int
     horizon: int
-
-    def __iter__(self) -> Iterator[float]:
-        return iter((self.mae, self.rmse))
-
-    def __getitem__(self, index):
-        return (self.mae, self.rmse)[index]
-
-    def __len__(self) -> int:
-        return 2
 
     def as_dict(self) -> dict:
         return {
@@ -180,7 +166,6 @@ class Trainer:
         for epoch in range(cfg.max_epochs):
             start = time.perf_counter()
             cbs.epoch_start(self, epoch)
-            self.model.train()
             epoch_losses = []
             epoch_norms = []
             for batch_index, batch in enumerate(loader):
@@ -239,7 +224,6 @@ class Trainer:
                 "Trainer.evaluate_loss received an empty WindowSet (0 windows); "
                 "the mean loss over zero batches is undefined"
             )
-        self.model.eval()
         loader = BatchLoader(
             windows, batch_size=self.config.batch_size, shuffle=False
         )
@@ -251,7 +235,6 @@ class Trainer:
 
     def predict(self, windows: WindowSet) -> np.ndarray:
         """Batched inference: stacked predictions ``(B, T_out, N, D_out)``."""
-        self.model.eval()
         loader = BatchLoader(
             windows, batch_size=self.config.batch_size, shuffle=False
         )
@@ -267,9 +250,9 @@ class Trainer:
     ) -> EvalReport:
         """Score a window set; returns an :class:`EvalReport`.
 
-        The report unpacks as the legacy ``(mae, rmse)`` tuple and adds
-        ``mape`` (percent, observed near-zero targets excluded),
-        ``num_observed`` (scored entries) and ``horizon`` (output steps).
+        The report carries ``mae``, ``rmse``, ``mape`` (percent, observed
+        near-zero targets excluded), ``num_observed`` (scored entries) and
+        ``horizon`` (output steps).
         ``scaler`` is a fitted :class:`~repro.datasets.ZScoreScaler`; when
         given, predictions and targets are inverse-transformed first.
         ``target_feature`` restricts metrics to one channel (e.g. average

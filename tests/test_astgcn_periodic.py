@@ -1,5 +1,7 @@
 """Tests for the daily-periodic windows and the multi-branch ASTGCN."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -49,7 +51,9 @@ class TestDailyWindows:
         w = make_windows(dataset, 6, 4, stride=8, daily_segments=1)
         sub = w.subset(np.array([0, 1]))
         assert sub.x_daily.shape[0] == 2
-        short = w.truncate_horizon(2)
+        short = replace(w, y=w.y[:, :2], y_mask=w.y_mask[:, :2],
+                        horizon_steps=w.horizon_steps[:2])
+        assert short.output_length == 2
         assert short.x_daily is not None
 
     def test_daily_fields_must_pair(self, dataset):

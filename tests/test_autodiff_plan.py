@@ -93,7 +93,7 @@ def test_replay_bitwise_equals_eager_model(batch, nodes, seed):
     model = gcn_lstm(
         input_length=4, output_length=2, num_nodes=nodes, num_features=2,
         adjacency=adjacency, embed_dim=3, hidden_dim=4, seed=seed,
-    ).eval()
+    )
     x = rng.standard_normal((batch, 4, nodes, 2)).astype(np.float32)
     inputs, signature = model.plan_inputs(x, None, None)
     assert signature == ()
@@ -198,7 +198,7 @@ class TestReplay:
         model = gcn_lstm(
             input_length=4, output_length=2, num_nodes=3, num_features=2,
             adjacency=adjacency, embed_dim=3, hidden_dim=4, seed=0,
-        ).eval()
+        )
         inputs, _sig = model.plan_inputs(
             rng.standard_normal((1, 4, 3, 2)).astype(np.float32), None, None
         )

@@ -175,17 +175,6 @@ class TestWindows:
         w = make_windows(dataset, 12, 6, target_features=[0])
         assert w.y.shape[-1] == 1
 
-    def test_truncate_horizon(self, dataset):
-        w = make_windows(dataset, 12, 12)
-        short = w.truncate_horizon(3)
-        assert short.output_length == 3
-        assert np.allclose(short.y, w.y[:, :3])
-
-    def test_truncate_validates(self, dataset):
-        w = make_windows(dataset, 12, 6)
-        with pytest.raises(ValueError):
-            w.truncate_horizon(7)
-
     def test_subset(self, dataset):
         w = make_windows(dataset, 12, 6)
         sub = w.subset(np.array([0, 2]))

@@ -299,7 +299,6 @@ class TestBundleDtype:
         )
 
         online = bundle.make_engine(store=store).forecast().prediction
-        model.eval()
         out = model(
             tiny_ctx.test_windows.x[:1],
             tiny_ctx.test_windows.m[:1],

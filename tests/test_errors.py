@@ -89,13 +89,6 @@ class TestMigratedRaises:
         with pytest.raises(ShapeMismatchError):
             layer.load_state_dict(state)
 
-    def test_checkpoint_load_raises_typed_errors(self, tmp_path):
-        from repro.nn import Linear, load_checkpoint, save_checkpoint
-
-        path = save_checkpoint(Linear(2, 3), str(tmp_path / "ckpt"))
-        with pytest.raises(ShapeMismatchError):
-            load_checkpoint(Linear(4, 5), path)
-
     def test_store_rejects_bad_shape_as_state_error(self):
         from repro.serve import StateStore
 

@@ -1,7 +1,6 @@
 """Tests for the paper's mentioned extensions implemented here:
-circular timeline partition (Section III-D2 future work), weekday/weekend
-temporal graphs, merged heterogeneous graph, and the attention
-aggregation head (Section III-F alternative)."""
+circular timeline partition (Section III-D2 future work) and the
+attention aggregation head (Section III-F alternative)."""
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from repro.graphs import (
     TimelinePartition,
     TimelinePartitioner,
     build_temporal_graphs,
-    build_weekly_temporal_graphs,
     wrap_slice,
 )
 from repro.models import fc_lstm_i
@@ -97,60 +95,6 @@ class TestCircularPartition:
         graphs = build_temporal_graphs(data, None, part, downsample_to=6)
         assert len(graphs) == 3
         assert all(np.isfinite(g).all() for g in graphs)
-
-
-class TestWeeklyGraphs:
-    def test_weekday_weekend_split(self):
-        steps_per_day, days = 48, 7
-        data = midnight_block_data(steps_per_day, days)
-        dow = np.repeat(np.arange(days) % 7, steps_per_day)
-        part = TimelinePartition(boundaries=(0, 24), steps_per_day=steps_per_day)
-        out = build_weekly_temporal_graphs(data, None, part, dow,
-                                           downsample_to=6)
-        assert set(out) == {"weekday", "weekend"}
-        assert len(out["weekday"]) == 2
-        assert len(out["weekend"]) == 2
-
-    def test_length_mismatch(self):
-        data = midnight_block_data()
-        part = TimelinePartition(boundaries=(0, 24), steps_per_day=48)
-        with pytest.raises(ValueError):
-            build_weekly_temporal_graphs(data, None, part, np.zeros(3))
-
-    def test_no_weekend_days_raises(self):
-        steps_per_day, days = 48, 3
-        data = midnight_block_data(steps_per_day, days)
-        dow = np.repeat([0, 1, 2], steps_per_day)  # no weekend present
-        part = TimelinePartition(boundaries=(0, 24), steps_per_day=steps_per_day)
-        with pytest.raises(ValueError):
-            build_weekly_temporal_graphs(data, None, part, dow)
-
-
-class TestMergedAdjacency:
-    def _graph_set(self):
-        from repro.graphs import HeterogeneousGraphSet
-
-        part = TimelinePartition(boundaries=(0, 24), steps_per_day=48)
-        geo = np.array([[0.0, 1.0], [1.0, 0.0]])
-        temporal = [np.array([[0.0, 0.5], [0.5, 0.0]]),
-                    np.array([[0.0, 0.1], [0.1, 0.0]])]
-        return HeterogeneousGraphSet(geographic=geo, temporal=temporal,
-                                     partition=part)
-
-    def test_uniform_merge(self):
-        hg = self._graph_set()
-        merged = hg.merged_adjacency()
-        assert merged[0, 1] == pytest.approx((1.0 + 0.5 + 0.1) / 3.0)
-
-    def test_weighted_merge(self):
-        hg = self._graph_set()
-        merged = hg.merged_adjacency(np.array([1.0, 0.0, 0.0]))
-        assert merged[0, 1] == pytest.approx(1.0)
-
-    def test_weight_count_validated(self):
-        hg = self._graph_set()
-        with pytest.raises(ValueError):
-            hg.merged_adjacency(np.array([1.0, 2.0]))
 
 
 class TestAttentionHead:

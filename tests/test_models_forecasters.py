@@ -295,7 +295,6 @@ class TestRecurrentImputationForecaster:
     def test_eval_inference_is_deterministic(self, env):
         _m, windows, *_ = env
         model = self._model(env)
-        model.eval()
         with no_grad():
             a = model(windows.x[:2], windows.m[:2], windows.steps_of_day[:2])
             b = model(windows.x[:2], windows.m[:2], windows.steps_of_day[:2])

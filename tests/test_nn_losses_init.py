@@ -1,33 +1,25 @@
-"""Tests for loss modules and weight initializers."""
+"""Tests for losses and weight initializers."""
 
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, default_dtype, dtype_policy
-from repro.nn import (
-    ImputationConsistencyLoss,
-    JointLoss,
-    MAELoss,
-    MaskedMAELoss,
-    MaskedMSELoss,
-    MSELoss,
-    init,
-)
+from repro.autodiff import Tensor, default_dtype, dtype_policy, mae, masked_mse, mse
+from repro.nn import ImputationConsistencyLoss, JointLoss, MaskedMAELoss, init
 
 
 class TestBasicLosses:
     def test_mae_value(self):
-        loss = MAELoss()(Tensor([1.0, 3.0]), np.array([2.0, 1.0]))
+        loss = mae(Tensor([1.0, 3.0]), np.array([2.0, 1.0]))
         assert loss.item() == pytest.approx(1.5)
 
     def test_mse_value(self):
-        loss = MSELoss()(Tensor([1.0, 3.0]), np.array([2.0, 1.0]))
+        loss = mse(Tensor([1.0, 3.0]), np.array([2.0, 1.0]))
         assert loss.item() == pytest.approx(2.5)
 
     def test_zero_at_perfect_prediction(self):
         x = np.random.default_rng(0).normal(size=(4, 5))
-        assert MAELoss()(Tensor(x), x).item() == pytest.approx(0.0)
-        assert MSELoss()(Tensor(x), x).item() == pytest.approx(0.0)
+        assert mae(Tensor(x), x).item() == pytest.approx(0.0)
+        assert mse(Tensor(x), x).item() == pytest.approx(0.0)
 
 
 class TestMaskedLosses:
@@ -41,7 +33,7 @@ class TestMaskedLosses:
         pred = Tensor([2.0, 100.0])
         target = np.array([0.0, 0.0])
         mask = np.array([1.0, 0.0])
-        assert MaskedMSELoss()(pred, target, mask).item() == pytest.approx(4.0)
+        assert masked_mse(pred, target, mask).item() == pytest.approx(4.0)
 
     def test_empty_mask_is_safe(self):
         pred = Tensor([1.0, 2.0])
@@ -130,7 +122,7 @@ class TestInitializers:
     def test_shapes(self):
         rng = np.random.default_rng(0)
         assert init.xavier_uniform((3, 4), rng).shape == (3, 4)
-        assert init.kaiming_normal((3, 4), rng).shape == (3, 4)
+        assert init.normal((3, 4), rng).shape == (3, 4)
         assert init.zeros((5,)).shape == (5,)
         assert np.allclose(init.ones((2,)), 1.0)
 
@@ -139,12 +131,6 @@ class TestInitializers:
         w = init.xavier_uniform((100, 100), rng)
         bound = np.sqrt(6.0 / 200)
         assert np.abs(w).max() <= bound
-
-    def test_xavier_normal_std(self):
-        rng = np.random.default_rng(0)
-        w = init.xavier_normal((500, 500), rng)
-        expected = np.sqrt(2.0 / 1000)
-        assert w.std() == pytest.approx(expected, rel=0.1)
 
     def test_fan_requires_two_dims(self):
         with pytest.raises(ValueError):
@@ -174,6 +160,6 @@ class TestInitializers:
             init.orthogonal((4,), np.random.default_rng(0))
 
     def test_deterministic_given_seed(self):
-        w1 = init.kaiming_uniform((3, 3), np.random.default_rng(7))
-        w2 = init.kaiming_uniform((3, 3), np.random.default_rng(7))
+        w1 = init.xavier_uniform((3, 3), np.random.default_rng(7))
+        w2 = init.xavier_uniform((3, 3), np.random.default_rng(7))
         assert np.allclose(w1, w2)

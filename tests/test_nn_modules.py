@@ -1,23 +1,11 @@
-"""Unit tests for Module mechanics, Linear/MLP, activations, dropout."""
+"""Unit tests for Module mechanics, Linear/MLP and containers."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
 from repro.errors import MissingParameterError, ShapeMismatchError
-from repro.nn import (
-    MLP,
-    Dropout,
-    LeakyReLU,
-    Linear,
-    Module,
-    ModuleList,
-    ReLU,
-    Sequential,
-    Sigmoid,
-    Softmax,
-    Tanh,
-)
+from repro.nn import MLP, Linear, Module, ModuleList
 
 
 class TestModuleMechanics:
@@ -56,12 +44,17 @@ class TestModuleMechanics:
         layer.zero_grad()
         assert layer.weight.grad is None
 
-    def test_train_eval_propagates(self):
-        net = Sequential(Linear(2, 2, rng=np.random.default_rng(0)), Dropout(0.5))
-        net.eval()
-        assert all(not m.training for m in net.modules())
-        net.train()
-        assert all(m.training for m in net.modules())
+    def test_nested_state_dict_roundtrip(self):
+        def net(seed):
+            rng = np.random.default_rng(seed)
+            return ModuleList([Linear(2, 2, rng=rng), Linear(2, 1, rng=rng)])
+
+        a, b = net(0), net(9)
+        state = a.state_dict()
+        assert list(state) == ["0.weight", "0.bias", "1.weight", "1.bias"]
+        b.load_state_dict(state)
+        for (_n1, p1), (_n2, p2) in zip(a.named_parameters(), b.named_parameters()):
+            np.testing.assert_array_equal(p1.data, p2.data)
 
     def test_state_dict_roundtrip(self):
         a = Linear(3, 4, rng=np.random.default_rng(0))
@@ -81,6 +74,25 @@ class TestModuleMechanics:
         with pytest.raises(ShapeMismatchError):
             layer.load_state_dict(state)
 
+    def test_load_state_dict_errors_name_first_offender_and_count(self):
+        net = ModuleList([Linear(2, 2, rng=np.random.default_rng(0)) for _ in range(2)])
+        with pytest.raises(MissingParameterError, match=r"'0\.weight' \(and 3 more\)"):
+            net.load_state_dict({})
+        wrong = {name: np.zeros((3, 3)) for name in net.state_dict()}
+        with pytest.raises(ShapeMismatchError) as excinfo:
+            net.load_state_dict(wrong)
+        message = str(excinfo.value)
+        assert "'0.weight'" in message and "(2, 2)" in message and "(3, 3)" in message
+        assert "(and 3 more)" in message
+
+    def test_failed_load_leaves_parameters_untouched(self):
+        layer = Linear(2, 2, rng=np.random.default_rng(0))
+        before = layer.state_dict()
+        state = {"weight": np.zeros((2, 2)), "bias": np.zeros(3)}
+        with pytest.raises(ShapeMismatchError):
+            layer.load_state_dict(state)
+        np.testing.assert_array_equal(layer.weight.data, before["weight"])
+
     def test_state_dict_is_a_copy(self):
         layer = Linear(2, 2, rng=np.random.default_rng(0))
         state = layer.state_dict()
@@ -88,7 +100,7 @@ class TestModuleMechanics:
         assert not np.allclose(layer.weight.data, 99.0)
 
     def test_repr_contains_children(self):
-        net = Sequential(Linear(2, 2, rng=np.random.default_rng(0)))
+        net = ModuleList([Linear(2, 2, rng=np.random.default_rng(0))])
         assert "Linear" in repr(net)
 
 
@@ -139,68 +151,7 @@ class TestMLP:
         assert np.allclose(out.data, 0.0)
 
 
-class TestActivations:
-    def test_relu_module(self):
-        assert np.allclose(ReLU()(Tensor([-1.0, 2.0])).data, [0.0, 2.0])
-
-    def test_tanh_module(self):
-        assert np.allclose(Tanh()(Tensor([0.0])).data, [0.0])
-
-    def test_sigmoid_module(self):
-        assert np.allclose(Sigmoid()(Tensor([0.0])).data, [0.5])
-
-    def test_leaky_relu(self):
-        out = LeakyReLU(0.1)(Tensor([-10.0, 10.0]))
-        assert np.allclose(out.data, [-1.0, 10.0])
-
-    def test_softmax_module(self):
-        out = Softmax(axis=-1)(Tensor([[1.0, 1.0]]))
-        assert np.allclose(out.data, [[0.5, 0.5]])
-
-
-class TestDropout:
-    def test_eval_mode_identity(self):
-        drop = Dropout(0.9, rng=np.random.default_rng(0))
-        drop.eval()
-        x = Tensor(np.ones((100,)))
-        assert np.allclose(drop(x).data, 1.0)
-
-    def test_train_mode_zeroes_and_scales(self):
-        drop = Dropout(0.5, rng=np.random.default_rng(0))
-        out = drop(Tensor(np.ones((10000,)))).data
-        zero_fraction = (out == 0).mean()
-        assert 0.45 < zero_fraction < 0.55
-        # Survivors are scaled by 1/(1-p) = 2.
-        assert np.allclose(out[out != 0], 2.0)
-
-    def test_expected_value_preserved(self):
-        drop = Dropout(0.3, rng=np.random.default_rng(1))
-        out = drop(Tensor(np.ones((50000,)))).data
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_invalid_probability(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0)
-
-    def test_zero_probability_identity(self):
-        drop = Dropout(0.0)
-        x = Tensor(np.ones((5,)))
-        assert drop(x) is x
-
-
 class TestContainers:
-    def test_sequential_chains(self):
-        rng = np.random.default_rng(0)
-        net = Sequential(Linear(2, 3, rng=rng), ReLU(), Linear(3, 1, rng=rng))
-        assert net(Tensor(np.zeros((4, 2)))).shape == (4, 1)
-        assert len(net) == 3
-        assert isinstance(net[1], ReLU)
-
-    def test_sequential_registers_parameters(self):
-        rng = np.random.default_rng(0)
-        net = Sequential(Linear(2, 3, rng=rng), Linear(3, 1, rng=rng))
-        assert len(list(net.parameters())) == 4
-
     def test_module_list_indexing_and_iter(self):
         rng = np.random.default_rng(0)
         ml = ModuleList([Linear(2, 2, rng=rng) for _ in range(3)])

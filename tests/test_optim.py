@@ -1,21 +1,11 @@
-"""Tests for optimizers, clipping, schedulers and early stopping."""
+"""Tests for the optimizer, gradient clipping and early stopping."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor, mse
 from repro.nn import Linear, Parameter
-from repro.optim import (
-    SGD,
-    Adam,
-    CosineAnnealingLR,
-    EarlyStopping,
-    ExponentialLR,
-    ReduceLROnPlateau,
-    StepLR,
-    clip_grad_norm,
-    clip_grad_value,
-)
+from repro.optim import Adam, EarlyStopping, clip_grad_norm
 
 
 def quadratic_params(seed=0):
@@ -84,39 +74,6 @@ class TestAdam:
         assert np.allclose(layer.weight.data, true_w, atol=0.05)
 
 
-class TestSGD:
-    def test_minimizes_quadratic(self):
-        p = quadratic_params()
-        opt = SGD([p], lr=0.05, momentum=0.9)
-        for _ in range(200):
-            opt.zero_grad()
-            (p * p).sum().backward()
-            opt.step()
-        assert np.abs(p.data).max() < 1e-3
-
-    def test_plain_sgd_step_is_lr_times_grad(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1)
-        opt.zero_grad()
-        (p * 3.0).sum().backward()
-        opt.step()
-        assert p.data[0] == pytest.approx(1.0 - 0.3)
-
-    def test_momentum_accumulates(self):
-        p = Parameter(np.array([0.0]))
-        opt = SGD([p], lr=0.1, momentum=0.5)
-        for _ in range(2):
-            opt.zero_grad()
-            (p * 1.0).sum().backward()
-            opt.step()
-        # step1: v=1 -> -0.1 ; step2: v=1.5 -> -0.15 ; total -0.25.
-        assert p.data[0] == pytest.approx(-0.25)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            SGD([quadratic_params()], momentum=1.0)
-
-
 class TestClipping:
     def test_clip_grad_norm_scales(self):
         p = Parameter(np.zeros(4))
@@ -133,65 +90,6 @@ class TestClipping:
 
     def test_clip_grad_norm_empty(self):
         assert clip_grad_norm([], 1.0) == 0.0
-
-    def test_clip_grad_value(self):
-        p = Parameter(np.zeros(3))
-        p.grad = np.array([-5.0, 0.5, 5.0])
-        clip_grad_value([p], 1.0)
-        assert np.allclose(p.grad, [-1.0, 0.5, 1.0])
-
-
-class TestSchedulers:
-    def _opt(self):
-        return Adam([quadratic_params()], lr=1.0)
-
-    def test_step_lr(self):
-        opt = self._opt()
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = [sched.step() for _ in range(4)]
-        assert lrs == pytest.approx([1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        opt = self._opt()
-        sched = ExponentialLR(opt, gamma=0.5)
-        assert sched.step() == pytest.approx(0.5)
-        assert sched.step() == pytest.approx(0.25)
-
-    def test_cosine_reaches_min(self):
-        opt = self._opt()
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.0)
-        for _ in range(10):
-            lr = sched.step()
-        assert lr == pytest.approx(0.0, abs=1e-12)
-
-    def test_cosine_monotone_decreasing(self):
-        opt = self._opt()
-        sched = CosineAnnealingLR(opt, t_max=8)
-        lrs = [sched.step() for _ in range(8)]
-        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
-
-    def test_plateau_reduces_after_patience(self):
-        opt = self._opt()
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=2)
-        for _ in range(4):
-            sched.step(1.0)  # no improvement
-        assert opt.lr == pytest.approx(0.5)
-
-    def test_plateau_respects_min_lr(self):
-        opt = self._opt()
-        sched = ReduceLROnPlateau(opt, factor=0.1, patience=0, min_lr=0.05)
-        for _ in range(10):
-            sched.step(1.0)
-        assert opt.lr >= 0.05
-
-    def test_plateau_resets_on_improvement(self):
-        opt = self._opt()
-        sched = ReduceLROnPlateau(opt, factor=0.5, patience=2)
-        sched.step(1.0)
-        sched.step(0.5)  # improvement resets the counter
-        sched.step(0.6)
-        sched.step(0.6)
-        assert opt.lr == pytest.approx(1.0)
 
 
 class TestEarlyStopping:

@@ -174,14 +174,14 @@ class TestChaosWrappers:
         assert injector.counts["errors"] == 1
 
         injector = FaultPlan(seed=0, latency_rate=1.0, latency_s=0.25).injector()
-        chaos = ChaosModel(bundle.model.eval(), injector, sleep=sleeps.append)
+        chaos = ChaosModel(bundle.model, injector, sleep=sleeps.append)
         chaos(x, m, steps)
         assert sleeps == [0.25]
 
     def test_chaos_model_corrupts_output(self, bundle):
         x, m, steps = _forward_args(bundle)
         injector = FaultPlan(seed=0, corrupt_rate=1.0).injector()
-        chaos = ChaosModel(bundle.model.eval(), injector)
+        chaos = ChaosModel(bundle.model, injector)
         out = chaos(x, m, steps)
         assert np.isnan(out.prediction.data).any()
         assert injector.counts["corruptions"] == 1
@@ -189,7 +189,6 @@ class TestChaosWrappers:
     def test_chaos_model_delegates_attributes(self, bundle):
         chaos = ChaosModel(bundle.model, FaultPlan().injector())
         assert chaos.input_length == bundle.model.input_length
-        assert chaos.eval() is chaos
 
     def test_chaos_store_drops_sensor_readings(self):
         store = StateStore(num_nodes=3, num_features=1, input_length=4)

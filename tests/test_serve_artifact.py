@@ -114,8 +114,9 @@ class TestValidation:
         dropped = next(n for n in arrays if n.startswith("param/"))
         del arrays[dropped]
         np.savez(base + ".npz", **arrays)
-        with pytest.raises(MissingParameterError, match=dropped[len("param/"):]):
+        with pytest.raises(MissingParameterError, match=dropped[len("param/"):]) as excinfo:
             load_bundle(base)
+        assert base + ".npz" in str(excinfo.value)
 
     def test_shape_mismatch_named(self, fc_lstm_bundle):
         _model, base = fc_lstm_bundle
@@ -124,8 +125,10 @@ class TestValidation:
         victim = next(n for n in arrays if n.startswith("param/"))
         arrays[victim] = np.zeros(arrays[victim].shape + (2,))
         np.savez(base + ".npz", **arrays)
-        with pytest.raises(ShapeMismatchError, match="shape"):
+        with pytest.raises(ShapeMismatchError, match="shape") as excinfo:
             load_bundle(base)
+        message = str(excinfo.value)
+        assert base + ".npz" in message and repr(victim[len("param/"):]) in message
 
 
 class TestFactories:

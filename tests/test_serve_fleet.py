@@ -386,7 +386,7 @@ class TestManifest:
         loaded, base_dir = load_fleet_manifest(path)
         assert base_dir == str(tmp_path)
         assert [t.name for t in loaded.tenants] == ["alpha", "beta"]
-        assert loaded.tenant("alpha").quota_rps == 5.0
+        assert loaded.tenants[0].quota_rps == 5.0
         assert loaded.default.port == 0
 
     def test_build_pool_resolves_bundles_against_manifest_dir(
@@ -425,7 +425,7 @@ class TestManifest:
             save_fleet_manifest(fleet, str(tmp_path / "fleet"))
         )
         assert loaded == fleet
-        assert loaded.config_for("alpha").resilience.retry_attempts == 3
+        assert loaded.tenants[0].config.resilience.retry_attempts == 3
 
     @pytest.mark.parametrize("section", [
         "tenants[0].shadow",
@@ -470,10 +470,10 @@ class TestManifest:
         path.write_text(example)
         fleet, _ = load_fleet_manifest(str(path))
         assert [t.name for t in fleet.tenants] == ["alpha", "beta"]
-        alpha = fleet.config_for("alpha")
-        assert alpha.max_batch_size == 4
-        assert alpha.resilience.retry_attempts == 3
-        assert fleet.config_for("beta") == fleet.default
+        alpha, beta = fleet.tenants
+        assert alpha.config.max_batch_size == 4
+        assert alpha.config.resilience.retry_attempts == 3
+        assert beta.config is None
 
     def test_hostile_tenant_name_rejected_up_front(self):
         with pytest.raises(ConfigError, match="invalid"):

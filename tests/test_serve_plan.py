@@ -210,7 +210,7 @@ class TestIntervalBoundaries:
         spd = tiny_ctx.data_config.steps_per_day
         rng = np.random.default_rng(0)
         with dtype_policy(dtype):
-            model = build_model("RIHGCN", tiny_ctx).eval()
+            model = build_model("RIHGCN", tiny_ctx)
             groups = {}
             for start in range(spd):
                 signature = _window_inputs(model, start, spd, rng)[1]

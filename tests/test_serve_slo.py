@@ -133,10 +133,6 @@ class FlakyModel:
     def __getattr__(self, name):
         return getattr(self._inner, name)
 
-    def eval(self):
-        self._inner.eval()
-        return self
-
     def __call__(self, *args, **kwargs):
         index = self._calls
         self._calls += 1

@@ -155,25 +155,3 @@ class TestObserveSensor:
             store.observe_sensor(0, 5, [1.0, 2.0])
         with pytest.raises(StateError, match="features"):
             store.observe_sensor(0, 1, [1.0])
-
-
-class TestLoadHistory:
-    def test_primes_from_offline_arrays(self):
-        store = make_store(n=2, d=1, length=3)
-        data = np.arange(10, dtype=float).reshape(10, 1, 1).repeat(2, axis=1)
-        store.load_history(data)
-        window = store.window()
-        assert store.warm
-        np.testing.assert_allclose(window.x[:, 0, 0], [7.0, 8.0, 9.0])
-        assert window.newest_step == 9
-
-    def test_history_mask_respected(self):
-        store = make_store(n=1, d=1, length=3)
-        data = np.ones((3, 1, 1))
-        mask = np.array([1.0, 0.0, 1.0]).reshape(3, 1, 1)
-        store.load_history(data, mask)
-        np.testing.assert_allclose(store.window().m[:, 0, 0], [1.0, 0.0, 1.0])
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(StateError, match="history must be"):
-            make_store(n=2, d=1).load_history(np.ones((5, 3, 1)))

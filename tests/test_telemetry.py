@@ -9,7 +9,6 @@ from repro.telemetry import (
     OpProfiler,
     get_registry,
     profile,
-    profile_report,
     set_registry,
 )
 
@@ -220,10 +219,10 @@ class TestOpProfiler:
         assert all(rows[i].total_seconds >= rows[i + 1].total_seconds
                    for i in range(len(rows) - 1))
 
-    def test_profile_report_after_window(self):
-        with profile():
+    def test_report_after_window(self):
+        with profile() as prof:
             _ = Tensor(np.ones(2)) + 1.0
-        assert "add" in profile_report()
+        assert "add" in prof.report()
 
     def test_report_sort_key_validated(self):
         with pytest.raises(ValueError):

@@ -240,18 +240,6 @@ class TestEvalReport:
         assert report.num_observed > 0
         assert report.horizon == 4
 
-    def test_two_tuple_unpacking_compat(self, env):
-        wtr, wva, adjacency, scaler = env
-        trainer = Trainer(small_model(adjacency), TrainerConfig(max_epochs=1))
-        trainer.fit(wtr, None)
-        report = trainer.evaluate(wva, scaler=scaler, target_feature=0)
-        mae_val, rmse_val = report
-        assert (mae_val, rmse_val) == (report.mae, report.rmse)
-        assert report[0] == report.mae
-        assert report[1] == report.rmse
-        assert len(report) == 2
-        assert tuple(report) == (report.mae, report.rmse)
-
     def test_as_dict(self):
         report = EvalReport(mae=1.0, rmse=2.0, mape=3.0, num_observed=4, horizon=5)
         assert report.as_dict() == {

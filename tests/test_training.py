@@ -151,9 +151,9 @@ class TestTrainer:
         wtr, wva, adjacency, scaler = training_env
         trainer = Trainer(small_model(adjacency), TrainerConfig(max_epochs=1))
         trainer.fit(wtr, None)
-        mae_val, rmse_val = trainer.evaluate(wva, scaler=scaler, target_feature=0)
-        assert mae_val > 0
-        assert rmse_val >= mae_val
+        report = trainer.evaluate(wva, scaler=scaler, target_feature=0)
+        assert report.mae > 0
+        assert report.rmse >= report.mae
 
     def test_imputation_model_uses_joint_loss(self, training_env):
         wtr, wva, _adjacency, _scaler = training_env
