@@ -5,7 +5,6 @@ from .functional import mae, masked_mae, masked_mse, mse, softmax
 from .fused import ChebBasis, cheb_propagate
 from .gradcheck import gradcheck, numerical_gradient
 from .plan import ExecutionPlan, PlanStats, PlanUnsupported, TraceArray, trace
-from .sparse import sparse_matmul
 from .tensor import (
     SliceGrad,
     Tensor,
@@ -49,7 +48,6 @@ __all__ = [
     "masked_mae",
     "masked_mse",
     "gradcheck",
-    "sparse_matmul",
     "numerical_gradient",
     "ExecutionPlan",
     "PlanStats",

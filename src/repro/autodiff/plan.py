@@ -242,29 +242,33 @@ class _Tape:
         last_use[out_root] = len(keep) + 1  # never recycled
         for name, idx in self.inputs.items():
             last_use.setdefault(root_of[idx], -1)
+        # Roots whose last use is each step, in `last_use` insertion
+        # order: the order freed buffers join the pool decides which one
+        # a later allocation pops, so the arena layout depends on it.
+        dying: dict[int, list[int]] = {}
+        for root, last in last_use.items():
+            dying.setdefault(last, []).append(root)
 
         # Arena assignment: exact (shape, dtype) buffer pooling.
         buffers: dict[int, np.ndarray] = {}       # root -> buffer
         pool: dict[tuple, list[np.ndarray]] = {}  # (shape, dtype) -> free
-        allocated: list[np.ndarray] = []
+        allocated: dict[int, np.ndarray] = {}    # id -> every arena buffer
 
         def alloc(shape, dtype, root: int) -> np.ndarray:
             key = (tuple(shape), np.dtype(dtype))
             free = pool.get(key)
             buf = free.pop() if free else np.empty(shape, dtype=dtype)
-            if not any(buf is b for b in allocated):
-                allocated.append(buf)
+            allocated.setdefault(id(buf), buf)
             buffers[root] = buf
             return buf
 
         def release(step_index: int) -> None:
-            for root, last in list(last_use.items()):
-                if last == step_index and root in buffers:
+            for root in dying.pop(step_index, ()):
+                if root in buffers:
                     buf = buffers[root]
                     if self.slots[root].kind != "view":
                         pool.setdefault(
                             (buf.shape, np.dtype(buf.dtype)), []).append(buf)
-                    del last_use[root]
 
         input_buffers: dict[str, np.ndarray] = {}
         for name, idx in self.inputs.items():
@@ -312,7 +316,7 @@ class _Tape:
                 # holding the buffer for the whole replay is the safe
                 # (merely conservative) choice.
                 out = np.empty(slot.shape, dtype=slot.dtype)
-                allocated.append(out)
+                allocated[id(out)] = out
                 arrays[step.out] = out
                 exec_steps.append((_make_copy_step(out, fn, args, kwargs), (), {}))
                 stats.naive_bytes += out.nbytes
@@ -346,7 +350,7 @@ class _Tape:
         stats.folded_constants = len(constants)
         stats.constant_bytes = sum(constants.values())
         stats.buffers = len(allocated)
-        stats.arena_bytes = sum(b.nbytes for b in allocated)
+        stats.arena_bytes = sum(b.nbytes for b in allocated.values())
         stats.input_shapes = {
             name: self.slots[idx].shape for name, idx in self.inputs.items()
         }

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import os
 
-import networkx as nx
 import numpy as np
 
 from ..errors import DataError
@@ -165,6 +164,8 @@ def load_csv_dataset(
             f"distance matrix covers {distances.shape[0]} sensors, readings "
             f"have {data.shape[1]}"
         )
+    import networkx as nx
+
     total, n, _ = data.shape
     graph = nx.Graph()
     graph.add_nodes_from(range(n))

@@ -16,9 +16,12 @@ distances), which is what "road network distances" in Section III-A means.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["RoadNetwork", "highway_corridor", "city_grid"]
 
@@ -66,6 +69,8 @@ class RoadNetwork:
 
 def _shortest_path_distances(graph: nx.Graph, n: int) -> np.ndarray:
     """Dense all-pairs shortest path lengths using edge ``length`` weights."""
+    import networkx as nx
+
     distances = np.full((n, n), np.inf)
     for src, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="length"):
         for dst, dist in lengths.items():
@@ -91,6 +96,8 @@ def highway_corridor(
     intervals; with probability ``branch_prob`` a sensor spawns a short
     branch segment (an on-ramp / parallel arterial) placed off-axis.
     """
+    import networkx as nx
+
     if num_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {num_nodes}")
     rng = np.random.default_rng(seed)
@@ -156,6 +163,8 @@ def city_grid(
     information the paper lists for Stampede (lanes, lights, limits,
     segment center GPS).
     """
+    import networkx as nx
+
     num_nodes = rows * cols
     rng = np.random.default_rng(seed)
     graph = nx.Graph()

@@ -217,10 +217,11 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     the start moves any interval boundary inside the window, so control
     flow the signature fails to capture shows up as a mismatch. Returns
     ``{"compiled", "verified", "reason"}`` plus, as far as the check
-    got, the seeded draw's ``"signature"`` and ``"stats"`` and the
-    largest ``"max_abs_diff"`` seen; ``reason`` explains an uncompiled
-    plan or names the first failing signature, and ``verified`` is
-    ``None`` without ``verify``.
+    got, the seeded draw's ``"signature"`` and ``"stats"``, the largest
+    ``"max_abs_diff"`` seen and ``"compile_seconds"`` summed over every
+    plan lowered (the cold-start cost a server pays once per signature);
+    ``reason`` explains an uncompiled plan or names the first failing
+    signature, and ``verified`` is ``None`` without ``verify``.
     """
     model = bundle.model
     rng = np.random.default_rng(seed)
@@ -248,7 +249,8 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     except PlanUnsupported as error:
         result["reason"] = f"plan unsupported: {error}"
         return result
-    result.update(compiled=True, stats=plan.stats.as_dict())
+    result.update(compiled=True, stats=plan.stats.as_dict(),
+                  compile_seconds=plan.stats.compile_seconds)
     if not verify:
         return result
 
@@ -268,6 +270,7 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
                 result.update(verified=False, reason=f"plan for signature "
                               f"{signature} unsupported: {error}")
                 return result
+            result["compile_seconds"] += checked.stats.compile_seconds
         others = [start for start in group if start != compiled_at] or group
         replayed_at = others[int(rng.integers(0, len(others)))]
         inputs, _ = draw(replayed_at)

@@ -75,6 +75,19 @@ class TestExport:
         assert main([*COMMON, "export", "--model", "HA"]) == 2
 
 
+class TestPlan:
+    def test_verify_prints_summed_compile_seconds(self, capsys, tmp_path):
+        base = str(tmp_path / "rihgcn")
+        run_cli(capsys, *COMMON, "export", "--model", "RIHGCN",
+                "--skip-training", "--output", base)
+        out = run_cli(capsys, "plan", "--bundle", base, "--verify")
+        assert "verify: PASS" in out
+        rows = [line.split() for line in out.splitlines()]
+        total = next(float(r[2]) for r in rows if r[:2] == ["compile_seconds", "sum"])
+        first = next(float(r[1]) for r in rows if r[:1] == ["compile_seconds"] and len(r) == 2)
+        assert total >= first > 0
+
+
 class TestReport:
     def test_report_to_stdout(self, capsys):
         out = run_cli(

@@ -7,6 +7,8 @@ cache key regression: keys must pin the bundle identity and the dtype
 policy, not just ``(version, horizon)``.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,10 @@ class TestIntervalBoundaries:
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["compiled"] and result["verified"] is True, result["reason"]
         assert result["max_abs_diff"] == 0.0
+        # Summed over all three signatures, so above the first plan's own.
+        assert result["compile_seconds"] > result["stats"]["compile_seconds"] > 0
+        unverified = check_plan(rihgcn_bundle, seed=3, verify=False)
+        assert unverified["compile_seconds"] == unverified["stats"]["compile_seconds"]
 
     def test_check_plan_names_a_position_dependent_signature(
         self, rihgcn_bundle, monkeypatch
@@ -270,6 +276,56 @@ class TestIntervalBoundaries:
         assert result["compiled"] and result["verified"] is False
         assert "signature (True, True)" in result["reason"]
         assert result["max_abs_diff"] > 0
+
+
+class TestArenaLayout:
+    """The seeded tiny RIHGCN's plans keep their arena (float32 policy).
+
+    Which freed buffer a later step reuses depends on the order buffers
+    return to the pool. ``PlanStats`` alone does not see that order, so
+    ``LAYOUT`` also pins a digest of the arena buffer every replay step
+    writes, numbered in order of first write.
+    """
+
+    LAYOUT = {
+        (True, False): "5be660c96f907009",
+        (True, True): "a5d2371d289a6411",
+        (False, True): "5be660c96f907009",
+    }
+    PINNED = {
+        (True, False): dict(steps=428, view_steps=219, inplace_steps=24,
+                            buffers=27, arena_bytes=12032, naive_bytes=93024),
+        (True, True): dict(steps=500, view_steps=279, inplace_steps=24,
+                           buffers=28, arena_bytes=12096, naive_bytes=100704),
+        (False, True): dict(steps=428, view_steps=219, inplace_steps=24,
+                            buffers=27, arena_bytes=12032, naive_bytes=93024),
+    }
+
+    @staticmethod
+    def _layout(plan) -> str:
+        numbers: dict[int, int] = {}
+        writes = []
+        for fn, _args, kwargs in plan._steps:
+            # A step without ``out=`` is a copy step holding its buffer as ``_out``.
+            out = kwargs["out"] if "out" in kwargs else fn.__defaults__[0]
+            writes.append(numbers.setdefault(id(out), len(numbers)))
+        return hashlib.sha256(str(writes).encode()).hexdigest()[:16]
+
+    def test_rihgcn_plan_stats_are_pinned(self, tiny_ctx):
+        spd = tiny_ctx.data_config.steps_per_day
+        rng = np.random.default_rng(0)
+        with dtype_policy(np.float32):
+            model = build_model("RIHGCN", tiny_ctx)
+            plans = {}
+            for start in range(spd):
+                inputs, signature = _window_inputs(model, start, spd, rng)
+                if signature not in plans:
+                    plans[signature] = trace(model.plan_forward, inputs)[0]
+        assert set(plans) == set(self.PINNED)
+        for signature, pinned in self.PINNED.items():
+            got = {key: getattr(plans[signature].stats, key) for key in pinned}
+            assert got == pinned, signature
+            assert self._layout(plans[signature]) == self.LAYOUT[signature], signature
 
 
 class TestCacheKeyRegression:

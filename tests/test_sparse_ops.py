@@ -1,10 +1,8 @@
-"""Tests for sparse propagation (autodiff sparse_matmul and sparse ChebConv)."""
+"""Tests for sparse propagation (ChebConv over a CSR basis)."""
 
 import numpy as np
-import pytest
-from scipy import sparse as sp
 
-from repro.autodiff import Tensor, gradcheck, sparse_matmul
+from repro.autodiff import Tensor
 from repro.graphs import chebyshev_polynomials
 from repro.nn import ChebConv
 
@@ -14,46 +12,6 @@ def ring(n):
     for i in range(n):
         adj[i, (i + 1) % n] = adj[(i + 1) % n, i] = 1.0
     return adj
-
-
-class TestSparseMatmul:
-    def test_matches_dense_2d(self):
-        rng = np.random.default_rng(0)
-        dense = rng.normal(size=(6, 6)) * (rng.random((6, 6)) > 0.6)
-        x = Tensor(rng.normal(size=(6, 3)))
-        out = sparse_matmul(sp.csr_matrix(dense), x)
-        assert np.allclose(out.data, dense @ x.data)
-
-    def test_matches_dense_batched(self):
-        rng = np.random.default_rng(1)
-        dense = rng.normal(size=(5, 5)) * (rng.random((5, 5)) > 0.5)
-        x = Tensor(rng.normal(size=(4, 5, 2)))
-        out = sparse_matmul(sp.csr_matrix(dense), x)
-        assert np.allclose(out.data, np.matmul(dense, x.data))
-
-    def test_gradcheck(self):
-        rng = np.random.default_rng(2)
-        dense = rng.normal(size=(4, 4)) * (rng.random((4, 4)) > 0.4)
-        matrix = sp.csr_matrix(dense)
-        x = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
-        assert gradcheck(lambda x: sparse_matmul(matrix, x), [x])
-
-    def test_rejects_dense_input(self):
-        with pytest.raises(TypeError):
-            sparse_matmul(np.eye(3), Tensor(np.zeros((3, 2))))
-
-    def test_rejects_shape_mismatch(self):
-        matrix = sp.eye(4, format="csr")
-        with pytest.raises(ValueError):
-            sparse_matmul(matrix, Tensor(np.zeros((3, 2))))
-
-    def test_rectangular_matrix(self):
-        rng = np.random.default_rng(3)
-        dense = rng.normal(size=(3, 5))
-        x = Tensor(rng.normal(size=(5, 2)))
-        out = sparse_matmul(sp.csr_matrix(dense), x)
-        assert out.shape == (3, 2)
-        assert np.allclose(out.data, dense @ x.data)
 
 
 class TestSparseChebConv:

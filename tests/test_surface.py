@@ -15,6 +15,9 @@ should be deleted, or given a caller.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -129,3 +132,34 @@ def test_scan_follows_package_reexports():
     assert _target("repro.nn", "Linear") == "repro.nn.linear"
     assert _target("repro.autodiff", "Tensor") == "repro.autodiff.tensor"
     assert "repro.cli" in reached_modules()
+
+
+def _loaded_after(code: str) -> dict[str, bool]:
+    """Run ``code`` in a fresh interpreter; which heavy dependencies it loaded."""
+    probe = code + "\nimport sys; print([m in sys.modules for m in ('scipy', 'networkx')])"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    ).stdout.strip().splitlines()[-1]
+    return dict(zip(("scipy", "networkx"), ast.literal_eval(out)))
+
+
+def test_serving_imports_leave_scipy_and_networkx_unloaded():
+    # Every cold server and cluster worker pays for what these imports load.
+    loaded = _loaded_after("import repro, repro.cli, repro.serve")
+    assert loaded == {"scipy": False, "networkx": False}
+
+
+def test_sparse_chebconv_and_simulators_load_them_on_demand():
+    loaded = _loaded_after(
+        "import numpy as np\n"
+        "from repro.graphs import chebyshev_polynomials\n"
+        "from repro.nn import ChebConv\n"
+        "ChebConv(2, 3, chebyshev_polynomials(np.eye(4), 2), sparse=True)\n"
+    )
+    assert loaded == {"scipy": True, "networkx": False}
+    loaded = _loaded_after(
+        "from repro.datasets import make_pems_dataset\n"
+        "make_pems_dataset(num_nodes=4, num_days=1)\n"
+    )
+    assert loaded["networkx"] is True
