@@ -106,7 +106,12 @@ class _Step:
 
 @dataclass
 class PlanStats:
-    """Compile-time facts about a plan, surfaced by ``repro plan``."""
+    """Compile-time facts about a plan, surfaced by ``repro plan``.
+
+    A plan's cold cost is ``trace_seconds`` (the recorded forward through
+    :class:`TraceArray` dispatch) plus ``compile_seconds`` (lowering the
+    tape and the replay check).
+    """
 
     ops_recorded: int = 0
     steps: int = 0
@@ -120,6 +125,7 @@ class PlanStats:
     arena_bytes: int = 0
     naive_bytes: int = 0
     compile_seconds: float = 0.0
+    trace_seconds: float = 0.0
     input_shapes: dict = field(default_factory=dict)
     output_shape: tuple = ()
     output_dtype: str = ""
@@ -138,6 +144,7 @@ class PlanStats:
             "arena_bytes": self.arena_bytes,
             "naive_bytes": self.naive_bytes,
             "compile_seconds": self.compile_seconds,
+            "trace_seconds": self.trace_seconds,
             "input_shapes": {k: list(v) for k, v in self.input_shapes.items()},
             "output_shape": list(self.output_shape),
             "output_dtype": self.output_dtype,
@@ -703,8 +710,10 @@ def trace(fn: Callable[..., Any], inputs: dict[str, np.ndarray]) -> tuple[Execut
     directly, so compiling costs one ordinary forward plus lowering.
 
     Raises :class:`PlanUnsupported` when the forward does anything the
-    tracer cannot faithfully replay.
+    tracer cannot faithfully replay. The plan's ``stats.trace_seconds``
+    times the recorded forward; ``stats.compile_seconds`` the lowering.
     """
+    started = time.perf_counter()
     tape = _Tape()
     traced = {name: tape.add_input(name, np.asarray(value))
               for name, value in inputs.items()}
@@ -719,5 +728,7 @@ def trace(fn: Callable[..., Any], inputs: dict[str, np.ndarray]) -> tuple[Execut
     if tape.poisoned:
         raise PlanUnsupported(f"trace poisoned: {tape.poisoned}")
     output = np.array(result.view(np.ndarray), copy=True)
+    trace_seconds = time.perf_counter() - started
     plan = tape.compile(result._slot, inputs, output)
+    plan.stats.trace_seconds = trace_seconds
     return plan, output

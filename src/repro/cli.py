@@ -547,6 +547,8 @@ def main(argv: list[str] | None = None) -> int:
               + (f", signature {signature}" if signature else ""))
         for key, value in result["stats"].items():
             print(f"  {key:<20} {value}")
+        print(f"  {'trace_seconds sum':<20} {result['trace_seconds']:.4f} "
+              f"(every plan traced)")
         print(f"  {'compile_seconds sum':<20} {result['compile_seconds']:.4f} "
               f"(every plan lowered)")
         if result["verified"] is True:

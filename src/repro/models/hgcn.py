@@ -132,28 +132,31 @@ class HGCNBlock(SpatialEncoder):
 
     def forward(self, x: Tensor, weights: np.ndarray | None = None,
                 active: np.ndarray | None = None) -> Tensor:
-        """``x``: ``(B, N, D)``; ``weights``: ``(B, M)`` interval weights.
+        """``x``: ``(..., B, N, D)``; ``weights``: ``(..., B, M)`` interval weights.
 
-        ``active`` (``(M,)`` booleans) names the temporal graphs to run;
-        the rest are skipped. Recurrent callers pass the whole window's
-        :func:`temporal_activity`, so every step of a window takes the
-        same branches (an active graph at a step where its weight is 0
-        adds an exact zero). ``None`` runs the graphs ``weights`` uses.
+        An axis before ``B`` is the direction axis of a block from
+        :func:`~repro.nn.stack_modules`; each weight scales its own
+        sample's ``(N, p)`` embedding. ``active`` (``(M,)`` booleans)
+        names the temporal graphs to run; the rest are skipped. Recurrent
+        callers pass the whole window's :func:`temporal_activity`, so
+        every step of a window takes the same branches (an active graph
+        at a step where its weight is 0 adds an exact zero). ``None``
+        runs the graphs ``weights`` uses.
         """
         if weights is None:
             raise ValueError("HGCNBlock requires per-sample interval weights")
         # asanyarray: tracing subclasses must survive the cast.
         weights = np.asanyarray(weights, dtype=default_dtype())
-        if weights.ndim != 2 or weights.shape[1] != self.num_temporal:
+        if weights.ndim < 2 or weights.shape[-1] != self.num_temporal:
             raise ValueError(
-                f"weights must be (B, {self.num_temporal}), got {weights.shape}"
+                f"weights must be (..., B, {self.num_temporal}), got {weights.shape}"
             )
         if active is None:
-            active = (np.asarray(weights) != 0).any(axis=0)
+            active = (np.asarray(weights) != 0).reshape(-1, self.num_temporal).any(axis=0)
         out = self.geo_conv(x)
         for idx, conv in enumerate(self.temporal_convs):
             if not active[idx]:
                 continue  # interval inactive for the whole window
-            w = weights[:, idx]
-            out = out + conv(x) * Tensor(w.reshape(-1, 1, 1))
+            w = weights[..., idx]
+            out = out + conv(x) * Tensor(w[..., None, None])
         return out.relu()

@@ -24,15 +24,27 @@ the forecast loss — the paper's central training trick
 A bi-directional pass (Section III-F) repeats this backward in time with
 its own parameters; hidden states are concatenated and estimates from both
 directions enter the consistency loss (Eq. 6).
+
+Both directions run as one recurrence on a leading direction axis ``D``
+(2, or 1 with ``bidirectional=False``): step ``k`` updates forward time
+``k`` and backward time ``T-1-k`` together, and the spatial encoder, the
+LSTM cell and the estimate head each run once per step on ``(D, B, ...)``
+arrays with the directions' parameters stacked on that axis
+(:func:`~repro.nn.stack_modules`). Each direction keeps its own modules,
+so the state dict (``forward_pass.*``, ``backward_pass.*``) and the
+bundle format are those of two separate passes; a traced plan folds the
+stacked parameters into constants, and runs half the ops of two passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..autodiff import Tensor, concat, default_dtype, no_grad, stack, where
+from ..autodiff import (
+    Tensor, concat, default_dtype, is_grad_enabled, no_grad, stack, where,
+)
 from ..graphs import HeterogeneousGraphSet
-from ..nn import Linear, LSTMCell, Module
+from ..nn import Linear, LSTMCell, Module, stack_modules
 from .base import ForecastOutput, NeuralForecaster
 from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder, temporal_activity
 
@@ -67,7 +79,12 @@ def build_spatial_encoder(
 
 
 class _DirectionPass(Module):
-    """One direction (forward or backward) of the recurrent imputation."""
+    """One direction's parameters: spatial encoder, LSTM cell, estimate head.
+
+    It has no forward of its own: the forecaster runs every direction at
+    once on direction-stacked copies of these modules (see
+    :meth:`RecurrentImputationForecaster._recurrence`).
+    """
 
     def __init__(
         self,
@@ -93,60 +110,58 @@ class _DirectionPass(Module):
         """Per-node dimension of Z_t."""
         return self.embed_dim + self.hidden_dim
 
-    def forward(
-        self,
-        x: np.ndarray,
-        m: np.ndarray,
-        interval_weights: np.ndarray | None,
-        reverse: bool,
-        detach_imputation: bool,
-    ) -> tuple[Tensor, list[Tensor | None]]:
-        """Run the pass.
 
-        Returns ``(z, estimates)`` where ``z`` is ``(B, T, N, state_dim)``
-        and ``estimates[t]`` is the ``(B, N, D)`` estimate of ``X_t``
-        produced by the *previous* step in this direction (``None`` at the
-        boundary step that has no predecessor).
-        """
-        batch, steps, nodes, features = x.shape
-        order = range(steps - 1, -1, -1) if reverse else range(steps)
-        z_store: list[Tensor | None] = [None] * steps
-        estimates: list[Tensor | None] = [None] * steps
+def _select(x: Tensor, index) -> Tensor:
+    """``x[index]`` with a dense gradient in the dtype it arrives in.
 
-        # Graph skips are decided once for the window, from the mask the
-        # plan signature keys on; deciding them per step would make the
-        # branches depend on where an interval boundary falls in the window.
-        active = (
-            temporal_activity(interval_weights) if interval_weights is not None else None
-        )
-        est_prev: Tensor | None = None
-        state = None
-        for t in order:
-            x_t = Tensor(x[:, t])
-            m_t = m[:, t]  # (B, N, D) numpy
-            if est_prev is None:
-                x_comp = x_t  # zero-filled missing entries at the boundary
-            else:
-                feed = est_prev.detach() if detach_imputation else est_prev
-                x_comp = where(m_t > 0, x_t, feed)  # Eq. 3
-            w_t = interval_weights[:, t] if interval_weights is not None else None
-            s_t = self.spatial(x_comp, w_t, active)  # (B, N, p)
-            if self.use_lstm:
-                s_flat = s_t.reshape(batch * nodes, self.embed_dim)
-                m_flat = Tensor(m_t.reshape(batch * nodes, features))
-                h, c = self.cell(concat([s_flat, m_flat], axis=-1), state)
-                state = (h, c)
-                z_t = concat([s_t, h.reshape(batch, nodes, self.hidden_dim)], axis=-1)
-            else:
-                z_t = s_t
-            z_store[t] = z_t
-            est_next = self.estimate_head(z_t)  # estimates X at the next step
-            target_step = t - 1 if reverse else t + 1
-            if 0 <= target_step < steps:
-                estimates[target_step] = est_next
-            est_prev = est_next
-        z = stack([zt for zt in z_store], axis=1)  # (B, T, N, state_dim)
-        return z, estimates
+    ``Tensor.__getitem__`` scatters its gradient into a buffer of ``x``'s
+    dtype. Splitting the directions back out must not cast: under the
+    float32 policy the loss (with its float64 denominators and validity
+    mask) still sends a float64 gradient, which every other dense op of
+    the recurrence passes on uncast.
+    """
+    if not is_grad_enabled():
+        return x[index]
+
+    def backward(g, shape=x.shape, idx=index):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[idx] = g
+        return (full,)
+
+    return Tensor._make(x.data[index], (x,), backward, "select")
+
+
+def _concat_in_time(x: Tensor) -> Tensor:
+    """``(D, B, T, N, C)`` in step order -> ``(B, T, N, D·C)`` in time order.
+
+    The backward direction's step ``k`` is time ``T-1-k``, so its slice is
+    flipped along ``T`` before the directions are concatenated per node.
+    The gradient is written back slice by slice into one buffer, in the
+    dtype it arrives in (see :func:`_select`).
+    """
+    parts = [x.data[0]]
+    if x.shape[0] == 2:
+        parts.append(x.data[1, :, ::-1])
+    data = np.concatenate(parts, axis=-1)
+    if not is_grad_enabled():
+        return Tensor(data)
+
+    def backward(g, shape=x.shape):
+        width = shape[-1]
+        grad = np.empty(shape, dtype=g.dtype)
+        grad[0] = g[..., :width]
+        if shape[0] == 2:
+            grad[1] = g[:, ::-1, :, width:]
+        return (grad,)
+
+    return Tensor._make(data, (x,), backward, "concat_in_time")
+
+
+def _by_step(a: np.ndarray, directions: int) -> np.ndarray:
+    """``(B, T, ...) -> (T, D, B, ...)``: row ``k`` holds time ``k`` for the
+    forward direction and time ``T-1-k`` for the backward one."""
+    in_time = a.swapaxes(0, 1)
+    return np.stack([in_time, in_time[::-1]][:directions], axis=1)
 
 
 class RecurrentImputationForecaster(NeuralForecaster):
@@ -275,17 +290,7 @@ class RecurrentImputationForecaster(NeuralForecaster):
                 f"expected {self.input_length} input steps, got {steps}"
             )
 
-        z_fwd, est_fwd = self.forward_pass(
-            x, m, weights, reverse=False, detach_imputation=self.detach_imputation
-        )
-        if self.backward_pass is not None:
-            z_bwd, est_bwd = self.backward_pass(
-                x, m, weights, reverse=True, detach_imputation=self.detach_imputation
-            )
-            z = concat([z_fwd, z_bwd], axis=-1)
-        else:
-            z_bwd, est_bwd = None, None
-            z = z_fwd
+        z, est_fwd, est_bwd = self._recurrence(x, m, weights)
 
         if self.head_mode == "concat":
             # (B, T, N, Z) -> (B, N, T*Z) -> head -> (B, T_out, N, D_out).
@@ -305,15 +310,87 @@ class RecurrentImputationForecaster(NeuralForecaster):
             batch, nodes, self.output_length, self.output_features
         ).transpose(0, 2, 1, 3)
 
-        est_fwd_t, est_bwd_t, validity = self._assemble_estimates(
-            est_fwd, est_bwd, x.shape
-        )
+        # Step 0 of each direction has no predecessor to estimate it.
+        validity = np.ones(steps)
+        validity[0] = 0.0
+        if est_bwd is not None:
+            validity[-1] = 0.0
         return ForecastOutput(
             prediction=prediction,
-            estimates_fwd=est_fwd_t,
-            estimates_bwd=est_bwd_t,
+            estimates_fwd=est_fwd,
+            estimates_bwd=est_bwd,
             estimate_validity=validity,
         )
+
+    def _recurrence(
+        self, x: np.ndarray, m: np.ndarray, weights: np.ndarray | None
+    ) -> tuple[Tensor, Tensor, Tensor | None]:
+        """Eq. 3–5 in every direction at once.
+
+        The directions share one loop over a leading direction axis
+        ``D``: step ``k`` updates forward time ``k`` and backward time
+        ``T-1-k`` together, each with its own direction's parameters
+        (:func:`stack_modules`). Returns ``(z, estimates_fwd,
+        estimates_bwd)``: ``z`` is ``(B, T, N, D·state_dim)`` with the
+        directions concatenated per time step, and each estimate stack
+        is ``(B, T, N, F)`` in time order, zero at the step its direction
+        starts from.
+        """
+        batch, steps, nodes, features = x.shape
+        passes = [self.forward_pass]
+        if self.backward_pass is not None:
+            passes.append(self.backward_pass)
+        directions = len(passes)
+        spatial = stack_modules([p.spatial for p in passes], rank=4)
+        head = stack_modules([p.estimate_head for p in passes], rank=4)
+        cell = (stack_modules([p.cell for p in passes], rank=3)
+                if self.forward_pass.use_lstm else None)
+        embed, hidden = self.forward_pass.embed_dim, self.forward_pass.hidden_dim
+
+        x_steps = _by_step(x, directions)
+        m_steps = _by_step(m, directions)
+        observed = m_steps > 0
+        # Graph skips are decided once for the window, from the mask the
+        # plan signature keys on; deciding them per step would make the
+        # branches depend on where an interval boundary falls in the window.
+        if weights is not None:
+            w_steps = _by_step(weights, directions)
+            active = temporal_activity(weights)
+        z_steps: list[Tensor] = []
+        estimates: list[Tensor] = []
+        state = None
+        for k in range(steps):
+            x_k = Tensor(x_steps[k])  # (D, B, N, F)
+            if not estimates:
+                x_comp = x_k  # zero-filled missing entries at the boundary
+            else:
+                feed = estimates[-1].detach() if self.detach_imputation else estimates[-1]
+                x_comp = where(observed[k], x_k, feed)  # Eq. 3
+            if weights is None:
+                s_k = spatial(x_comp)  # (D, B, N, p)
+            else:
+                s_k = spatial(x_comp, w_steps[k], active)
+            if cell is not None:
+                s_flat = s_k.reshape(directions, batch * nodes, embed)
+                m_flat = Tensor(m_steps[k].reshape(directions, batch * nodes, features))
+                state = cell(concat([s_flat, m_flat], axis=-1), state)
+                h = state[0].reshape(directions, batch, nodes, hidden)
+                z_k = concat([s_k, h], axis=-1)
+            else:
+                z_k = s_k
+            z_steps.append(z_k)
+            if k < steps - 1:
+                estimates.append(head(z_k))  # estimates X at the next step
+
+        # (D, B, T, N, ·) in step order; the backward direction reads time
+        # reversed, so its time-ordered view flips the step axis.
+        z = _concat_in_time(stack(z_steps, axis=2))
+        zero = Tensor(np.zeros((directions, batch, nodes, features), dtype=default_dtype()))
+        est_all = stack([zero] + estimates, axis=2)
+        est_fwd = _select(est_all, (0,))
+        if directions == 1:
+            return z, est_fwd, None
+        return z, est_fwd, _select(est_all, (1, slice(None), slice(None, None, -1)))
 
     # ------------------------------------------------------------------
     # Traced execution plans
@@ -349,25 +426,6 @@ class RecurrentImputationForecaster(NeuralForecaster):
         weights: np.ndarray | None = None,
     ) -> np.ndarray:
         return self._forward_core(x, m, weights).prediction.data
-
-    def _assemble_estimates(
-        self,
-        est_fwd: list[Tensor | None],
-        est_bwd: list[Tensor | None] | None,
-        shape: tuple[int, ...],
-    ) -> tuple[Tensor, Tensor | None, np.ndarray]:
-        """Stack per-step estimates, zero-filling boundary steps."""
-        batch, steps, nodes, features = shape
-        zero = Tensor(np.zeros((batch, nodes, features), dtype=default_dtype()))
-        fwd_stack = stack([e if e is not None else zero for e in est_fwd], axis=1)
-        validity = np.array([1.0 if e is not None else 0.0 for e in est_fwd])
-        if est_bwd is not None:
-            bwd_stack = stack([e if e is not None else zero for e in est_bwd], axis=1)
-            validity = validity * np.array(
-                [1.0 if e is not None else 0.0 for e in est_bwd]
-            )
-            return fwd_stack, bwd_stack, validity
-        return fwd_stack, None, validity
 
     # ------------------------------------------------------------------
     def impute(

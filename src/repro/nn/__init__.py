@@ -6,7 +6,7 @@ from .container import ModuleList
 from .graph import AdaptiveGraphConv, ChebConv, GraphConv
 from .linear import MLP, Linear
 from .loss import ImputationConsistencyLoss, JointLoss, MaskedMAELoss
-from .module import Module, Parameter
+from .module import Module, Parameter, stack_modules
 from .rnn import GRUCell, LSTM, LSTMCell
 from .temporal import CausalConv1d, GatedTCNBlock
 
@@ -14,6 +14,7 @@ __all__ = [
     "init",
     "Module",
     "Parameter",
+    "stack_modules",
     "Linear",
     "MLP",
     "ModuleList",

@@ -18,23 +18,21 @@ class ModuleList(Module):
 
     def __init__(self, modules: Iterable[Module] = ()):
         super().__init__()
-        self._items: list[Module] = []
         for module in modules:
             self.append(module)
 
     def append(self, module: Module) -> "ModuleList":
-        self.register_module(str(len(self._items)), module)
-        self._items.append(module)
+        self.register_module(str(len(self._modules)), module)
         return self
 
     def forward(self, *args, **kwargs):
         raise RuntimeError("ModuleList has no forward; index its members instead")
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._modules)
 
     def __getitem__(self, index: int) -> Module:
-        return self._items[index]
+        return list(self._modules.values())[index]
 
     def __iter__(self) -> Iterator[Module]:
-        return iter(self._items)
+        return iter(self._modules.values())

@@ -8,15 +8,15 @@ compositions of Modules so that parameter collection and state
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterator, Sequence
 import warnings
 
 import numpy as np
 
-from ..autodiff import Tensor, default_dtype
+from ..autodiff import Tensor, default_dtype, stack
 from ..errors import MissingParameterError, ShapeMismatchError
 
-__all__ = ["Parameter", "Module"]
+__all__ = ["Parameter", "Module", "stack_modules"]
 
 
 def _and_more(found: list) -> str:
@@ -177,3 +177,40 @@ class Module:
         if body:
             return f"{type(self).__name__}(\n{body}\n)"
         return f"{type(self).__name__}()"
+
+
+def stack_modules(modules: Sequence[Module], rank: int) -> Module:
+    """Run structurally identical modules as one module on a leading axis.
+
+    Returns a shallow copy of ``modules[0]`` whose every parameter is the
+    :func:`~repro.autodiff.stack` of the matching parameters of all
+    ``D = len(modules)`` modules, shaped ``(D, 1, ..., 1, *shape)`` with
+    ``rank`` axes so it broadcasts against rank-``rank`` inputs whose
+    leading axis is ``D``. Children are stacked the same way, so the
+    copy's unchanged ``forward`` maps ``(D, ...)`` inputs to ``(D, ...)``
+    outputs, slice ``d`` computed with ``modules[d]``'s parameters —
+    every per-slice matmul and elementwise op is the one ``modules[d]``
+    would run on its own. Gradients flow back through the stack to each
+    module's own parameters; the copy owns no parameters itself.
+
+    Non-parameter state (e.g. a ``ChebConv``'s Chebyshev basis) comes
+    from ``modules[0]``: stack only modules built from the same config.
+    """
+    first = modules[0]
+    count = len(modules)
+    copy = object.__new__(type(first))
+    copy.__dict__.update(first.__dict__)
+    copy.__dict__["_parameters"] = OrderedDict()
+    for name, param in first._parameters.items():
+        stacked = stack([module._parameters[name] for module in modules])
+        ones = rank - 1 - param.ndim
+        if ones > 0:
+            stacked = stacked.reshape((count,) + (1,) * ones + param.shape)
+        copy.__dict__[name] = stacked
+    children = OrderedDict(
+        (name, stack_modules([module._modules[name] for module in modules], rank))
+        for name in first._modules
+    )
+    copy.__dict__["_modules"] = children
+    copy.__dict__.update(children)
+    return copy

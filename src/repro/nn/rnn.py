@@ -55,10 +55,15 @@ class LSTMCell(Module):
     def forward(
         self, x: Tensor, state: tuple[Tensor, Tensor] | None = None
     ) -> tuple[Tensor, Tensor]:
-        if x.ndim != 2:
-            raise ValueError(f"LSTMCell expects (batch, features), got shape {x.shape}")
+        """``x``: ``(batch, features)``, or ``(D, batch, features)`` for a
+        cell from :func:`~repro.nn.stack_modules` (``D`` cells at once)."""
+        if x.ndim not in (2, 3):
+            raise ValueError(
+                f"LSTMCell expects ([D,] batch, features), got shape {x.shape}"
+            )
         if state is None:
-            state = self.init_state(x.shape[0])
+            # (batch, hidden) zeros broadcast against every stacked cell.
+            state = self.init_state(x.shape[-2])
         h_prev, c_prev = state
         z = x.matmul(self.weight_ih) + h_prev.matmul(self.weight_hh) + self.bias
         # One sigmoid pass over all four gate blocks instead of three
@@ -68,7 +73,7 @@ class LSTMCell(Module):
         # of four dense scatters.
         hidden = self.hidden_size
         i_gate, f_gate, _, o_gate = sigmoid_split(z, 4, axis=-1)
-        g_cell = z[:, 2 * hidden : 3 * hidden].tanh()
+        g_cell = z[..., 2 * hidden : 3 * hidden].tanh()
         c_new = f_gate * c_prev + i_gate * g_cell
         h_new = o_gate * c_new.tanh()
         return h_new, c_new

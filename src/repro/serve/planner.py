@@ -24,9 +24,11 @@ accelerating.
 
 Metrics (labelled like every other serve series): counters
 ``serve/plan_cache_hits`` / ``serve/plan_cache_misses`` /
-``serve/plan_fallbacks``, histogram ``serve/plan_compile_seconds`` and
-the per-mode forward counter ``serve/engine_exec_mode`` with a ``mode``
-label. Compilation runs inside a ``plan.compile`` span.
+``serve/plan_fallbacks``, histogram ``serve/plan_compile_seconds`` (a
+plan's whole cold cost: the traced forward plus lowering, i.e.
+``PlanStats.trace_seconds + compile_seconds``) and the per-mode forward
+counter ``serve/engine_exec_mode`` with a ``mode`` label. Compilation
+runs inside a ``plan.compile`` span.
 
 :func:`check_plan` is the offline form of the same compile-and-validate
 walk for one bundle; ``repro plan`` and the serve smoke both run it.
@@ -177,7 +179,7 @@ class PlanRuntime:
             span.set_attribute("steps", plan.stats.steps)
             span.set_attribute("arena_bytes", plan.stats.arena_bytes)
         self.registry.histogram(self._m("serve/plan_compile_seconds")).observe(
-            plan.stats.compile_seconds
+            plan.stats.trace_seconds + plan.stats.compile_seconds
         )
         entry.plan = plan
         entry.state = "validate"
@@ -218,8 +220,9 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     flow the signature fails to capture shows up as a mismatch. Returns
     ``{"compiled", "verified", "reason"}`` plus, as far as the check
     got, the seeded draw's ``"signature"`` and ``"stats"``, the largest
-    ``"max_abs_diff"`` seen and ``"compile_seconds"`` summed over every
-    plan lowered (the cold-start cost a server pays once per signature);
+    ``"max_abs_diff"`` seen, and ``"trace_seconds"`` and
+    ``"compile_seconds"`` summed over every plan traced and lowered (the
+    two parts of the cold-start cost a server pays once per signature);
     ``reason`` explains an uncompiled plan or names the first failing
     signature, and ``verified`` is ``None`` without ``verify``.
     """
@@ -250,6 +253,7 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
         result["reason"] = f"plan unsupported: {error}"
         return result
     result.update(compiled=True, stats=plan.stats.as_dict(),
+                  trace_seconds=plan.stats.trace_seconds,
                   compile_seconds=plan.stats.compile_seconds)
     if not verify:
         return result
@@ -270,6 +274,7 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
                 result.update(verified=False, reason=f"plan for signature "
                               f"{signature} unsupported: {error}")
                 return result
+            result["trace_seconds"] += checked.stats.trace_seconds
             result["compile_seconds"] += checked.stats.compile_seconds
         others = [start for start in group if start != compiled_at] or group
         replayed_at = others[int(rng.integers(0, len(others)))]

@@ -160,6 +160,7 @@ class TestCompile:
         assert payload["steps"] >= 1
         assert payload["output_shape"] == [2, 2]
         assert payload["compile_seconds"] >= 0.0
+        assert payload["trace_seconds"] > 0.0
 
 
 # ----------------------------------------------------------------------

@@ -83,9 +83,10 @@ class TestPlan:
         out = run_cli(capsys, "plan", "--bundle", base, "--verify")
         assert "verify: PASS" in out
         rows = [line.split() for line in out.splitlines()]
-        total = next(float(r[2]) for r in rows if r[:2] == ["compile_seconds", "sum"])
-        first = next(float(r[1]) for r in rows if r[:1] == ["compile_seconds"] and len(r) == 2)
-        assert total >= first > 0
+        for name in ("compile_seconds", "trace_seconds"):
+            total = next(float(r[2]) for r in rows if r[:2] == [name, "sum"])
+            first = next(float(r[1]) for r in rows if r[:1] == [name] and len(r) == 2)
+            assert total >= first > 0, name
 
 
 class TestReport:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor
 from repro.errors import MissingParameterError, ShapeMismatchError
-from repro.nn import MLP, Linear, Module, ModuleList
+from repro.nn import MLP, Linear, LSTMCell, Module, ModuleList, stack_modules
 
 
 class TestModuleMechanics:
@@ -163,3 +163,42 @@ class TestContainers:
         ml = ModuleList()
         with pytest.raises(RuntimeError):
             ml(Tensor([1.0]))
+
+
+class TestStackModules:
+    """``stack_modules`` runs D modules as one, slice ``d`` with module ``d``."""
+
+    def test_stacked_linears_match_each_module_bitwise(self):
+        rng = np.random.default_rng(0)
+        layers = [Linear(3, 4, rng=rng) for _ in range(2)]
+        x = rng.standard_normal((2, 5, 6, 3))
+        out = stack_modules(layers, rank=4)(Tensor(x))
+        (out * out).sum().backward()
+        stacked_grads = [(layer.weight.grad, layer.bias.grad) for layer in layers]
+        for d, layer in enumerate(layers):
+            layer.zero_grad()
+            alone = layer(Tensor(x[d]))
+            assert out.data[d].tobytes() == alone.data.tobytes()
+            (alone * alone).sum().backward()
+            np.testing.assert_allclose(stacked_grads[d][0], layer.weight.grad, rtol=1e-12)
+            np.testing.assert_allclose(stacked_grads[d][1], layer.bias.grad, rtol=1e-12)
+
+    def test_stacked_lstm_cells_and_nested_children(self):
+        rng = np.random.default_rng(1)
+        cells = [LSTMCell(3, 4, rng=rng) for _ in range(2)]
+        x = rng.standard_normal((2, 5, 3))
+        stacked = stack_modules(cells, rank=3)
+        assert list(stacked.parameters()) == []
+        h, c = stacked(Tensor(x))
+        h2, _ = stacked(Tensor(x), (h, c))
+        for d, cell in enumerate(cells):
+            hd, cd = cell(Tensor(x[d]))
+            hd2, _ = cell(Tensor(x[d]), (hd, cd))
+            assert h2.data[d].tobytes() == hd2.data.tobytes()
+
+        owner = ModuleList(ModuleList([Linear(2, 2, rng=rng)]) for _ in range(2))
+        copy = stack_modules(list(owner), rank=3)
+        assert [type(m) for m in copy] == [Linear]
+        assert copy[0].weight.shape == (2, 2, 2)
+        assert copy[0].bias.shape == (2, 1, 2)
+

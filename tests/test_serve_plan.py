@@ -85,9 +85,13 @@ class TestPlannedServing:
         assert counters['serve/engine_exec_mode{mode="planned"}'] == 3
         assert counters["serve/plan_cache_misses"] == 1
         assert counters["serve/plan_cache_hits"] == 3
-        assert registry.snapshot()["histograms"]["serve/plan_compile_seconds"][
-            "count"
-        ] == 1
+        compiled = registry.snapshot()["histograms"]["serve/plan_compile_seconds"]
+        assert compiled["count"] == 1
+        # The cold cost of a plan: the traced forward plus its lowering.
+        (entry,) = engine.planner._entries.values()
+        stats = entry.plan.stats
+        assert stats.trace_seconds > 0 and stats.compile_seconds > 0
+        assert compiled["sum"] == pytest.approx(stats.trace_seconds + stats.compile_seconds)
 
     def test_unsupported_model_stays_eager(self, served, monkeypatch):
         bundle, store, test_u = served
@@ -265,8 +269,10 @@ class TestIntervalBoundaries:
         assert result["max_abs_diff"] == 0.0
         # Summed over all three signatures, so above the first plan's own.
         assert result["compile_seconds"] > result["stats"]["compile_seconds"] > 0
+        assert result["trace_seconds"] > result["stats"]["trace_seconds"] > 0
         unverified = check_plan(rihgcn_bundle, seed=3, verify=False)
         assert unverified["compile_seconds"] == unverified["stats"]["compile_seconds"]
+        assert unverified["trace_seconds"] == unverified["stats"]["trace_seconds"]
 
     def test_check_plan_names_a_position_dependent_signature(
         self, rihgcn_bundle, monkeypatch
@@ -288,17 +294,17 @@ class TestArenaLayout:
     """
 
     LAYOUT = {
-        (True, False): "5be660c96f907009",
-        (True, True): "a5d2371d289a6411",
-        (False, True): "5be660c96f907009",
+        (True, False): "fb4df8f31031cddc",
+        (True, True): "a5d38c0e511ebd90",
+        (False, True): "fb4df8f31031cddc",
     }
     PINNED = {
-        (True, False): dict(steps=428, view_steps=219, inplace_steps=24,
-                            buffers=27, arena_bytes=12032, naive_bytes=93024),
-        (True, True): dict(steps=500, view_steps=279, inplace_steps=24,
-                           buffers=28, arena_bytes=12096, naive_bytes=100704),
-        (False, True): dict(steps=428, view_steps=219, inplace_steps=24,
-                            buffers=27, arena_bytes=12032, naive_bytes=93024),
+        (True, False): dict(steps=215, view_steps=124, inplace_steps=12,
+                            buffers=32, arena_bytes=18544, naive_bytes=94688),
+        (True, True): dict(steps=251, view_steps=154, inplace_steps=12,
+                           buffers=33, arena_bytes=18672, naive_bytes=102368),
+        (False, True): dict(steps=215, view_steps=124, inplace_steps=12,
+                            buffers=32, arena_bytes=18544, naive_bytes=94688),
     }
 
     @staticmethod
