@@ -1,16 +1,14 @@
 """Reverse-mode autodiff substrate (numpy-backed)."""
 
 from .dtype import default_dtype, dtype_policy, set_default_dtype
-from .functional import mae, masked_mae, masked_mse, mse, softmax
+from .functional import masked_mae, softmax
 from .fused import ChebBasis, cheb_propagate
 from .gradcheck import gradcheck, numerical_gradient
-from .plan import ExecutionPlan, PlanStats, PlanUnsupported, TraceArray, trace
+from .plan import ExecutionPlan, PlanUnsupported, trace
 from .tensor import (
-    SliceGrad,
     Tensor,
     as_tensor,
     concat,
-    enable_grad,
     inference_mode,
     is_grad_enabled,
     maximum,
@@ -24,7 +22,6 @@ from .tensor import (
 
 __all__ = [
     "Tensor",
-    "SliceGrad",
     "as_tensor",
     "concat",
     "split",
@@ -40,18 +37,12 @@ __all__ = [
     "cheb_propagate",
     "no_grad",
     "inference_mode",
-    "enable_grad",
     "is_grad_enabled",
     "softmax",
-    "mse",
-    "mae",
     "masked_mae",
-    "masked_mse",
     "gradcheck",
     "numerical_gradient",
     "ExecutionPlan",
-    "PlanStats",
     "PlanUnsupported",
-    "TraceArray",
     "trace",
 ]

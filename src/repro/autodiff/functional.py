@@ -6,13 +6,7 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor
 
-__all__ = [
-    "softmax",
-    "mse",
-    "mae",
-    "masked_mae",
-    "masked_mse",
-]
+__all__ = ["softmax", "masked_mae"]
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -22,29 +16,9 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared error."""
-    diff = pred - as_tensor(target)
-    return (diff * diff).mean()
-
-
-def mae(pred: Tensor, target) -> Tensor:
-    """Mean absolute error."""
-    return (pred - as_tensor(target)).abs().mean()
-
-
 def masked_mae(pred: Tensor, target, mask) -> Tensor:
     """MAE over entries where ``mask`` is 1; safe when the mask is empty."""
     mask_t = as_tensor(mask)
     diff = (pred - as_tensor(target)).abs() * mask_t
     denom = float(np.maximum(mask_t.data.sum(), 1.0))
     return diff.sum() / denom
-
-
-def masked_mse(pred: Tensor, target, mask) -> Tensor:
-    """MSE over entries where ``mask`` is 1; safe when the mask is empty."""
-    mask_t = as_tensor(mask)
-    diff = pred - as_tensor(target)
-    sq = diff * diff * mask_t
-    denom = float(np.maximum(mask_t.data.sum(), 1.0))
-    return sq.sum() / denom

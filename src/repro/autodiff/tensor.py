@@ -33,7 +33,6 @@ __all__ = [
     "SliceGrad",
     "no_grad",
     "inference_mode",
-    "enable_grad",
     "is_grad_enabled",
     "as_tensor",
     "concat",
@@ -87,17 +86,6 @@ def no_grad():
 #: Alias for :func:`no_grad` — the serving stack calls it ``inference_mode``
 #: to mirror the torch naming; both take the same fast dispatch path.
 inference_mode = no_grad
-
-
-@contextlib.contextmanager
-def enable_grad():
-    """Context manager that (re-)enables graph construction (this thread)."""
-    previous = _grad_mode.enabled
-    _grad_mode.enabled = True
-    try:
-        yield
-    finally:
-        _grad_mode.enabled = previous
 
 
 def is_grad_enabled() -> bool:

@@ -9,9 +9,9 @@ package makes the *system* degrade gracefully when anything else does:
   shared retry budget (:class:`Retry`, :class:`RetryBudget`);
 * :mod:`repro.reliability.breaker` — closed/open/half-open circuit
   breaker over a failure window (:class:`CircuitBreaker`);
-* :mod:`repro.reliability.fallback` — fallback ladders and the
-  state-only forecast of last resort (:class:`Fallback`,
-  :func:`window_mean_forecast`);
+* :mod:`repro.reliability.fallback` — the state-only forecast of last
+  resort (:func:`window_mean_forecast`), the bottom rung of the serving
+  engine's fallback ladder;
 * :mod:`repro.reliability.policy` — every knob in one validated frozen
   dataclass (:class:`ResiliencePolicy`);
 * :mod:`repro.reliability.chaos` — seeded fault injection at the model
@@ -23,28 +23,23 @@ workflow.
 
 from ..errors import CircuitOpen, DeadlineExceeded, InjectedFault, Overloaded
 from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .chaos import ChaosModel, ChaosStore, FaultInjector, FaultPlan
-from .deadline import Deadline, current_deadline, deadline_scope
-from .fallback import Fallback, FallbackResult, window_mean_forecast
+from .chaos import ChaosModel, ChaosStore, FaultPlan
+from .deadline import Deadline
+from .fallback import window_mean_forecast
 from .policy import ResiliencePolicy
 from .retry import Retry, RetryBudget
 
 __all__ = [
     "Deadline",
-    "current_deadline",
-    "deadline_scope",
     "Retry",
     "RetryBudget",
     "CircuitBreaker",
     "CLOSED",
     "OPEN",
     "HALF_OPEN",
-    "Fallback",
-    "FallbackResult",
     "window_mean_forecast",
     "ResiliencePolicy",
     "FaultPlan",
-    "FaultInjector",
     "ChaosModel",
     "ChaosStore",
     "DeadlineExceeded",

@@ -5,25 +5,18 @@ created once at the edge (one per forecast request), carried with the
 request through the engine's batching queue, and *checked at batch
 boundaries* — enqueue, batch formation, pre-forward — so a request that
 has already blown its budget never pays for a model forward it cannot
-use.
-
-A contextvar carries the ambient deadline across call layers that do
-not thread it explicitly (:func:`deadline_scope` / of
-:func:`current_deadline`); the engine still passes deadlines explicitly
-across its thread boundary, because contextvars do not follow requests
+use. Deadlines are passed explicitly, because the request crosses
 into the dispatcher thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from contextvars import ContextVar
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import DeadlineExceeded
 
-__all__ = ["Deadline", "current_deadline", "deadline_scope"]
+__all__ = ["Deadline"]
 
 
 class Deadline:
@@ -71,21 +64,3 @@ class Deadline:
 
     def __repr__(self) -> str:
         return f"Deadline(budget_s={self.budget_s}, remaining={self.remaining():.3f}s)"
-
-
-_CURRENT: ContextVar[Deadline | None] = ContextVar("repro_deadline", default=None)
-
-
-def current_deadline() -> Deadline | None:
-    """The ambient deadline of the calling context, if any."""
-    return _CURRENT.get()
-
-
-@contextlib.contextmanager
-def deadline_scope(deadline: Deadline | None) -> Iterator[Deadline | None]:
-    """Install ``deadline`` as the ambient deadline for the ``with`` body."""
-    token = _CURRENT.set(deadline)
-    try:
-        yield deadline
-    finally:
-        _CURRENT.reset(token)

@@ -55,7 +55,7 @@ from ..autodiff import default_dtype, inference_mode
 from ..datasets import ZScoreScaler
 from ..errors import CircuitOpen, DeadlineExceeded, Overloaded, ServeError
 from ..models.base import NeuralForecaster
-from ..reliability import Deadline, Fallback, ResiliencePolicy, window_mean_forecast
+from ..reliability import Deadline, ResiliencePolicy, window_mean_forecast
 from ..telemetry import MetricRegistry, Tracer, get_registry, get_tracer, label_block
 from .cache import LRUCache
 from .planner import PlanRuntime
@@ -408,37 +408,27 @@ class ForecastEngine:
         shadowed by them). When every rung is dry the *original* failure
         propagates, so callers see why the model path broke.
         """
-
-        def stale() -> Forecast:
-            result = self._stale_lookup(horizon)
-            if result is None:
-                raise ServeError("no previous successful forecast to serve stale")
-            return result
-
-        def window_mean() -> Forecast:
-            return Forecast(
-                prediction=window_mean_forecast(window, horizon),
+        forecast = self._stale_lookup(horizon)
+        if forecast is None:
+            try:
+                prediction = window_mean_forecast(window, horizon)
+            except ServeError:
+                self.registry.counter(self._m("serve/unavailable")).inc()
+                span.set_attribute("degraded", "unavailable")
+                raise error from None
+            forecast = Forecast(
+                prediction=prediction,
                 horizon=horizon,
                 version=window.version,
                 newest_step=window.newest_step,
                 cached=False,
                 degraded="window_mean",
             )
-
-        ladder = Fallback(
-            [("stale", stale), ("window_mean", window_mean)], catch=(ServeError,)
-        )
-        try:
-            outcome = ladder.call()
-        except ServeError:
-            self.registry.counter(self._m("serve/unavailable")).inc()
-            span.set_attribute("degraded", "unavailable")
-            raise error from None
         self.registry.counter(self._m("serve/degraded")).inc()
-        self.registry.counter(self._m("serve/fallback", rung=outcome.rung)).inc()
-        span.set_attribute("degraded", outcome.rung)
+        self.registry.counter(self._m("serve/fallback", rung=forecast.degraded)).inc()
+        span.set_attribute("degraded", forecast.degraded)
         span.set_attribute("degraded_cause", type(error).__name__)
-        return outcome.value
+        return forecast
 
     def _observe_latency(self, start: float) -> None:
         # Pin the sampled trace id as a bucket exemplar so a slow

@@ -1,14 +1,14 @@
 """Telemetry: metrics, tracing, data quality, profiling, callbacks.
 
-Five layers, usable independently:
+Layers, usable independently:
 
-* :mod:`repro.telemetry.registry` — counters/gauges/timers/histograms
-  plus nestable ``span`` context managers, aggregated in a
-  :class:`MetricRegistry` (a process-wide default backs the module-level
-  helpers); all primitives are thread-safe;
-* :mod:`repro.telemetry.trace` — request tracing: trace/span IDs with
-  parent links and cross-trace links, contextvar propagation, sampling,
-  a bounded in-memory buffer and a JSONL exporter (:class:`Tracer`);
+* :mod:`repro.telemetry.registry` — counters, gauges and histograms
+  aggregated in a :class:`MetricRegistry` (:func:`get_registry` returns
+  a process-wide default); all primitives are thread-safe;
+* :mod:`repro.telemetry.trace` — request tracing, the one timing
+  mechanism: trace/span IDs with parent links and cross-trace links,
+  contextvar propagation, sampling, a bounded in-memory buffer and a
+  JSONL exporter (:class:`Tracer`) that :func:`load_traces` reads back;
 * :mod:`repro.telemetry.distributed` — cross-process propagation:
   W3C-style ``traceparent`` inject/extract, merged-trace stitching
   (:class:`TraceCollector`) and the critical-path latency analyzer;
@@ -29,8 +29,7 @@ Five layers, usable independently:
   wall time and allocation sizes (:meth:`OpProfiler.report`);
 * :mod:`repro.telemetry.callbacks` — the ``Trainer`` event bus
   (:class:`Callback`) with built-in :class:`EpochLogger`,
-  :class:`JSONLRunRecorder`, :class:`Profiler` and :class:`TraceSpans`
-  observers.
+  :class:`JSONLRunRecorder` and :class:`Profiler` observers.
 """
 
 from .callbacks import (
@@ -39,7 +38,6 @@ from .callbacks import (
     EpochLogger,
     JSONLRunRecorder,
     Profiler,
-    TraceSpans,
 )
 from .contprof import ContinuousProfiler, merge_collapsed, parse_collapsed
 from .distributed import (
@@ -52,27 +50,12 @@ from .distributed import (
     merge_trace_payloads,
     parse_traceparent,
 )
-from .profiler import OpProfiler, OpStats, profile
+from .profiler import OpProfiler, profile
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import escape_label_value, label_block, render_prometheus
-from .quality import QualityMonitor, QualityReport, QualityThresholds
-from .registry import (
-    DEFAULT_LATENCY_BUCKETS_MS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricRegistry,
-    Timer,
-    counter,
-    gauge,
-    get_registry,
-    histogram,
-    set_registry,
-    span,
-    timer,
-)
+from .quality import QualityMonitor, QualityThresholds
+from .registry import MetricRegistry, get_registry
 from .slo import (
-    DEFAULT_BURN_RULES,
     BurnRule,
     Objective,
     SLOEngine,
@@ -83,18 +66,7 @@ from .trace import Span, SpanContext, Tracer, format_trace, get_tracer, load_tra
 
 __all__ = [
     "MetricRegistry",
-    "Counter",
-    "Gauge",
-    "Timer",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS_MS",
     "get_registry",
-    "set_registry",
-    "counter",
-    "gauge",
-    "timer",
-    "histogram",
-    "span",
     "Tracer",
     "Span",
     "SpanContext",
@@ -112,7 +84,6 @@ __all__ = [
     "format_critical_path",
     "Objective",
     "BurnRule",
-    "DEFAULT_BURN_RULES",
     "SLOTracker",
     "SLOEngine",
     "default_serving_objectives",
@@ -120,19 +91,16 @@ __all__ = [
     "parse_collapsed",
     "merge_collapsed",
     "QualityMonitor",
-    "QualityReport",
     "QualityThresholds",
     "render_prometheus",
     "escape_label_value",
     "label_block",
     "PROMETHEUS_CONTENT_TYPE",
     "OpProfiler",
-    "OpStats",
     "profile",
     "Callback",
     "CallbackList",
     "EpochLogger",
     "JSONLRunRecorder",
     "Profiler",
-    "TraceSpans",
 ]

@@ -25,13 +25,11 @@ from typing import IO, TYPE_CHECKING
 
 from .profiler import OpProfiler
 from .registry import MetricRegistry, get_registry
-from .trace import Span, Tracer, get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..training.trainer import Trainer, TrainingHistory
 
-__all__ = ["Callback", "CallbackList", "EpochLogger", "JSONLRunRecorder",
-           "Profiler", "TraceSpans"]
+__all__ = ["Callback", "CallbackList", "EpochLogger", "JSONLRunRecorder", "Profiler"]
 
 
 class Callback:
@@ -193,75 +191,6 @@ class JSONLRunRecorder(Callback):
         if history.val_loss:
             record["final_val_loss"] = history.val_loss[-1]
         self._write(record)
-
-
-class TraceSpans(Callback):
-    """Record the training run as one trace: fit → epoch → batch spans.
-
-    Reuses the serving stack's tracing primitives
-    (:class:`~repro.telemetry.trace.Tracer`), so a training run and a
-    serving session export the same span schema and share the same
-    pretty-printer (``repro traces``). Batch spans are emitted every
-    ``batch_every`` batches (``None`` disables them — at batch size 64 a
-    long run would otherwise flood the buffer) with the loss and grad
-    norm attached as attributes.
-    """
-
-    def __init__(self, tracer: Tracer | None = None, batch_every: int | None = 1):
-        if batch_every is not None and batch_every < 1:
-            raise ValueError(f"batch_every must be >= 1, got {batch_every}")
-        self.tracer = tracer if tracer is not None else get_tracer()
-        self.batch_every = batch_every
-        self._fit_span: Span | None = None
-        self._epoch_span: Span | None = None
-
-    def on_fit_start(self, trainer) -> None:
-        self._fit_span = self.tracer.start_span(
-            "fit",
-            attributes={
-                "model": type(trainer.model).__name__,
-                "max_epochs": trainer.config.max_epochs,
-                "batch_size": trainer.config.batch_size,
-            },
-        )
-
-    def on_epoch_start(self, trainer, epoch) -> None:
-        parent = self._fit_span.context if self._fit_span is not None else None
-        self._epoch_span = self.tracer.start_span(
-            "epoch", parent=parent, attributes={"epoch": epoch}
-        )
-
-    def on_batch_end(self, trainer, epoch, batch_index, loss, grad_norm) -> None:
-        if self.batch_every is None or batch_index % self.batch_every:
-            return
-        parent = self._epoch_span.context if self._epoch_span is not None else None
-        span = self.tracer.start_span(
-            "batch",
-            parent=parent,
-            attributes={"batch": batch_index, "loss": round(loss, 6),
-                        "grad_norm": round(grad_norm, 6)},
-        )
-        # Batch timing happens inside the training loop; the callback only
-        # fires afterwards, so the span marks the event without duration.
-        self.tracer.end_span(span)
-
-    def on_epoch_end(self, trainer, epoch, logs) -> None:
-        if self._epoch_span is not None:
-            self._epoch_span.set_attribute("train_loss", round(logs["train_loss"], 6))
-            if logs["val_loss"] is not None:
-                self._epoch_span.set_attribute("val_loss", round(logs["val_loss"], 6))
-            self.tracer.end_span(self._epoch_span)
-            self._epoch_span = None
-
-    def on_fit_end(self, trainer, history) -> None:
-        if self._epoch_span is not None:  # early stop mid-epoch
-            self.tracer.end_span(self._epoch_span)
-            self._epoch_span = None
-        if self._fit_span is not None:
-            self._fit_span.set_attribute("epochs", history.num_epochs)
-            self._fit_span.set_attribute("stopped_early", history.stopped_early)
-            self.tracer.end_span(self._fit_span)
-            self._fit_span = None
 
 
 class Profiler(Callback):

@@ -14,9 +14,10 @@ fragments. This module is the glue that keeps them one trace:
   absent header yields ``None`` and the callee roots a fresh trace —
   a bad client can never poison server-side tracing.
 * **Trace stitching** — :func:`merge_trace_payloads` and
-  :class:`TraceCollector` merge per-process span exports (``/traces``
-  responses or JSONL files) into unified traces keyed by trace id, the
-  router's ``GET /traces`` backend.
+  :class:`TraceCollector` merge per-process ``traces`` lists (a
+  :meth:`~repro.telemetry.trace.Tracer.traces` result or a ``/traces``
+  response) into unified traces keyed by trace id, the router's
+  ``GET /traces`` backend.
 * **Critical-path analysis** — :func:`critical_path` walks a merged
   trace from its root, at every level descending into the child that
   finished last, and attributes each path span's *self time* to a
@@ -30,12 +31,11 @@ fragments. This module is the glue that keeps them one trace:
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from typing import Callable, Iterable
 
-from .trace import SpanContext, Tracer
+from .trace import SpanContext, Tracer, _group_traces
 
 __all__ = [
     "TRACEPARENT_HEADER",
@@ -44,8 +44,6 @@ __all__ = [
     "parse_traceparent",
     "inject_trace_context",
     "extract_trace_context",
-    "load_jsonl_spans",
-    "spans_to_traces",
     "merge_trace_payloads",
     "TraceCollector",
     "critical_path",
@@ -131,45 +129,6 @@ def extract_trace_context(headers: dict | None) -> SpanContext | None:
 # ----------------------------------------------------------------------
 # Trace stitching
 # ----------------------------------------------------------------------
-def load_jsonl_spans(path: str) -> list[dict]:
-    """Read one process's JSONL span export; bad lines are skipped."""
-    spans: list[dict] = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                span = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(span, dict) and "span_id" in span:
-                spans.append(span)
-    return spans
-
-
-def spans_to_traces(spans: Iterable[dict]) -> list[dict]:
-    """Group raw span dicts into ``{"trace_id", "spans"}`` entries."""
-    grouped: dict[str, list[dict]] = {}
-    order: list[str] = []
-    for span in spans:
-        trace_id = span.get("trace_id")
-        if trace_id is None:
-            continue
-        if trace_id not in grouped:
-            grouped[trace_id] = []
-            order.append(trace_id)
-        grouped[trace_id].append(span)
-    return [
-        {"trace_id": trace_id, "spans": sorted(grouped[trace_id], key=_sort_key)}
-        for trace_id in order
-    ]
-
-
-def _sort_key(span: dict) -> tuple:
-    return (span.get("service") or "", span.get("start") or 0.0)
-
-
 def merge_trace_payloads(
     payloads: Iterable[list[dict]], limit: int | None = None
 ) -> list[dict]:
@@ -182,43 +141,21 @@ def merge_trace_payloads(
     of first appearance across payloads. ``limit`` truncates the result
     to the first ``limit`` merged traces.
     """
-    merged: dict[str, dict[str, dict]] = {}
-    order: list[str] = []
-    for payload in payloads:
-        if not payload:
-            continue
-        for trace in payload:
-            trace_id = trace.get("trace_id")
-            if trace_id is None:
-                continue
-            if trace_id not in merged:
-                merged[trace_id] = {}
-                order.append(trace_id)
-            bucket = merged[trace_id]
-            for span in trace.get("spans", []):
-                span_id = span.get("span_id")
-                if span_id is not None and span_id not in bucket:
-                    bucket[span_id] = span
-    if limit is not None:
-        order = order[: max(limit, 0)]
-    return [
-        {
-            "trace_id": trace_id,
-            "spans": sorted(merged[trace_id].values(), key=_sort_key),
-        }
-        for trace_id in order
-    ]
+    spans = (
+        span for payload in payloads for trace in payload or ()
+        for span in trace.get("spans", ())
+    )
+    return _group_traces(spans, limit)
 
 
 class TraceCollector:
     """Stitches spans from several sources into merged traces.
 
     Sources are callables returning a ``traces`` list (the
-    :meth:`Tracer.traces` shape); :meth:`add_tracer` and
-    :meth:`add_jsonl` wrap the two common cases. A source that raises
-    is skipped for that collection — its name lands in
-    :attr:`failures` — so one mid-restart worker never takes down the
-    merged view.
+    :meth:`Tracer.traces` shape); :meth:`add_tracer` wraps a local
+    tracer. A source that raises is skipped for that collection — its
+    name lands in :attr:`failures` — so one mid-restart worker never
+    takes down the merged view.
     """
 
     def __init__(self) -> None:
@@ -232,9 +169,6 @@ class TraceCollector:
 
     def add_tracer(self, name: str, tracer: Tracer) -> None:
         self.add_source(name, tracer.traces)
-
-    def add_jsonl(self, name: str, path: str) -> None:
-        self.add_source(name, lambda: spans_to_traces(load_jsonl_spans(path)))
 
     def collect(self, limit: int | None = None) -> list[dict]:
         with self._lock:

@@ -9,8 +9,6 @@ Mapping:
 
 * ``Counter``    → ``counter`` with the conventional ``_total`` suffix;
 * ``Gauge``      → ``gauge``;
-* ``Timer``      → ``summary`` (``_count`` / ``_sum``, no quantiles —
-  quantile lines are optional in the format);
 * ``Histogram``  → ``histogram`` with cumulative ``_bucket{le="..."}``
   lines over the fixed bounds plus ``+Inf``, ``_sum`` and ``_count``.
 
@@ -159,13 +157,11 @@ def render_prometheus(
     """
     counters: dict[str, list[str]] = {}
     gauges: dict[str, list[str]] = {}
-    summaries: dict[str, list[str]] = {}
     histograms: dict[str, list[str]] = {}
 
     with registry._create_lock:  # freeze membership against concurrent creation
         counter_items = sorted(registry._counters.items())
         gauge_items = sorted(registry._gauges.items())
-        timer_items = sorted(registry._timers.items())
         histogram_items = sorted(registry._histograms.items())
 
     for name, metric in counter_items:
@@ -179,13 +175,6 @@ def render_prometheus(
         gauges.setdefault(base, []).append(
             f"{base}{labels} {_format_value(metric.value)}"
         )
-
-    for name, metric in timer_items:
-        base, labels = _metric_name(name, namespace)
-        summaries.setdefault(base, []).extend([
-            f"{base}_count{labels} {metric.count}",
-            f"{base}_sum{labels} {_format_value(metric.total)}",
-        ])
 
     for name, metric in histogram_items:
         base, labels = _metric_name(name, namespace)
@@ -211,7 +200,6 @@ def render_prometheus(
     for family, kind in (
         (counters, "counter"),
         (gauges, "gauge"),
-        (summaries, "summary"),
         (histograms, "histogram"),
     ):
         for base in sorted(family):

@@ -1,16 +1,15 @@
-"""Metric primitives: counters, gauges, timers, histograms, spans.
+"""Metric primitives: counters, gauges and histograms.
 
 The registry is the in-process aggregation point for run-time signals.
 It is deliberately dependency-free and cheap: every primitive is a tiny
 mutable object looked up once by name, so hot loops can hold a direct
-reference (``t = registry.timer("epoch")``) and pay only an attribute
-update per event.
+reference (``h = registry.histogram("serve/latency_ms")``) and pay only
+an attribute update per event. Timing lives in
+:class:`~repro.telemetry.trace.Tracer` spans; a histogram records a
+duration the caller has already measured.
 
-A module-level *default registry* backs the convenience functions
-(:func:`counter`, :func:`gauge`, :func:`timer`, :func:`histogram`,
-:func:`span`) so library code can emit metrics without threading a
-registry handle through every call site. Tests inject a fake clock via
-``MetricRegistry(clock=...)`` for deterministic timings.
+:func:`get_registry` returns a process-wide default registry for code
+that has no registry handle of its own.
 
 Primitives are mutated concurrently — HTTP handler threads, the
 micro-batching dispatcher and the observation feed all share one
@@ -21,27 +20,15 @@ forward.
 
 from __future__ import annotations
 
-import contextlib
-import random
 import threading
-import time
-import zlib
-from typing import Callable, Iterator
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Timer",
     "Histogram",
     "DEFAULT_LATENCY_BUCKETS_MS",
     "MetricRegistry",
     "get_registry",
-    "set_registry",
-    "counter",
-    "gauge",
-    "timer",
-    "histogram",
-    "span",
 ]
 
 #: Fixed latency buckets (milliseconds) for Prometheus histogram
@@ -94,87 +81,25 @@ class Gauge:
         return self.value
 
 
-class Timer:
-    """Accumulated wall time over repeated observations.
-
-    ``observe`` takes a duration in seconds; :meth:`time` is a context
-    manager measuring its body with the registry clock.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max", "_clock", "_lock")
-
-    def __init__(self, name: str, clock: Callable[[], float] = time.perf_counter):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-        self._clock = clock
-        self._lock = threading.Lock()
-
-    def observe(self, seconds: float) -> None:
-        with self._lock:
-            self.count += 1
-            self.total += seconds
-            if seconds < self.min:
-                self.min = seconds
-            if seconds > self.max:
-                self.max = seconds
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    @contextlib.contextmanager
-    def time(self) -> Iterator[None]:
-        start = self._clock()
-        try:
-            yield
-        finally:
-            self.observe(self._clock() - start)
-
-    def snapshot(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else 0.0,
-            "max": self.max,
-        }
-
-
 class Histogram:
-    """Streaming summary (count/sum/min/max/mean) plus sampled values.
-
-    Keeps at most ``max_samples`` raw observations via reservoir sampling
-    (Vitter's Algorithm R, seeded by the metric name so runs are
-    deterministic): once the reservoir is full, each new observation
-    replaces a uniformly random slot with probability
-    ``max_samples / count``, so :meth:`percentile` stays representative
-    of the *whole* stream on long-running servers instead of freezing on
-    the first 4096 values.
+    """Streaming summary (count/sum/min/max/mean) over fixed buckets.
 
     ``buckets`` are fixed upper bounds (default: the serve-latency
     milliseconds ladder) counted cumulatively for Prometheus histogram
     exposition; an implicit ``+Inf`` bucket catches the overflow.
     """
 
-    __slots__ = ("name", "count", "sum", "min", "max", "samples", "max_samples",
-                 "buckets", "bucket_counts", "bucket_exemplars", "_rng", "_lock")
+    __slots__ = ("name", "count", "sum", "min", "max",
+                 "buckets", "bucket_counts", "bucket_exemplars", "_lock")
 
     def __init__(
-        self,
-        name: str,
-        max_samples: int = 4096,
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS,
+        self, name: str, buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS
     ):
         self.name = name
         self.count = 0
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self.samples: list[float] = []
-        self.max_samples = max_samples
         self.buckets = tuple(sorted(float(b) for b in buckets))
         # one count per finite bucket + a final overflow (+Inf) slot
         self.bucket_counts = [0] * (len(self.buckets) + 1)
@@ -182,7 +107,6 @@ class Histogram:
         self.bucket_exemplars: list[tuple[str, float] | None] = [None] * (
             len(self.buckets) + 1
         )
-        self._rng = random.Random(zlib.crc32(name.encode("utf-8")))
         self._lock = threading.Lock()
 
     def observe(self, value: float, exemplar: str | None = None) -> None:
@@ -209,30 +133,10 @@ class Histogram:
             self.bucket_counts[idx] += 1
             if exemplar is not None:
                 self.bucket_exemplars[idx] = (exemplar, value)
-            if len(self.samples) < self.max_samples:
-                self.samples.append(value)
-            else:
-                slot = self._rng.randrange(self.count)
-                if slot < self.max_samples:
-                    self.samples[slot] = value
 
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Linear-interpolated percentile ``q`` in [0, 100] over retained samples."""
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        with self._lock:
-            ordered = sorted(self.samples)
-        if not ordered:
-            return 0.0
-        pos = (len(ordered) - 1) * q / 100.0
-        lo = int(pos)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = pos - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs, ending at ``+Inf``.
@@ -261,22 +165,17 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Named collection of metric primitives with nestable spans.
+    """Named collection of metric primitives.
 
     Metrics are created on first access and shared thereafter, so
     ``registry.counter("batches").inc()`` from two call sites updates one
-    counter. :meth:`span` measures a code region into a timer keyed by
-    the slash-joined path of all open spans (``fit/epoch/batch``), which
-    turns nested instrumentation into a flat, reportable namespace.
+    counter.
     """
 
-    def __init__(self, clock: Callable[[], float] = time.perf_counter):
-        self._clock = clock
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
-        self._timers: dict[str, Timer] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._span_stack: list[str] = []
         # Guards first-access creation when two threads race on a name.
         self._create_lock = threading.Lock()
 
@@ -295,51 +194,14 @@ class MetricRegistry:
                 metric = self._gauges.setdefault(name, Gauge(name))
         return metric
 
-    def timer(self, name: str) -> Timer:
-        metric = self._timers.get(name)
-        if metric is None:
-            with self._create_lock:
-                metric = self._timers.setdefault(name, Timer(name, clock=self._clock))
-        return metric
-
     def histogram(
-        self,
-        name: str,
-        max_samples: int = 4096,
-        buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS,
+        self, name: str, buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS
     ) -> Histogram:
         metric = self._histograms.get(name)
         if metric is None:
             with self._create_lock:
-                metric = self._histograms.setdefault(
-                    name, Histogram(name, max_samples=max_samples, buckets=buckets)
-                )
+                metric = self._histograms.setdefault(name, Histogram(name, buckets=buckets))
         return metric
-
-    # -- spans ---------------------------------------------------------
-    @contextlib.contextmanager
-    def span(self, name: str) -> Iterator[Timer]:
-        """Time a region under the current span path.
-
-        Spans nest: entering ``span("b")`` inside ``span("a")`` records
-        into the timer ``a/b`` while ``a`` keeps accumulating its own
-        (inclusive) duration.
-        """
-        if "/" in name:
-            raise ValueError(f"span name may not contain '/': {name!r}")
-        self._span_stack.append(name)
-        metric = self.timer("/".join(self._span_stack))
-        start = self._clock()
-        try:
-            yield metric
-        finally:
-            metric.observe(self._clock() - start)
-            self._span_stack.pop()
-
-    @property
-    def current_span(self) -> str:
-        """Slash-joined path of currently open spans ('' at top level)."""
-        return "/".join(self._span_stack)
 
     # -- lifecycle -----------------------------------------------------
     def snapshot(self) -> dict:
@@ -347,61 +209,23 @@ class MetricRegistry:
         with self._create_lock:  # freeze membership, not values
             counters = list(self._counters.items())
             gauges = list(self._gauges.items())
-            timers = list(self._timers.items())
             histograms = list(self._histograms.items())
         return {
             "counters": {n: c.snapshot() for n, c in counters},
             "gauges": {n: g.snapshot() for n, g in gauges},
-            "timers": {n: t.snapshot() for n, t in timers},
             "histograms": {n: h.snapshot() for n, h in histograms},
         }
 
     def reset(self) -> None:
-        """Drop all metrics (open spans keep their path stack)."""
+        """Drop all metrics."""
         self._counters.clear()
         self._gauges.clear()
-        self._timers.clear()
         self._histograms.clear()
 
 
-# ----------------------------------------------------------------------
-# Default registry + module-level convenience API
-# ----------------------------------------------------------------------
 _DEFAULT_REGISTRY = MetricRegistry()
 
 
 def get_registry() -> MetricRegistry:
     """Return the process-wide default registry."""
     return _DEFAULT_REGISTRY
-
-
-def set_registry(registry: MetricRegistry) -> MetricRegistry:
-    """Swap the default registry; returns the previous one."""
-    global _DEFAULT_REGISTRY
-    previous = _DEFAULT_REGISTRY
-    _DEFAULT_REGISTRY = registry
-    return previous
-
-
-def counter(name: str) -> Counter:
-    return _DEFAULT_REGISTRY.counter(name)
-
-
-def gauge(name: str) -> Gauge:
-    return _DEFAULT_REGISTRY.gauge(name)
-
-
-def timer(name: str) -> Timer:
-    return _DEFAULT_REGISTRY.timer(name)
-
-
-def histogram(
-    name: str,
-    max_samples: int = 4096,
-    buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS_MS,
-) -> Histogram:
-    return _DEFAULT_REGISTRY.histogram(name, max_samples=max_samples, buckets=buckets)
-
-
-def span(name: str):
-    return _DEFAULT_REGISTRY.span(name)

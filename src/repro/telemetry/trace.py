@@ -23,7 +23,7 @@ Sampling is decided once per trace at root-span creation with a seeded
 RNG, so a 1% rate costs non-sampled requests only an ID allocation and
 two clock reads. Finished sampled spans land in a bounded in-memory
 deque (oldest evicted first) and, optionally, an append-only JSONL
-export file.
+export file that :func:`load_traces` groups back into traces.
 
 A module-level default tracer backs :func:`get_tracer`/:func:`set_tracer`
 mirroring the metric registry's pattern; it starts with ``sample_rate=0``
@@ -41,7 +41,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "SpanContext",
@@ -142,7 +142,8 @@ class Tracer:
         cannot pin the whole buffer.
     export_path:
         Optional JSONL file; every finished sampled span is appended as
-        one JSON object (the same schema :meth:`export_jsonl` writes).
+        one JSON object (the :meth:`Span.to_json_dict` schema), which
+        :func:`load_traces` reads back.
     clock:
         Injectable monotonic clock (tests use a fake).
     seed:
@@ -284,23 +285,8 @@ class Tracer:
         Each entry is ``{"trace_id", "spans": [span dicts sorted by
         start]}``; ``limit`` truncates to the most recent traces.
         """
-        grouped: dict[str, list[Span]] = {}
-        order: list[str] = []
-        for span in self.finished_spans():
-            if span.trace_id not in grouped:
-                grouped[span.trace_id] = []
-                order.append(span.trace_id)
-            grouped[span.trace_id].append(span)
-        out = []
-        for trace_id in reversed(order):  # most recent trace first
-            spans = sorted(grouped[trace_id], key=lambda s: s.start)
-            out.append({
-                "trace_id": trace_id,
-                "spans": [span.to_json_dict() for span in spans],
-            })
-        if limit is not None:
-            out = out[: max(limit, 0)]
-        return out
+        spans = (span.to_json_dict() for span in self.finished_spans())
+        return _group_traces(spans, limit, newest_first=True)
 
     def clear(self) -> None:
         with self._lock:
@@ -316,17 +302,6 @@ class Tracer:
         line = json.dumps(span.to_json_dict()) + "\n"
         with self._export_lock, open(self.export_path, "a") as handle:
             handle.write(line)
-
-    def export_jsonl(self, path: str) -> int:
-        """Dump the current buffer as JSONL; returns the span count."""
-        spans = self.finished_spans()
-        directory = os.path.dirname(path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        with open(path, "w") as handle:
-            for span in spans:
-                handle.write(json.dumps(span.to_json_dict()) + "\n")
-        return len(spans)
 
 
 # ----------------------------------------------------------------------
@@ -348,12 +323,60 @@ def set_tracer(tracer: Tracer) -> Tracer:
     return previous
 
 
+def _group_traces(
+    spans: Iterable[dict], limit: int | None = None, newest_first: bool = False
+) -> list[dict]:
+    """Group span dicts into ``{"trace_id", "spans"}`` entries.
+
+    Traces keep the order in which their first span arrives, reversed
+    with ``newest_first``; ``limit`` keeps the first ``limit`` of them.
+    A span seen twice (same ``span_id``, e.g. exported by two sources)
+    counts once, and spans without a trace or span id are dropped.
+    Within a trace, spans sort by ``(service, start)``: start times come
+    from each process's own clock, so they are only ordered within one
+    service.
+    """
+    grouped: dict[str, dict[str, dict]] = {}
+    for span in spans:
+        trace_id, span_id = span.get("trace_id"), span.get("span_id")
+        if trace_id is not None and span_id is not None:
+            grouped.setdefault(trace_id, {}).setdefault(span_id, span)
+    order = list(grouped)
+    if newest_first:
+        order.reverse()
+    if limit is not None:
+        order = order[: max(limit, 0)]
+    return [
+        {"trace_id": trace_id,
+         "spans": sorted(grouped[trace_id].values(),
+                         key=lambda s: (s.get("service") or "", s.get("start") or 0.0))}
+        for trace_id in order
+    ]
+
+
+def _read_spans(path: str) -> Iterator[dict]:
+    """The span objects of a JSONL export, skipping any other line.
+
+    The tracer appends one line per finished span, so a file read while
+    a server writes it, or after a crash, can end in a partial line.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                span = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if isinstance(span, dict):
+                yield span
+
+
 def load_traces(source: str, limit: int | None = None) -> list[dict]:
     """Fetch traces from a server's ``/traces`` or regroup a JSONL span export.
 
     ``source`` is an ``http(s)://host:port`` base URL or a span file
     written by ``export_path``; either way the most recently started
-    trace comes first, at most ``limit`` of them.
+    trace comes first, at most ``limit`` of them. A file line that is
+    not a span object (a partial last line, say) is skipped.
     """
     if source.startswith("http://") or source.startswith("https://"):
         from urllib.request import urlopen
@@ -363,20 +386,7 @@ def load_traces(source: str, limit: int | None = None) -> list[dict]:
             url += f"?limit={limit}"
         with urlopen(url) as response:
             return json.load(response)["traces"]
-
-    grouped: dict[str, list[dict]] = {}
-    with open(source, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                span = json.loads(line)
-                grouped.setdefault(span["trace_id"], []).append(span)
-    traces = [
-        {"trace_id": trace_id,
-         "spans": sorted(spans, key=lambda s: s["start"])}
-        for trace_id, spans in reversed(grouped.items())
-    ]
-    return traces if limit is None else traces[: max(limit, 0)]
+    return _group_traces(_read_spans(source), limit, newest_first=True)
 
 
 def _span_label(span: dict) -> str:

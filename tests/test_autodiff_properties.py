@@ -11,9 +11,7 @@ from repro.autodiff import (
     gradcheck,
     inference_mode,
     is_grad_enabled,
-    mae,
     maximum,
-    mse,
     no_grad,
     softmax,
     stack,
@@ -117,21 +115,6 @@ def test_gradient_linear_in_scale(data, scale):
 def test_tanh_gradcheck_random_inputs(data):
     t = Tensor(data, requires_grad=True)
     assert gradcheck(lambda a: a.tanh(), [t])
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_arrays())
-def test_mse_nonnegative_and_zero_at_identity(data):
-    t = Tensor(data)
-    assert mse(t, data).item() <= 1e-12
-    assert mse(t, data + 1.0).item() >= 0.0
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_arrays(), st.floats(min_value=-3, max_value=3))
-def test_mae_translation(data, shift):
-    t = Tensor(data)
-    np.testing.assert_allclose(mae(t, data + shift).item(), abs(shift), atol=1e-9)
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.autodiff import (
     as_tensor,
     concat,
     default_dtype,
-    enable_grad,
     is_grad_enabled,
     maximum,
     minimum,
@@ -162,12 +161,6 @@ class TestGradMode:
         with no_grad():
             assert not is_grad_enabled()
         assert is_grad_enabled()
-
-    def test_enable_grad_inside_no_grad(self):
-        with no_grad():
-            with enable_grad():
-                assert is_grad_enabled()
-            assert not is_grad_enabled()
 
     def test_no_grad_restores_on_exception(self):
         with pytest.raises(ValueError):

@@ -3,23 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, default_dtype, dtype_policy, mae, masked_mse, mse
+from repro.autodiff import Tensor, default_dtype, dtype_policy
 from repro.nn import ImputationConsistencyLoss, JointLoss, MaskedMAELoss, init
-
-
-class TestBasicLosses:
-    def test_mae_value(self):
-        loss = mae(Tensor([1.0, 3.0]), np.array([2.0, 1.0]))
-        assert loss.item() == pytest.approx(1.5)
-
-    def test_mse_value(self):
-        loss = mse(Tensor([1.0, 3.0]), np.array([2.0, 1.0]))
-        assert loss.item() == pytest.approx(2.5)
-
-    def test_zero_at_perfect_prediction(self):
-        x = np.random.default_rng(0).normal(size=(4, 5))
-        assert mae(Tensor(x), x).item() == pytest.approx(0.0)
-        assert mse(Tensor(x), x).item() == pytest.approx(0.0)
 
 
 class TestMaskedLosses:
@@ -28,12 +13,6 @@ class TestMaskedLosses:
         target = np.array([0.0, 0.0])
         mask = np.array([1.0, 0.0])
         assert MaskedMAELoss()(pred, target, mask).item() == pytest.approx(1.0)
-
-    def test_masked_mse(self):
-        pred = Tensor([2.0, 100.0])
-        target = np.array([0.0, 0.0])
-        mask = np.array([1.0, 0.0])
-        assert masked_mse(pred, target, mask).item() == pytest.approx(4.0)
 
     def test_empty_mask_is_safe(self):
         pred = Tensor([1.0, 2.0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, mse
+from repro.autodiff import Tensor
 from repro.nn import Linear, Parameter
 from repro.optim import Adam, EarlyStopping, clip_grad_norm
 
@@ -68,7 +68,7 @@ class TestAdam:
         opt = Adam(layer.parameters(), lr=0.05)
         for _ in range(200):
             opt.zero_grad()
-            loss = mse(layer(Tensor(x)), y)
+            loss = ((layer(Tensor(x)) - y) ** 2).mean()
             loss.backward()
             opt.step()
         assert np.allclose(layer.weight.data, true_w, atol=0.05)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlineExceeded, ReproError, ServeError
-from repro.reliability import Deadline, current_deadline, deadline_scope
+from repro.reliability import Deadline
 
 
 class FakeClock:
@@ -64,33 +64,6 @@ class TestDeadline:
     def test_after_alias(self):
         clock = FakeClock()
         assert Deadline.after(3.0, clock=clock).remaining() == pytest.approx(3.0)
-
-
-class TestScope:
-    def test_no_ambient_deadline_by_default(self):
-        assert current_deadline() is None
-
-    def test_scope_installs_and_restores(self):
-        deadline = Deadline(5.0, clock=FakeClock())
-        with deadline_scope(deadline) as installed:
-            assert installed is deadline
-            assert current_deadline() is deadline
-        assert current_deadline() is None
-
-    def test_scopes_nest(self):
-        outer = Deadline(5.0, clock=FakeClock())
-        inner = Deadline(1.0, clock=FakeClock())
-        with deadline_scope(outer):
-            with deadline_scope(inner):
-                assert current_deadline() is inner
-            assert current_deadline() is outer
-
-    def test_scope_restores_after_raise(self):
-        deadline = Deadline(5.0, clock=FakeClock())
-        with pytest.raises(RuntimeError):
-            with deadline_scope(deadline):
-                raise RuntimeError("boom")
-        assert current_deadline() is None
 
 
 class TestEnginePropagation:

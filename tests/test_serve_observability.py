@@ -36,9 +36,9 @@ def bundle(tiny_ctx, tmp_path):
     return load_bundle(base)
 
 
-def _traced_app(bundle, **engine_kwargs):
+def _traced_app(bundle, export_path=None, **engine_kwargs):
     registry = MetricRegistry()
-    tracer = Tracer(sample_rate=1.0, seed=0)
+    tracer = Tracer(sample_rate=1.0, seed=0, export_path=export_path)
     store = bundle.make_store()
     engine = bundle.make_engine(
         store=store, registry=registry, tracer=tracer, **engine_kwargs
@@ -248,11 +248,10 @@ class TestTracesCLI:
     def test_pretty_prints_jsonl_export(self, bundle, tmp_path, capsys):
         from repro.cli import main
 
-        app = _traced_app(bundle)
+        path = tmp_path / "spans.jsonl"
+        app = _traced_app(bundle, export_path=str(path))
         _warm(app)
         app.handle("GET", "/forecast", None)
-        path = tmp_path / "spans.jsonl"
-        app.tracer.export_jsonl(str(path))
         assert main(["traces", str(path)]) == 0
         out = capsys.readouterr().out
         assert "trace " in out
@@ -261,12 +260,11 @@ class TestTracesCLI:
     def test_limit_flag(self, bundle, tmp_path, capsys):
         from repro.cli import main
 
-        app = _traced_app(bundle)
+        path = tmp_path / "spans.jsonl"
+        app = _traced_app(bundle, export_path=str(path))
         _warm(app)
         app.handle("GET", "/forecast", None)
         app.handle("GET", "/healthz", None)
-        path = tmp_path / "spans.jsonl"
-        app.tracer.export_jsonl(str(path))
         assert main(["traces", str(path), "--limit", "1"]) == 0
         out = capsys.readouterr().out
         assert out.count("trace ") == 1

@@ -1,4 +1,4 @@
-"""Every library module is reached from an entry point.
+"""Every library module, and every exported name, is reached from an entry point.
 
 The scan parses ``src/repro`` with :mod:`ast` and walks imports from the
 entry points: ``repro.cli``, ``repro.selfcheck``, the perfbench harness
@@ -10,6 +10,13 @@ reaches everything it re-exports. Imports inside functions count.
 
 A module that no entry point reaches is code only its own tests run; it
 should be deleted, or given a caller.
+
+The same import resolution checks names: each name in the ``__all__`` of
+the packages in ``NAME_CHECKED`` must be imported by some module of
+``src/repro`` other than the one defining it (package ``__init__``
+re-exports do not count), or by a perfbench or example script. Tests do
+not count. The few exceptions are listed in ``UNIMPORTED_EXPORTS``, each
+with the reason it stays exported.
 """
 
 from __future__ import annotations
@@ -91,13 +98,17 @@ def _target(module: str, name: str | None) -> str | None:
     return module if module in MODULES else None
 
 
-def _entry_trees():
-    for name in ("repro.cli", "repro.selfcheck"):
-        yield name, _parse(name)
+def _script_trees():
     scripts = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "examples").glob("*.py"))
     for path in scripts:
         if not path.name.startswith("test_"):
             yield "__main__", ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _entry_trees():
+    for name in ("repro.cli", "repro.selfcheck"):
+        yield name, _parse(name)
+    yield from _script_trees()
 
 
 def reached_modules() -> set[str]:
@@ -132,6 +143,85 @@ def test_scan_follows_package_reexports():
     assert _target("repro.nn", "Linear") == "repro.nn.linear"
     assert _target("repro.autodiff", "Tensor") == "repro.autodiff.tensor"
     assert "repro.cli" in reached_modules()
+
+
+NAME_CHECKED = ("repro.telemetry", "repro.reliability", "repro.autodiff")
+
+#: ``package.name`` -> why an export that nothing imports stays exported.
+UNIMPORTED_EXPORTS = {
+    "repro.telemetry.Span":
+        "Tracer.start_span returns it; tests build spans directly",
+    "repro.telemetry.format_traceparent":
+        "inject_trace_context calls it in its own module; tests build headers with it",
+    "repro.telemetry.parse_traceparent":
+        "extract_trace_context calls it in its own module; tests pin the W3C rules",
+    "repro.telemetry.merge_trace_payloads":
+        "TraceCollector.collect calls it in its own module; tests pin dedup and limit",
+    "repro.telemetry.parse_collapsed":
+        "merge_collapsed calls it in its own module; tests read flame output with it",
+    "repro.telemetry.escape_label_value":
+        "label_block calls it in its own module; tests pin the escaping rules",
+    "repro.telemetry.profile":
+        "one-shot OpProfiler window that tests and docs/OBSERVABILITY.md use",
+    "repro.reliability.CLOSED":
+        "CircuitBreaker state its own module compares against; tests assert it",
+    "repro.reliability.HALF_OPEN":
+        "CircuitBreaker state its own module compares against; tests assert it",
+    "repro.autodiff.maximum":
+        "differentiable op no model calls yet; its gradient tests use it as a reference op",
+    "repro.autodiff.minimum":
+        "differentiable op no model calls yet; its gradient tests use it as a reference op",
+    "repro.autodiff.set_default_dtype":
+        "dtype_policy wraps it in its own module; docs/API.md documents the global switch",
+    "repro.autodiff.numerical_gradient":
+        "gradcheck's finite-difference reference in its own module; tests compare to it",
+    "repro.autodiff.ExecutionPlan":
+        "the type trace() returns; tests check it",
+}
+
+
+def _exported(package: str) -> list[str]:
+    for node in _parse(package).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+@lru_cache(maxsize=None)
+def imported_names() -> frozenset[tuple[str, str]]:
+    """``(defining module, name)`` for every name imported outside its own module."""
+    trees = [(module, _parse(module)) for module in MODULES if not _is_package(module)]
+    found = set()
+    for importer, tree in [*trees, *_script_trees()]:
+        for module, name in _imports(tree, importer):
+            if name is not None:
+                home = _target(module, name)
+                if home != importer:
+                    found.add((home, name))
+    return frozenset(found)
+
+
+def unimported_exports() -> list[str]:
+    imported = imported_names()
+    return [
+        f"{package}.{name}"
+        for package in NAME_CHECKED
+        for name in _exported(package)
+        if (_target(package, name), name) not in imported
+    ]
+
+
+def test_every_exported_name_is_imported_outside_its_module():
+    unlisted = [name for name in unimported_exports() if name not in UNIMPORTED_EXPORTS]
+    assert not unlisted, f"exported names nothing imports: {unlisted}"
+
+
+def test_unimported_exports_list_is_current():
+    # An entry that gained an importer, or left __all__, must leave the list.
+    stale = sorted(set(UNIMPORTED_EXPORTS) - set(unimported_exports()))
+    assert not stale, f"stale UNIMPORTED_EXPORTS entries: {stale}"
 
 
 def _loaded_after(code: str) -> dict[str, bool]:

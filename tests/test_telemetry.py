@@ -1,16 +1,10 @@
-"""Tests for the telemetry subsystem: registry, spans, op profiler."""
+"""Tests for the telemetry subsystem: metric registry and op profiler."""
 
 import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.telemetry import (
-    MetricRegistry,
-    OpProfiler,
-    get_registry,
-    profile,
-    set_registry,
-)
+from repro.telemetry import MetricRegistry, OpProfiler, profile
 
 
 class FakeClock:
@@ -46,27 +40,7 @@ class TestCounterGauge:
     def test_same_name_shares_instance(self):
         reg = MetricRegistry()
         assert reg.counter("x") is reg.counter("x")
-        assert reg.timer("t") is reg.timer("t")
-
-
-class TestTimer:
-    def test_observe_aggregates(self):
-        t = MetricRegistry().timer("t")
-        t.observe(1.0)
-        t.observe(3.0)
-        assert t.count == 2
-        assert t.total == pytest.approx(4.0)
-        assert t.mean == pytest.approx(2.0)
-        assert t.min == pytest.approx(1.0)
-        assert t.max == pytest.approx(3.0)
-
-    def test_time_context_uses_injected_clock(self):
-        reg = MetricRegistry(clock=FakeClock(step=2.0))
-        with reg.timer("t").time():
-            pass
-        # one clock reading on entry, one on exit -> duration == step
-        assert reg.timer("t").total == pytest.approx(2.0)
-        assert reg.timer("t").count == 1
+        assert reg.histogram("h") is reg.histogram("h")
 
 
 class TestHistogram:
@@ -77,57 +51,14 @@ class TestHistogram:
         assert h.count == 4
         assert h.mean == pytest.approx(2.5)
         assert h.min == 1.0 and h.max == 4.0
-        assert h.percentile(0) == 1.0
-        assert h.percentile(100) == 4.0
-        assert h.percentile(50) == pytest.approx(2.5)
 
-    def test_percentile_validates(self):
-        h = MetricRegistry().histogram("h")
-        h.observe(1.0)
-        with pytest.raises(ValueError):
-            h.percentile(101)
-
-    def test_sample_cap(self):
-        h = MetricRegistry().histogram("h", max_samples=3)
-        for v in range(10):
-            h.observe(float(v))
-        assert h.count == 10
-        assert len(h.samples) == 3
-
-
-class TestSpans:
-    def test_nested_spans_record_paths(self):
-        reg = MetricRegistry(clock=FakeClock())
-        with reg.span("fit"):
-            with reg.span("epoch"):
-                pass
-            with reg.span("epoch"):
-                pass
-        snap = reg.snapshot()["timers"]
-        assert set(snap) == {"fit", "fit/epoch"}
-        assert snap["fit/epoch"]["count"] == 2
-        assert snap["fit"]["count"] == 1
-
-    def test_span_path_restored_after_exception(self):
-        reg = MetricRegistry()
-        with pytest.raises(RuntimeError):
-            with reg.span("outer"):
-                raise RuntimeError("boom")
-        assert reg.current_span == ""
-        assert reg.snapshot()["timers"]["outer"]["count"] == 1
-
-    def test_span_name_rejects_separator(self):
-        reg = MetricRegistry()
-        with pytest.raises(ValueError):
-            with reg.span("a/b"):
-                pass
-
-    def test_deterministic_durations_with_fake_clock(self):
-        reg = MetricRegistry(clock=FakeClock(step=1.0))
-        with reg.span("outer") as t:
-            pass
-        # entry and exit reading one tick apart
-        assert t.total == pytest.approx(1.0)
+    def test_bucket_counts_cumulative_with_inf(self):
+        h = MetricRegistry().histogram("h", buckets=(1.0, 10.0))
+        for v in [0.5, 0.7, 5.0, 99.0]:
+            h.observe(v)
+        assert h.cumulative_buckets() == [
+            (1.0, 2), (10.0, 3), (float("inf"), 4),
+        ]
 
 
 class TestRegistryLifecycle:
@@ -135,12 +66,10 @@ class TestRegistryLifecycle:
         reg = MetricRegistry()
         reg.counter("c").inc()
         reg.gauge("g").set(1.0)
-        reg.timer("t").observe(0.5)
         reg.histogram("h").observe(2.0)
         snap = reg.snapshot()
         assert snap["counters"]["c"] == 1.0
         assert snap["gauges"]["g"] == 1.0
-        assert snap["timers"]["t"]["count"] == 1
         assert snap["histograms"]["h"]["count"] == 1
         import json
 
@@ -150,17 +79,7 @@ class TestRegistryLifecycle:
         reg = MetricRegistry()
         reg.counter("c").inc()
         reg.reset()
-        assert reg.snapshot() == {
-            "counters": {}, "gauges": {}, "timers": {}, "histograms": {},
-        }
-
-    def test_default_registry_swap(self):
-        fresh = MetricRegistry()
-        previous = set_registry(fresh)
-        try:
-            assert get_registry() is fresh
-        finally:
-            set_registry(previous)
+        assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
 class TestOpProfiler:
@@ -239,40 +158,6 @@ class TestOpProfiler:
         assert prof.stats["div"].calls >= 1
 
 
-class TestHistogramReservoir:
-    def test_late_samples_influence_percentiles(self):
-        """Regression: the old cap froze the sample set on the first
-        ``max_samples`` observations, so a latency shift after warm-up
-        never moved ``percentile()``. Reservoir sampling keeps admitting
-        late values with probability max_samples/count."""
-        h = MetricRegistry().histogram("h", max_samples=64)
-        for _ in range(64):
-            h.observe(1.0)
-        for _ in range(640):
-            h.observe(100.0)
-        assert len(h.samples) == 64
-        assert any(v == 100.0 for v in h.samples)
-        # ~10:1 late:early observations → upper percentiles must shift
-        assert h.percentile(90) == pytest.approx(100.0)
-
-    def test_reservoir_is_deterministic_per_name(self):
-        def fill(name):
-            h = MetricRegistry().histogram(name, max_samples=8)
-            for v in range(100):
-                h.observe(float(v))
-            return list(h.samples)
-
-        assert fill("same") == fill("same")
-
-    def test_bucket_counts_cumulative_with_inf(self):
-        h = MetricRegistry().histogram("h", buckets=(1.0, 10.0))
-        for v in [0.5, 0.7, 5.0, 99.0]:
-            h.observe(v)
-        assert h.cumulative_buckets() == [
-            (1.0, 2), (10.0, 3), (float("inf"), 4),
-        ]
-
-
 class TestThreadSafety:
     """Concurrent hammer: totals must be exact, not approximately right."""
 
@@ -306,13 +191,12 @@ class TestThreadSafety:
         assert g.value == self.THREADS * self.ITERATIONS
 
     def test_histogram_observe_is_atomic(self):
-        h = MetricRegistry().histogram("lat", max_samples=128, buckets=(0.5,))
+        h = MetricRegistry().histogram("lat", buckets=(0.5,))
         self._hammer(lambda: h.observe(1.0))
         expected = self.THREADS * self.ITERATIONS
         assert h.count == expected
         assert h.sum == pytest.approx(float(expected))
         assert h.cumulative_buckets()[-1][1] == expected
-        assert len(h.samples) == 128
 
     def test_racy_first_access_yields_one_instance(self):
         registry = MetricRegistry()

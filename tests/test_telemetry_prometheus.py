@@ -15,7 +15,7 @@ _SAMPLE = re.compile(
     rf"^({_NAME})(\{{{_NAME}=\"[^\"]*\"(,{_NAME}=\"[^\"]*\")*\}})? "
     r"(NaN|[+-]Inf|[0-9.eE+-]+)$"
 )
-_TYPE = re.compile(rf"^# TYPE ({_NAME}) (counter|gauge|summary|histogram)$")
+_TYPE = re.compile(rf"^# TYPE ({_NAME}) (counter|gauge|histogram)$")
 
 
 def parse_exposition(text: str) -> dict[str, dict]:
@@ -42,9 +42,7 @@ def parse_exposition(text: str) -> dict[str, dict]:
         assert current is not None, f"sample before any # TYPE: {line!r}"
         name = sample.group(1)
         kind = families[current]["type"]
-        if kind == "summary":
-            assert name in (current + "_count", current + "_sum")
-        elif kind == "histogram":
+        if kind == "histogram":
             assert name in (current + "_bucket", current + "_sum",
                             current + "_count")
         elif kind == "counter":
@@ -74,16 +72,6 @@ class TestRendering:
         registry.gauge("quality/degraded").set(1.0)
         families = parse_exposition(render_prometheus(registry))
         assert families["repro_quality_degraded"]["type"] == "gauge"
-
-    def test_timer_renders_as_summary(self):
-        registry = MetricRegistry()
-        timer = registry.timer("epoch")
-        timer.observe(0.5)
-        timer.observe(1.5)
-        families = parse_exposition(render_prometheus(registry))
-        samples = families["repro_epoch"]["samples"]
-        assert samples["repro_epoch_count"] == 2.0
-        assert samples["repro_epoch_sum"] == pytest.approx(2.0)
 
     def test_histogram_buckets_cumulative_and_inf_terminated(self):
         registry = MetricRegistry()

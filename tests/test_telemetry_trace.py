@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from repro.telemetry import Span, SpanContext, Tracer, format_trace
+from repro.telemetry import Span, SpanContext, Tracer, format_trace, load_traces
 from repro.telemetry.trace import get_tracer, set_tracer
 
 
@@ -165,16 +165,33 @@ class TestBufferAndExport:
         assert {s["name"] for s in traces[1]["spans"]} == {"first", "first-child"}
         assert tracer.traces(limit=1) == traces[:1]
 
-    def test_export_jsonl_round_trips(self, tmp_path):
-        tracer = Tracer(seed=0)
-        with tracer.span("op", attributes={"k": 1}):
-            pass
+    def test_export_path_round_trips_through_load_traces(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        count = tracer.export_jsonl(str(path))
-        assert count == 1
-        record = json.loads(path.read_text().strip())
-        assert record["name"] == "op"
-        assert record["attributes"] == {"k": 1}
+        tracer = Tracer(export_path=str(path), seed=0)
+        with tracer.span("op", attributes={"k": 1}):
+            with tracer.span("child"):
+                pass
+        assert load_traces(str(path)) == tracer.traces()
+        (trace,) = load_traces(str(path))
+        assert [s["name"] for s in trace["spans"]] == ["op", "child"]
+        assert trace["spans"][0]["attributes"] == {"k": 1}
+
+    def test_load_traces_skips_a_truncated_last_line(self, tmp_path):
+        # A file read while a server appends to it, or after a crash,
+        # can end in a partial span line.
+        path = tmp_path / "spans.jsonl"
+        tracer = Tracer(export_path=str(path), seed=0)
+        for name in ("a", "b", "c"):
+            with tracer.span(name):
+                pass
+        whole = path.read_text()
+        path.write_text(whole + whole.splitlines()[0][:40])
+        traces = load_traces(str(path))
+        assert [t["spans"][0]["name"] for t in traces] == ["c", "b", "a"]
+        assert load_traces(str(path), limit=1) == traces[:1]
+        # a line holding JSON that is not a span object is skipped too
+        path.write_text(whole + "[1, 2]\n")
+        assert load_traces(str(path)) == traces
 
     def test_export_path_streams_on_end(self, tmp_path):
         path = tmp_path / "stream.jsonl"

@@ -292,53 +292,3 @@ class TestForwardBatch:
         from repro.models.base import NeuralForecaster
 
         assert ASTGCN.forward_batch is not NeuralForecaster.forward_batch
-
-
-class TestTraceSpans:
-    def _fit(self, env, tracer, batch_every=1, max_epochs=2):
-        from repro.telemetry import TraceSpans
-
-        wtr, wva, adjacency, _scaler = env
-        trainer = Trainer(small_model(adjacency),
-                          TrainerConfig(max_epochs=max_epochs, batch_size=32))
-        history = trainer.fit(
-            wtr, wva, callbacks=[TraceSpans(tracer=tracer, batch_every=batch_every)]
-        )
-        return trainer, history
-
-    def test_records_fit_epoch_batch_tree(self, env):
-        from repro.telemetry import Tracer
-
-        tracer = Tracer(seed=0)
-        _trainer, history = self._fit(env, tracer)
-        spans = tracer.finished_spans()
-        fits = [s for s in spans if s.name == "fit"]
-        epochs = [s for s in spans if s.name == "epoch"]
-        batches = [s for s in spans if s.name == "batch"]
-        assert len(fits) == 1
-        assert len(epochs) == history.num_epochs
-        assert batches, "batch_every=1 must emit batch spans"
-        # one trace: every span shares the fit span's trace id
-        assert {s.trace_id for s in spans} == {fits[0].trace_id}
-        assert all(e.parent_id == fits[0].span_id for e in epochs)
-        epoch_ids = {e.span_id for e in epochs}
-        assert all(b.parent_id in epoch_ids for b in batches)
-        assert all("loss" in b.attributes for b in batches)
-        assert fits[0].attributes["epochs"] == history.num_epochs
-        assert epochs[0].attributes["train_loss"] == pytest.approx(
-            history.train_loss[0], rel=1e-6
-        )
-
-    def test_batch_every_none_disables_batch_spans(self, env):
-        from repro.telemetry import Tracer
-
-        tracer = Tracer(seed=0)
-        self._fit(env, tracer, batch_every=None, max_epochs=1)
-        names = {s.name for s in tracer.finished_spans()}
-        assert names == {"fit", "epoch"}
-
-    def test_batch_every_validated(self):
-        from repro.telemetry import TraceSpans, Tracer
-
-        with pytest.raises(ValueError, match="batch_every"):
-            TraceSpans(tracer=Tracer(), batch_every=0)
