@@ -121,6 +121,11 @@ def test_rihgcn_profile(tmp_path):
         "baseline_float64": BASELINE_FLOAT64,
     })
 
+    # Structural, at every scale: the profiler times every op it counts,
+    # including the ones defined outside Tensor's methods.
+    untimed = [row["op"] for row in all_stats if row["forward_seconds"] <= 0]
+    assert not untimed, f"profiled ops with no forward time: {untimed}"
+
     # ---- perf gates (same configuration as the frozen baseline) ------
     if SCALE != BASELINE_FLOAT64["scale"] or dtype != "float32":
         return

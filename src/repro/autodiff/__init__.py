@@ -11,8 +11,6 @@ from .tensor import (
     concat,
     inference_mode,
     is_grad_enabled,
-    maximum,
-    minimum,
     no_grad,
     sigmoid_split,
     split,
@@ -28,8 +26,6 @@ __all__ = [
     "sigmoid_split",
     "stack",
     "where",
-    "maximum",
-    "minimum",
     "default_dtype",
     "set_default_dtype",
     "dtype_policy",

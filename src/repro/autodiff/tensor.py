@@ -40,8 +40,6 @@ __all__ = [
     "sigmoid_split",
     "stack",
     "where",
-    "maximum",
-    "minimum",
 ]
 
 
@@ -858,13 +856,17 @@ def sigmoid_split(
     scatters it into ``x``'s buffer.
     """
     x = as_tensor(x)
-    data = _sigmoid(x.data)
     indices = _split_indices(x, sections, axis)
     if not _grad_mode.enabled:
+        data = _sigmoid(x.data)
         return tuple(Tensor._wrap(data[index]) for index in indices)
+    # The chunks are made before the sigmoid runs, so a profiler's lap
+    # charges the sigmoid to ``sigmoid`` rather than to ``split``.
+    chunks = split(x, sections, axis)
+    data = _sigmoid(x.data)
     return tuple(
         Tensor._make(data[index], (chunk,), _sigmoid_backward(data[index]), "sigmoid")
-        for index, chunk in zip(indices, split(x, sections, axis))
+        for index, chunk in zip(indices, chunks)
     )
 
 
@@ -907,38 +909,3 @@ def where(condition, a, b) -> Tensor:
 
     return Tensor._make(data, (a, b), backward, "where")
 
-
-def maximum(a, b) -> Tensor:
-    """Elementwise maximum; ties send gradient to the first operand."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if not _grad_mode.enabled:
-        return Tensor._wrap(np.where(a.data >= b.data, a.data, b.data))
-    take_a = a.data >= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def backward(g, m=take_a, ta=a, tb=b):
-        return (
-            _unbroadcast(np.where(m, g, 0.0), ta.shape),
-            _unbroadcast(np.where(m, 0.0, g), tb.shape),
-        )
-
-    return Tensor._make(data, (a, b), backward, "maximum")
-
-
-def minimum(a, b) -> Tensor:
-    """Elementwise minimum; ties send gradient to the first operand."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if not _grad_mode.enabled:
-        return Tensor._wrap(np.where(a.data <= b.data, a.data, b.data))
-    take_a = a.data <= b.data
-    data = np.where(take_a, a.data, b.data)
-
-    def backward(g, m=take_a, ta=a, tb=b):
-        return (
-            _unbroadcast(np.where(m, g, 0.0), ta.shape),
-            _unbroadcast(np.where(m, 0.0, g), tb.shape),
-        )
-
-    return Tensor._make(data, (a, b), backward, "minimum")

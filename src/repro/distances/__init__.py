@@ -4,7 +4,6 @@ from .dtw import dtw_distance, dtw_path
 from .erp import erp_distance
 from .lcss import lcss_distance, lcss_similarity
 from .pairwise import (
-    euclidean_distance_matrix,
     get_series_metric,
     paired_distances,
     series_distance_matrix,
@@ -19,5 +18,4 @@ __all__ = [
     "get_series_metric",
     "paired_distances",
     "series_distance_matrix",
-    "euclidean_distance_matrix",
 ]

@@ -22,7 +22,6 @@ __all__ = [
     "series_distance_matrix",
     "paired_distances",
     "get_series_metric",
-    "euclidean_distance_matrix",
 ]
 
 MetricName = Literal["dtw", "erp", "lcss", "euclidean"]
@@ -100,9 +99,3 @@ def series_distance_matrix(
     out[cols, rows] = values
     return out
 
-
-def euclidean_distance_matrix(points: np.ndarray) -> np.ndarray:
-    """Pairwise Euclidean distances between coordinate points ``(N, k)``."""
-    points = np.asarray(points, dtype=np.float64)
-    diff = points[:, None, :] - points[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))

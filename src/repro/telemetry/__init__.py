@@ -24,9 +24,10 @@ Layers, usable independently:
   (:class:`QualityMonitor`);
 * :mod:`repro.telemetry.prometheus` — text exposition of a registry in
   the Prometheus scrape format (:func:`render_prometheus`);
-* :mod:`repro.telemetry.profiler` — an autodiff op profiler that hooks
-  ``Tensor`` op dispatch and reports per-op counts, forward/backward
-  wall time and allocation sizes (:meth:`OpProfiler.report`);
+* :mod:`repro.telemetry.profiler` — an autodiff op profiler that wraps
+  the one op choke point, ``Tensor._make``, and reports per-op counts,
+  forward time (a per-thread lap between ops), backward time and
+  allocation sizes (:meth:`OpProfiler.report`);
 * :mod:`repro.telemetry.callbacks` — the ``Trainer`` event bus
   (:class:`Callback`) with built-in :class:`EpochLogger`,
   :class:`JSONLRunRecorder` and :class:`Profiler` observers.
@@ -50,7 +51,7 @@ from .distributed import (
     merge_trace_payloads,
     parse_traceparent,
 )
-from .profiler import OpProfiler, profile
+from .profiler import OpProfiler
 from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .prometheus import escape_label_value, label_block, render_prometheus
 from .quality import QualityMonitor, QualityThresholds
@@ -97,7 +98,6 @@ __all__ = [
     "label_block",
     "PROMETHEUS_CONTENT_TYPE",
     "OpProfiler",
-    "profile",
     "Callback",
     "CallbackList",
     "EpochLogger",

@@ -197,18 +197,17 @@ class Profiler(Callback):
     """Run the autodiff op profiler for one epoch of training.
 
     Profiling every epoch would distort wall times, so the callback
-    activates the hooks only for ``epoch`` (default: the second epoch,
+    activates the hook only for ``epoch`` (default: the second epoch,
     skipping epoch 0's cache-warming noise, falling back to 0 on 1-epoch
     runs). After the profiled epoch the hotspot table is available as
-    :attr:`report_text` and optionally printed / written to ``path``.
+    :attr:`report_text` and optionally written to ``path``.
     """
 
     def __init__(self, epoch: int = 1, top: int | None = 15,
-                 path: str | None = None, echo: bool = False):
+                 path: str | None = None):
         self.epoch = epoch
         self.top = top
         self.path = path
-        self.echo = echo
         self.profiler = OpProfiler()
         self.report_text: str | None = None
 
@@ -224,9 +223,6 @@ class Profiler(Callback):
             return
         self.profiler.deactivate()
         self.report_text = self.profiler.report(top=self.top)
-        if self.echo:
-            print(f"op hotspots (epoch {epoch}):")
-            print(self.report_text)
         if self.path:
             directory = os.path.dirname(self.path)
             if directory:

@@ -1,36 +1,37 @@
 """Autodiff op profiler: per-op counts, wall time, and allocation sizes.
 
-The engine's ops all funnel through :meth:`Tensor._make`, which makes it
-a natural interception point. While a profiler is active it
+Every grad-mode op funnels through :meth:`Tensor._make`, and that one
+hook is all a profiler installs. While it is active the hook
 
-* wraps ``Tensor._make`` to count every op, sum the bytes of each result
-  array, track the largest single allocation per op, and wrap the op's
-  backward closure so backward wall time is attributed to the op that
-  created the node;
-* patches the public ``Tensor`` methods (and the module-level free
-  functions ``concat``/``stack``/``where``/``maximum``/``minimum``) with
-  timing shims so forward wall time is recorded per op.
+* counts the op, sums the bytes of each result array and tracks the
+  largest single allocation per op;
+* charges the op its forward time by a per-thread *lap*: the time since
+  the previous op on the same thread was made, or since the window
+  opened on the thread that opened it. The hook's own work falls
+  between laps, so it is charged to no op;
+* wraps the op's backward closure so backward wall time is attributed
+  to the op that created the node. A backward closure ends its thread's
+  lap: the next op made there starts a fresh lap and charges nothing,
+  so clipping, the optimizer step and the loader between training steps
+  land on no op.
 
-Nothing is installed when no profiler is active — the hot path pays zero
-overhead outside a profiling window. Composite ops (``min``,
-``swapaxes``, ``softmax``...) are intentionally not timed as themselves;
-their cost shows up in the primitives they decompose into. Code that
-bound the free functions before activation (``from repro.autodiff import
-concat``) bypasses the forward-timing shim but is still counted and
-backward-timed via the ``_make`` hook.
+No-grad ops take a dispatch path that never reaches ``_make``, so they
+record neither calls nor time. Composite ops (``min``, ``swapaxes``,
+``softmax``...) are not ops of their own: their cost shows up in the
+primitives they decompose into. Nothing is installed when no profiler
+is active — the hot path pays zero overhead outside a profiling window.
 """
 
 from __future__ import annotations
 
-import contextlib
+import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..autodiff import tensor as _tensor_mod
 from ..autodiff.tensor import Tensor
 
-__all__ = ["OpStats", "OpProfiler", "profile"]
+__all__ = ["OpStats", "OpProfiler"]
 
 
 @dataclass
@@ -62,50 +63,6 @@ class OpStats:
         }
 
 
-#: Tensor methods whose body IS one primitive op, mapped to the op name
-#: recorded by ``Tensor._make`` (composites like ``min`` are excluded so
-#: time is never double-attributed).
-_METHOD_OPS: dict[str, str] = {
-    "__add__": "add",
-    "__radd__": "add",
-    "__sub__": "sub",
-    "__mul__": "mul",
-    "__rmul__": "mul",
-    "__truediv__": "div",
-    "__neg__": "neg",
-    "__pow__": "pow",
-    "exp": "exp",
-    "log": "log",
-    "sqrt": "sqrt",
-    "tanh": "tanh",
-    "sigmoid": "sigmoid",
-    "relu": "relu",
-    "abs": "abs",
-    "clip": "clip",
-    "sum": "sum",
-    "mean": "mean",
-    "max": "max",
-    "matmul": "matmul",
-    "__matmul__": "matmul",
-    "reshape": "reshape",
-    "transpose": "transpose",
-    "squeeze": "squeeze",
-    "unsqueeze": "unsqueeze",
-    "broadcast_to": "broadcast_to",
-    "pad": "pad",
-    "__getitem__": "getitem",
-}
-
-#: module-level free functions in ``repro.autodiff.tensor``
-_FREE_FUNCTION_OPS: dict[str, str] = {
-    "concat": "concat",
-    "split": "split",
-    "stack": "stack",
-    "where": "where",
-    "maximum": "maximum",
-    "minimum": "minimum",
-}
-
 _ACTIVE: "OpProfiler | None" = None
 
 
@@ -121,8 +78,7 @@ class OpProfiler:
     def __init__(self, clock: Callable[[], float] = time.perf_counter):
         self._clock = clock
         self.stats: dict[str, OpStats] = {}
-        self._saved_methods: dict[str, object] = {}
-        self._saved_functions: dict[str, object] = {}
+        self._laps = threading.local()
         self._saved_make = None
 
     # -- recording -----------------------------------------------------
@@ -140,8 +96,9 @@ class OpProfiler:
         if _ACTIVE is not None:
             raise RuntimeError("another OpProfiler is already active")
         _ACTIVE = self
+        self._laps = threading.local()
         self._install_make_hook()
-        self._install_forward_shims()
+        self._laps.start = self._clock()
         return self
 
     def deactivate(self) -> None:
@@ -150,17 +107,6 @@ class OpProfiler:
             return
         Tensor._make = self._saved_make
         self._saved_make = None
-        for name, fn in self._saved_methods.items():
-            setattr(Tensor, name, fn)
-        self._saved_methods.clear()
-        for name, fn in self._saved_functions.items():
-            setattr(_tensor_mod, name, fn)
-        # Re-export the restored functions on the package namespace too.
-        from .. import autodiff as _autodiff_pkg
-
-        for name in self._saved_functions:
-            setattr(_autodiff_pkg, name, getattr(_tensor_mod, name))
-        self._saved_functions.clear()
         _ACTIVE = None
 
     def __enter__(self) -> "OpProfiler":
@@ -170,14 +116,19 @@ class OpProfiler:
         self.deactivate()
 
     def _install_make_hook(self) -> None:
-        original = Tensor.__dict__["_make"].__func__
-        self._saved_make = staticmethod(original)
+        self._saved_make = Tensor.__dict__["_make"]
+        original = self._saved_make.__func__
         profiler = self
         clock = self._clock
 
         def profiled_make(data, parents, backward, op):
+            now = clock()
+            laps = profiler._laps
             stat = profiler._stat(op)
             stat.calls += 1
+            start = getattr(laps, "start", None)
+            if start is not None:
+                stat.forward_seconds += now - start
             nbytes = getattr(data, "nbytes", 0)
             stat.alloc_bytes += nbytes
             if nbytes > stat.peak_bytes:
@@ -188,103 +139,60 @@ class OpProfiler:
                 grads = _orig(g)
                 _stat.backward_seconds += clock() - start
                 _stat.backward_calls += 1
+                profiler._laps.start = None
                 return grads
 
-            return original(data, parents, timed_backward, op)
+            out = original(data, parents, timed_backward, op)
+            laps.start = clock()
+            return out
 
         Tensor._make = staticmethod(profiled_make)
-
-    def _install_forward_shims(self) -> None:
-        profiler = self
-        clock = self._clock
-
-        def make_shim(fn, op):
-            def shim(*args, **kwargs):
-                start = clock()
-                out = fn(*args, **kwargs)
-                profiler._stat(op).forward_seconds += clock() - start
-                return out
-
-            shim.__name__ = getattr(fn, "__name__", op)
-            return shim
-
-        for name, op in _METHOD_OPS.items():
-            fn = Tensor.__dict__.get(name)
-            if fn is None:
-                continue
-            self._saved_methods[name] = fn
-            setattr(Tensor, name, make_shim(fn, op))
-        from .. import autodiff as _autodiff_pkg
-
-        for name, op in _FREE_FUNCTION_OPS.items():
-            fn = getattr(_tensor_mod, name)
-            self._saved_functions[name] = fn
-            shim = make_shim(fn, op)
-            setattr(_tensor_mod, name, shim)
-            setattr(_autodiff_pkg, name, shim)
 
     # -- reporting -----------------------------------------------------
     def reset(self) -> None:
         self.stats.clear()
 
-    def sorted_stats(self, sort_by: str = "total_seconds") -> list[OpStats]:
-        if sort_by not in ("total_seconds", "forward_seconds", "backward_seconds",
-                           "calls", "alloc_bytes", "peak_bytes"):
-            raise ValueError(f"unknown sort key {sort_by!r}")
-        return sorted(
-            self.stats.values(), key=lambda s: getattr(s, sort_by), reverse=True
-        )
+    def sorted_stats(self) -> list[OpStats]:
+        """Every recorded op, by total seconds (descending)."""
+        return sorted(self.stats.values(), key=lambda s: s.total_seconds, reverse=True)
 
     def as_dict(self, top: int | None = None) -> list[dict]:
         """JSON-serialisable hotspot list, most expensive first."""
-        rows = self.sorted_stats()
-        if top is not None:
-            rows = rows[:top]
-        return [s.as_dict() for s in rows]
+        return [s.as_dict() for s in self.sorted_stats()[:top]]
 
-    def report(self, top: int | None = None, sort_by: str = "total_seconds") -> str:
-        """Fixed-width hotspot table sorted by ``sort_by`` (descending)."""
-        rows = self.sorted_stats(sort_by)
-        if top is not None:
-            rows = rows[:top]
+    def report(self, top: int | None = None) -> str:
+        """Fixed-width hotspot table, most expensive first.
+
+        ``top`` bounds the rows printed; the ``TOTAL`` row always sums
+        every recorded op.
+        """
+        stats = self.sorted_stats()
         header = (
             f"{'op':<14} {'calls':>8} {'fwd s':>9} {'bwd s':>9} "
             f"{'total s':>9} {'alloc MB':>10} {'peak MB':>9}"
         )
-        lines = [header, "-" * len(header)]
-        for s in rows:
-            lines.append(
-                f"{s.op:<14} {s.calls:>8d} {s.forward_seconds:>9.4f} "
-                f"{s.backward_seconds:>9.4f} {s.total_seconds:>9.4f} "
-                f"{s.alloc_bytes / 1e6:>10.2f} {s.peak_bytes / 1e6:>9.2f}"
-            )
-        if not rows:
-            lines.append("(no ops recorded)")
         totals = OpStats(
             "TOTAL",
-            calls=sum(s.calls for s in rows),
-            forward_seconds=sum(s.forward_seconds for s in rows),
-            backward_calls=sum(s.backward_calls for s in rows),
-            backward_seconds=sum(s.backward_seconds for s in rows),
-            alloc_bytes=sum(s.alloc_bytes for s in rows),
-            peak_bytes=max((s.peak_bytes for s in rows), default=0),
+            calls=sum(s.calls for s in stats),
+            forward_seconds=sum(s.forward_seconds for s in stats),
+            backward_calls=sum(s.backward_calls for s in stats),
+            backward_seconds=sum(s.backward_seconds for s in stats),
+            alloc_bytes=sum(s.alloc_bytes for s in stats),
+            peak_bytes=max((s.peak_bytes for s in stats), default=0),
         )
+        lines = [header, "-" * len(header)]
+        for s in stats[:top]:
+            lines.append(_row(s))
+        if not stats:
+            lines.append("(no ops recorded)")
         lines.append("-" * len(header))
-        lines.append(
-            f"{totals.op:<14} {totals.calls:>8d} {totals.forward_seconds:>9.4f} "
-            f"{totals.backward_seconds:>9.4f} {totals.total_seconds:>9.4f} "
-            f"{totals.alloc_bytes / 1e6:>10.2f} {totals.peak_bytes / 1e6:>9.2f}"
-        )
+        lines.append(_row(totals))
         return "\n".join(lines)
 
 
-@contextlib.contextmanager
-def profile(clock: Callable[[], float] = time.perf_counter) -> Iterator[OpProfiler]:
-    """Profile the ops executed in the body; yields the profiler."""
-    prof = OpProfiler(clock=clock)
-    prof.activate()
-    try:
-        yield prof
-    finally:
-        prof.deactivate()
-
+def _row(s: OpStats) -> str:
+    return (
+        f"{s.op:<14} {s.calls:>8d} {s.forward_seconds:>9.4f} "
+        f"{s.backward_seconds:>9.4f} {s.total_seconds:>9.4f} "
+        f"{s.alloc_bytes / 1e6:>10.2f} {s.peak_bytes / 1e6:>9.2f}"
+    )

@@ -11,7 +11,6 @@ from repro.autodiff import (
     Tensor,
     concat,
     gradcheck,
-    maximum,
     softmax,
     stack,
     where,
@@ -164,13 +163,6 @@ class TestShapeGrads:
         assert gradcheck(
             lambda a, b: where(cond, a, b), [_t((3, 4)), _t((3, 4), 1)]
         )
-
-    def test_maximum_separated(self):
-        a = _t((10,), 0)
-        b = _t((10,), 1, shift=0.5)
-        sep = np.abs(a.data - b.data) < 0.05
-        b.data[sep] += 0.5
-        assert gradcheck(lambda a, b: maximum(a, b), [a, b])
 
 
 class TestCompositeGrads:

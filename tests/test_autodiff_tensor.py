@@ -9,8 +9,6 @@ from repro.autodiff import (
     concat,
     default_dtype,
     is_grad_enabled,
-    maximum,
-    minimum,
     no_grad,
     stack,
     where,
@@ -344,19 +342,6 @@ class TestMultiTensorOps:
         out = where(cond, Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 3))))
         assert np.allclose(out.data[0], 1.0)
         assert np.allclose(out.data[1], 0.0)
-
-    def test_maximum_minimum(self):
-        a = Tensor([1.0, 5.0])
-        b = Tensor([3.0, 2.0])
-        assert np.allclose(maximum(a, b).data, [3.0, 5.0])
-        assert np.allclose(minimum(a, b).data, [1.0, 2.0])
-
-    def test_maximum_grad(self):
-        a = Tensor([1.0, 5.0], requires_grad=True)
-        b = Tensor([3.0, 2.0], requires_grad=True)
-        maximum(a, b).sum().backward()
-        assert np.allclose(a.grad, [0.0, 1.0])
-        assert np.allclose(b.grad, [1.0, 0.0])
 
 
 class TestMatmul:

@@ -111,3 +111,17 @@ class TestReport:
         assert "report written" in out
         text = path.read_text()
         assert "Figure 5" in text
+
+
+class TestProfile:
+    def test_profile_times_fused_ops(self, capsys, tmp_path):
+        record = tmp_path / "profile.jsonl"
+        out = run_cli(
+            capsys, "--scale", "fast", "--epochs", "2",
+            "profile", "--run-record", str(record),
+        )
+        assert out.count("cheb_propagate") == 1
+        row = next(line.split() for line in out.splitlines()
+                   if line.startswith("cheb_propagate"))
+        assert float(row[2]) > 0  # columns: op, calls, fwd s, bwd s, ...
+        assert record.exists()

@@ -9,7 +9,6 @@ from repro.distances import (
     dtw_distance,
     dtw_path,
     erp_distance,
-    euclidean_distance_matrix,
     get_series_metric,
     lcss_distance,
     lcss_similarity,
@@ -195,9 +194,3 @@ class TestPairwise:
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
             series_distance_matrix(np.zeros(5))
-
-    def test_euclidean_coordinates(self):
-        pts = np.array([[0.0, 0.0], [3.0, 4.0]])
-        mat = euclidean_distance_matrix(pts)
-        assert mat[0, 1] == pytest.approx(5.0)
-        assert mat[0, 0] == 0.0

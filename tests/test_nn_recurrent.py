@@ -5,7 +5,7 @@ import pytest
 
 from repro.autodiff import Tensor, dtype_policy, gradcheck, inference_mode, split
 from repro.nn import GRUCell, LSTM, LSTMCell
-from repro.telemetry import profile
+from repro.telemetry import OpProfiler
 
 
 def _three_sigmoid_step(cell, x, state):
@@ -109,7 +109,7 @@ class TestLSTMCell:
         assert calls == [(2, 4 * self.cell.hidden_size)]
 
     def test_gate_split_in_op_profile(self):
-        with profile() as prof:
+        with OpProfiler() as prof:
             x = Tensor(np.random.default_rng(1).normal(size=(2, 4)), requires_grad=True)
             h, c = self.cell(x)
             (h.sum() + c.sum()).backward()

@@ -161,16 +161,10 @@ UNIMPORTED_EXPORTS = {
         "merge_collapsed calls it in its own module; tests read flame output with it",
     "repro.telemetry.escape_label_value":
         "label_block calls it in its own module; tests pin the escaping rules",
-    "repro.telemetry.profile":
-        "one-shot OpProfiler window that tests and docs/OBSERVABILITY.md use",
     "repro.reliability.CLOSED":
         "CircuitBreaker state its own module compares against; tests assert it",
     "repro.reliability.HALF_OPEN":
         "CircuitBreaker state its own module compares against; tests assert it",
-    "repro.autodiff.maximum":
-        "differentiable op no model calls yet; its gradient tests use it as a reference op",
-    "repro.autodiff.minimum":
-        "differentiable op no model calls yet; its gradient tests use it as a reference op",
     "repro.autodiff.set_default_dtype":
         "dtype_policy wraps it in its own module; docs/API.md documents the global switch",
     "repro.autodiff.numerical_gradient":

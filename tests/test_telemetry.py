@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autodiff import Tensor
-from repro.telemetry import MetricRegistry, OpProfiler, profile
+from repro.telemetry import MetricRegistry, OpProfiler
 
 
 class FakeClock:
@@ -82,9 +82,33 @@ class TestRegistryLifecycle:
         assert reg.snapshot() == {"counters": {}, "gauges": {}, "histograms": {}}
 
 
+class ManualClock:
+    """Clock that moves only when the test advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+def _namespaces():
+    import repro.autodiff
+    import repro.autodiff.tensor
+
+    return {
+        "Tensor": dict(vars(Tensor)),
+        "repro.autodiff.tensor": dict(vars(repro.autodiff.tensor)),
+        "repro.autodiff": dict(vars(repro.autodiff)),
+    }
+
+
 class TestOpProfiler:
     def test_counts_on_tiny_graph(self):
-        with profile() as prof:
+        with OpProfiler() as prof:
             a = Tensor(np.ones((3, 4)), requires_grad=True)
             b = Tensor(np.ones((4, 2)), requires_grad=True)
             loss = ((a @ b).tanh()).sum()
@@ -97,7 +121,7 @@ class TestOpProfiler:
         assert prof.stats["tanh"].backward_calls == 1
 
     def test_alloc_bytes_recorded(self):
-        with profile() as prof:
+        with OpProfiler() as prof:
             a = Tensor(np.ones((10, 10)), requires_grad=True)
             _ = a + a
         stat = prof.stats["add"]
@@ -105,15 +129,31 @@ class TestOpProfiler:
         assert stat.peak_bytes == 10 * 10 * 8
 
     def test_forward_time_with_fake_clock(self):
+        # The window opens at 0.0; the hook reads 0.5 on entry and 1.0 on
+        # exit, so relu's lap is exactly one step.
         clock = FakeClock(step=0.5)
-        with profile(clock=clock) as prof:
+        with OpProfiler(clock=clock) as prof:
             a = Tensor(np.ones(4), requires_grad=True)
             _ = a.relu()
-        assert prof.stats["relu"].forward_seconds > 0
+        assert prof.stats["relu"].forward_seconds == 0.5
+
+    def test_activation_replaces_only_make(self):
+        before = _namespaces()
+        with OpProfiler():
+            during = _namespaces()
+        after = _namespaces()
+        assert after == before
+        changed = {
+            (space, name)
+            for space, names in during.items()
+            for name in names.keys() | before[space].keys()
+            if names.get(name) is not before[space].get(name)
+        }
+        assert changed == {("Tensor", "_make")}
 
     def test_deactivation_restores_tensor(self):
         add_before = Tensor.__add__
-        with profile():
+        with OpProfiler():
             _ = Tensor(np.ones(2)) + 1.0
         assert Tensor.__add__ is add_before
         # gradients still flow after the hooks are removed
@@ -122,12 +162,12 @@ class TestOpProfiler:
         assert np.allclose(a.grad, 2.0)
 
     def test_nested_activation_rejected(self):
-        with profile():
+        with OpProfiler():
             with pytest.raises(RuntimeError):
                 OpProfiler().activate()
 
     def test_report_sorted_and_bounded(self):
-        with profile() as prof:
+        with OpProfiler() as prof:
             a = Tensor(np.ones((5, 5)), requires_grad=True)
             ((a @ a).sigmoid() * 2.0).mean().backward()
         report = prof.report(top=2)
@@ -138,24 +178,89 @@ class TestOpProfiler:
         assert all(rows[i].total_seconds >= rows[i + 1].total_seconds
                    for i in range(len(rows) - 1))
 
+    def test_report_total_sums_every_op(self):
+        with OpProfiler() as prof:
+            a = Tensor(np.ones((5, 5)), requires_grad=True)
+            ((a @ a).sigmoid() * 2.0).mean().backward()
+        assert len(prof.stats) > 1
+        total = prof.report(top=1).splitlines()[-1].split()
+        assert total[0] == "TOTAL"
+        assert int(total[1]) == sum(s.calls for s in prof.stats.values())
+
     def test_report_after_window(self):
-        with profile() as prof:
+        with OpProfiler() as prof:
             _ = Tensor(np.ones(2)) + 1.0
         assert "add" in prof.report()
-
-    def test_report_sort_key_validated(self):
-        with pytest.raises(ValueError):
-            OpProfiler().sorted_stats("bogus")
 
     def test_untracked_ops_counted_via_make(self):
         from repro.autodiff import functional
 
-        with profile() as prof:
+        with OpProfiler() as prof:
             a = Tensor(np.ones((2, 3)), requires_grad=True)
             _ = functional.softmax(a, axis=-1)
         # softmax decomposes into primitives; each is counted
         assert prof.stats["exp"].calls >= 1
         assert prof.stats["div"].calls >= 1
+
+    def test_ops_outside_tensor_methods_are_timed(self):
+        from repro.autodiff import ChebBasis, cheb_propagate, concat, sigmoid_split, stack, where
+
+        clock = FakeClock(step=1.0)
+        basis = ChebBasis(np.stack([np.eye(3)] * 2))
+        with OpProfiler(clock=clock) as prof:
+            x = Tensor(np.ones((3, 4)), requires_grad=True)
+            y = cheb_propagate(x, basis)
+            y = concat([y, y], axis=-1)
+            y = where(y.data > 0, y, 0.0)
+            y = stack([y, y])
+            gates = sigmoid_split(y, 4, axis=-1)
+        assert len(gates) == 4
+        for op in ("cheb_propagate", "concat", "where", "stack", "split", "sigmoid"):
+            assert prof.stats[op].forward_seconds > 0, op
+
+    def test_no_grad_ops_record_nothing(self):
+        from repro.autodiff import no_grad
+
+        clock = ManualClock()
+        with OpProfiler(clock=clock) as prof:
+            a = Tensor(np.ones((4, 4)), requires_grad=True)
+            with no_grad():
+                for _ in range(5):
+                    a = a @ a
+                    clock.advance(1.0)
+        assert prof.stats == {}
+
+    def test_gap_after_backward_charged_to_no_op(self):
+        clock = ManualClock()
+        with OpProfiler(clock=clock) as prof:
+            a = Tensor(np.ones(3), requires_grad=True)
+            clock.advance(1.0)
+            y = a * 2.0
+            clock.advance(2.0)
+            y.sum().backward()
+            clock.advance(100.0)  # clipping, optimizer step, loader...
+            z = a * 3.0
+            clock.advance(4.0)
+            z.sum()
+        assert prof.stats["mul"].calls == 2
+        assert prof.stats["mul"].forward_seconds == 1.0
+        assert prof.stats["sum"].forward_seconds == 6.0
+
+    def test_laps_are_per_thread(self):
+        import threading
+
+        clock = ManualClock()
+        with OpProfiler(clock=clock) as prof:
+            clock.advance(5.0)
+            worker = threading.Thread(
+                target=lambda: Tensor(np.ones(2), requires_grad=True).exp()
+            )
+            worker.start()
+            worker.join()
+            Tensor(np.ones(2), requires_grad=True).log()
+        # The worker's first op has no lap of its own to close.
+        assert prof.stats["exp"].forward_seconds == 0.0
+        assert prof.stats["log"].forward_seconds == 5.0
 
 
 class TestThreadSafety:

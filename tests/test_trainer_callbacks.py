@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.autodiff import dtype_policy
 from repro.datasets import MCARPattern, ZScoreScaler, make_pems_dataset, make_windows
+from repro.experiments import build_model
 from repro.graphs import gaussian_kernel_adjacency
 from repro.models import gcn_lstm
 from repro.telemetry import Callback, EpochLogger, JSONLRunRecorder, Profiler
@@ -218,6 +220,39 @@ class TestProfilerCallback:
         assert "matmul" in profiler.report_text
         assert report_path.read_text().strip() == profiler.report_text.strip()
         assert profiler.profiler.stats["matmul"].backward_calls > 0
+
+    def test_every_rihgcn_op_gets_forward_time(self, tiny_ctx):
+        model = build_model("RIHGCN", tiny_ctx)
+        profiler = Profiler(epoch=1, top=None)
+        history = Trainer(model, TrainerConfig(max_epochs=2, batch_size=8)).fit(
+            tiny_ctx.train_windows, tiny_ctx.val_windows, callbacks=[profiler]
+        )
+        stats = profiler.profiler.stats.values()
+        # Ops made outside Tensor's methods (fused ChebConv, the imputation
+        # path's select/concat_in_time, the LSTM gate sigmoid) included.
+        assert {"cheb_propagate", "select", "concat_in_time", "sigmoid"} <= {
+            s.op for s in stats
+        }
+        assert all(s.calls > 0 and s.forward_seconds > 0 for s in stats)
+        assert sum(s.total_seconds for s in stats) <= history.epoch_seconds[1]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_profiled_fit_is_bitwise_unprofiled(self, tiny_ctx, dtype):
+        def fit(callbacks):
+            with dtype_policy(dtype):
+                model = build_model("RIHGCN", tiny_ctx)
+                history = Trainer(model, TrainerConfig(max_epochs=2, batch_size=8)).fit(
+                    tiny_ctx.train_windows, tiny_ctx.val_windows, callbacks=callbacks
+                )
+            return history, model.state_dict()
+
+        plain_history, plain_state = fit([])
+        profiled_history, profiled_state = fit([Profiler(epoch=1)])
+        assert profiled_history.train_loss == plain_history.train_loss
+        assert profiled_history.val_loss == plain_history.val_loss
+        assert next(iter(plain_state.values())).dtype == np.dtype(dtype)
+        for name, value in plain_state.items():
+            np.testing.assert_array_equal(profiled_state[name], value, err_msg=name)
 
     def test_epoch_clamped_to_short_runs(self, env):
         wtr, _, adjacency, _ = env
