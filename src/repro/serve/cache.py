@@ -2,8 +2,9 @@
 
 Forecasts are pure functions of ``(state version, horizon)``, so between
 two observations every repeated request can be answered without touching
-the model. Deliberately tiny: an ``OrderedDict`` under a lock, with hit
-and miss counters the ``/metrics`` endpoint exposes.
+the model. Deliberately tiny: an ``OrderedDict`` under a lock. The
+engine counts hits itself (``serve/cache_hits``), which is what
+``/metrics`` exposes.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ class LRUCache:
         self.capacity = capacity
         self._data: "OrderedDict[Hashable, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -37,10 +36,8 @@ class LRUCache:
         with self._lock:
             value = self._data.get(key, _MISSING)
             if value is _MISSING:
-                self.misses += 1
                 return default
             self._data.move_to_end(key)
-            self.hits += 1
             return value
 
     def put(self, key: Hashable, value) -> None:
@@ -54,8 +51,3 @@ class LRUCache:
     def clear(self) -> None:
         with self._lock:
             self._data.clear()
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

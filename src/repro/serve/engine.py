@@ -4,7 +4,10 @@ The engine owns the full request path from a :class:`StateStore`
 snapshot to a forecast in original units:
 
 1. **cache** — forecasts are pure in ``(state version, horizon)``; an
-   LRU in front of the model answers repeats between observations;
+   LRU in front of the model answers repeats between observations. A
+   hit is looked up by the store's version alone (no window snapshot)
+   and returns the entry's own :class:`Forecast`, whose JSON body is
+   encoded on its first use and kept with the entry;
 2. **micro-batching** — the dispatcher is work-conserving: it runs
    the head request at once, fused with every request already queued
    behind it (up to ``max_batch_size``), so under concurrency batches
@@ -42,12 +45,14 @@ with the answering rung tagged in ``Forecast.degraded``.
 
 from __future__ import annotations
 
+import json
 import queue
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +89,16 @@ class Forecast:
             "degraded": self.degraded,
             "prediction": self.prediction.tolist(),
         }
+
+    @cached_property
+    def encoded(self) -> bytes:
+        """``json.dumps(self.to_json_dict())`` as bytes, encoded once and kept.
+
+        Only a cache entry lives long enough for this to pay: the HTTP
+        layer sends a hit's ``encoded`` as is, so the entry encodes on
+        its first hit and eviction frees the bytes with the entry.
+        """
+        return json.dumps(self.to_json_dict()).encode("utf-8")
 
 
 class _Request:
@@ -319,14 +334,18 @@ class ForecastEngine:
         with self.tracer.span(
             "engine.forecast", attributes={"horizon": horizon}
         ) as span:
-            window = self.store.window()
-            span.set_attribute("version", window.version)
-            cached = self._cache_lookup(window.version, horizon)
+            # A hit needs only the version: the window is snapshotted on
+            # a miss, for the forward.
+            version = self.store.version
+            cached = self._cache_lookup(version, horizon)
             if cached is not None:
+                span.set_attribute("version", version)
                 span.set_attribute("cache_hit", True)
                 self.registry.counter(self._m("serve/cache_hits")).inc()
                 self._observe_latency(start)
                 return cached
+            window = self.store.window()
+            span.set_attribute("version", window.version)
             span.set_attribute("cache_hit", False)
             try:
                 result = self._fresh(window, horizon, start, span, timeout, deadline)
@@ -449,21 +468,13 @@ class ForecastEngine:
         bundle or a policy flip must miss, never serve the other
         configuration's numbers.
         """
-        return (self.cache_token, str(np.dtype(default_dtype())), version, horizon)
+        return (self.cache_token, default_dtype(), version, horizon)
 
     def _cache_lookup(self, version: int, horizon: int) -> Forecast | None:
+        """The cached answer (``cached=True``) for one key, or None."""
         if self.cache is None:
             return None
-        hit = self.cache.get(self._cache_key(version, horizon))
-        if hit is None:
-            return None
-        return Forecast(
-            prediction=hit.prediction,
-            horizon=horizon,
-            version=version,
-            newest_step=hit.newest_step,
-            cached=True,
-        )
+        return self.cache.get(self._cache_key(version, horizon))
 
     # ------------------------------------------------------------------
     # Dispatcher
@@ -572,9 +583,10 @@ class ForecastEngine:
                     cached=False,
                 )
                 if self.cache is not None:
+                    # The entry is the answer every later hit returns.
                     self.cache.put(
                         self._cache_key(request.window.version, request.horizon),
-                        forecast,
+                        replace(forecast, cached=True),
                     )
                 results.append(forecast)
         return results

@@ -65,7 +65,9 @@ import json
 import math
 import threading
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
@@ -118,10 +120,39 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PlainText:
-    """A non-JSON response body; ``handle`` returns it where it would a dict."""
+    """A pre-encoded response body; ``handle`` returns it where it would a dict.
 
-    body: str
+    ``body`` is text, sent UTF-8 encoded, or bytes, sent as they are.
+    """
+
+    body: str | bytes
     content_type: str = "text/plain; charset=utf-8"
+
+
+class EncodedJSON(PlainText, Mapping):
+    """A JSON object already encoded for the wire.
+
+    ``_respond`` sends the bytes as they are. In process it reads as the
+    object it encodes (``body["prediction"]``), decoded on first read.
+    """
+
+    def __init__(self, body: bytes):
+        super().__init__(body, "application/json")
+
+    @cached_property
+    def _decoded(self) -> dict:
+        return json.loads(self.body)
+
+    def __getitem__(self, key: str) -> Any:
+        return self._decoded[key]
+
+    def __iter__(self):
+        return iter(self._decoded)
+
+    def __len__(self) -> int:
+        return len(self._decoded)
+
+    __eq__ = Mapping.__eq__  # equal to the dict it encodes
 
 
 @dataclass(frozen=True)
@@ -607,8 +638,15 @@ class ServeApp:
 
     def forecast(self, horizon: int | None, tenant: str) -> Response:
         result = self.pool.forecast(tenant, horizon=horizon)
-        headers = {"X-Degraded": result.degraded} if result.degraded else {}
-        return Response(200, result.to_json_dict(), headers)
+        if result.degraded:
+            return Response(
+                200, result.to_json_dict(), {"X-Degraded": result.degraded}
+            )
+        if result.cached:
+            # A cache hit is the LRU entry itself: its body is encoded on
+            # the first hit and every later hit sends the same bytes.
+            return Response(200, EncodedJSON(result.encoded))
+        return Response(200, result.to_json_dict())
 
     # ------------------------------------------------------------------
     def _get_metrics(self, request: Request) -> Response:
@@ -681,7 +719,9 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(self, response: Response) -> None:
         payload = response.body
         if isinstance(payload, PlainText):
-            body = payload.body.encode("utf-8")
+            body = payload.body
+            if isinstance(body, str):
+                body = body.encode("utf-8")
             content_type = payload.content_type
         else:
             body = json.dumps(payload).encode("utf-8")

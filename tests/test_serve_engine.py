@@ -1,7 +1,11 @@
 """Tests for the forecast engine and LRU cache (repro.serve)."""
 
+import gc
 import inspect
+import json
+import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,12 +14,14 @@ from repro.experiments import build_model, default_trainer_config
 from repro.serve import (
     ForecastEngine,
     LRUCache,
+    ServeApp,
     ServeConfig,
     StateStore,
     export_bundle,
     load_bundle,
 )
-from repro.serve.engine import _Request
+from repro.serve.engine import Forecast, _Request
+from repro.serve.http import EncodedJSON
 from repro.telemetry import MetricRegistry
 from repro.training import Trainer
 
@@ -226,6 +232,102 @@ class TestDispatcher:
         assert all(timeout is None for _block, timeout in calls)
 
 
+class TestHitPath:
+    """A hit is one lookup: no window snapshot, and bytes encoded once."""
+
+    @staticmethod
+    def _count_windows(store):
+        calls = []
+        window = store.window
+
+        def spy():
+            calls.append(1)
+            return window()
+
+        store.window = spy
+        return calls
+
+    def test_a_hit_takes_no_window_snapshot(self, served):
+        bundle, store, _ = served
+        engine = bundle.make_engine(store=store, registry=MetricRegistry())
+        windows = self._count_windows(store)
+        assert not engine.forecast().cached
+        assert len(windows) == 1
+        for _ in range(3):
+            assert engine.forecast().cached
+        assert len(windows) == 1
+
+    def test_an_entry_encodes_its_body_on_its_first_hit(self, served, monkeypatch):
+        bundle, store, _ = served
+        app = ServeApp(bundle, store=store, registry=MetricRegistry())
+        key = app.engine._cache_key(store.version, 1)
+        miss = app.handle("GET", "/forecast?horizon=1", None)
+        entry = app.engine.cache.get(key)
+        assert not miss.body["cached"] and entry.cached
+        assert "encoded" not in vars(entry)  # never hit: no bytes held
+
+        encodes = []
+        to_json_dict = Forecast.to_json_dict
+
+        def spy(forecast):
+            encodes.append(forecast)
+            return to_json_dict(forecast)
+
+        monkeypatch.setattr(Forecast, "to_json_dict", spy)
+        hits = [app.handle("GET", "/forecast?horizon=1", None) for _ in range(3)]
+        assert encodes == [entry]
+        for hit in hits:
+            assert isinstance(hit.body, EncodedJSON)
+            assert hit.body.body is entry.encoded
+            assert hit.body["cached"] and hit.body == {**miss.body, "cached": True}
+
+    def test_concurrent_first_hits_send_one_body(self, served):
+        bundle, store, _ = served
+        app = ServeApp(bundle, store=store, registry=MetricRegistry())
+        app.handle("GET", "/forecast", None)  # the miss fills the entry
+        entry = app.engine.cache.get(app.engine._cache_key(store.version,
+                                                           bundle.output_length))
+        expected = json.dumps(entry.to_json_dict()).encode()
+        bodies, start = [], threading.Barrier(8)
+
+        def client():
+            start.wait(timeout=10)
+            for _ in range(20):
+                bodies.append(app.handle("GET", "/forecast", None).body.body)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(bodies) == 160
+        assert all(body == expected for body in bodies)
+        assert entry.encoded == expected
+
+    def test_eviction_frees_the_entry_and_its_bytes(self, served):
+        bundle, store, _ = served
+        app = ServeApp(bundle, store=store, registry=MetricRegistry(),
+                       config=ServeConfig(cache_size=2))
+        cache = app.engine.cache
+        app.handle("GET", "/forecast?horizon=1", None)
+        app.handle("GET", "/forecast?horizon=1", None)
+        entry = weakref.ref(cache.get(app.engine._cache_key(store.version, 1)))
+        assert "encoded" in vars(entry())
+        for horizon in range(2, bundle.output_length + 1):
+            for _ in range(2):
+                app.handle("GET", f"/forecast?horizon={horizon}", None)
+        gc.collect()
+        assert entry() is None
+        assert len(cache) == 2
+        assert all("encoded" in vars(e) for e in cache._data.values())
+
+
 class TestLRUCache:
     def test_eviction_order(self):
         cache = LRUCache(capacity=2)
@@ -235,14 +337,6 @@ class TestLRUCache:
         cache.put("c", 3)  # evicts "b"
         assert cache.get("b") is None
         assert cache.get("a") == 1 and cache.get("c") == 3
-
-    def test_hit_rate(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
