@@ -4,7 +4,7 @@ from .dtype import default_dtype, dtype_policy, set_default_dtype
 from .functional import masked_mae, softmax
 from .fused import ChebBasis, cheb_propagate
 from .gradcheck import gradcheck, numerical_gradient
-from .plan import ExecutionPlan, PlanUnsupported, trace
+from .plan import ExecutionPlan, PlanArena, PlanUnsupported, trace
 from .tensor import (
     Tensor,
     as_tensor,
@@ -39,6 +39,7 @@ __all__ = [
     "gradcheck",
     "numerical_gradient",
     "ExecutionPlan",
+    "PlanArena",
     "PlanUnsupported",
     "trace",
 ]

@@ -17,7 +17,16 @@ compiling it into a replayable :class:`ExecutionPlan`:
   already folded (they ran eagerly during tracing and enter the plan as
   baked constants), views are materialised **once** against arena
   buffers, and every remaining compute step becomes a prebound numpy
-  call writing into a liveness-managed buffer arena.
+  call writing into a liveness-managed buffer arena. A ufunc step takes
+  its ``out`` buffer as its last positional argument, so steps share
+  one empty kwargs mapping instead of keeping a dict each.
+* A :class:`PlanArena` pools those buffers by ``(shape, dtype)`` and
+  can be shared by many plans: the k-th fresh buffer a plan needs for a
+  key is the arena's k-th buffer for that key, so plans replayed one at
+  a time (the serving engine keeps one plan per graph-activity
+  signature) hold the buffers of their largest member, not the sum.
+  The arena also holds the one lock that serialises their replays.
+  :func:`trace` without an arena gives the plan a private one.
 * :meth:`ExecutionPlan.replay` copies fresh inputs into the arena and
   runs the prebound steps — zero graph construction, zero Tensor
   allocation, and near-zero Python overhead per op.
@@ -47,6 +56,7 @@ from .tensor import no_grad
 
 __all__ = [
     "ExecutionPlan",
+    "PlanArena",
     "PlanStats",
     "PlanUnsupported",
     "TraceArray",
@@ -57,6 +67,36 @@ __all__ = [
 
 class PlanUnsupported(RuntimeError):
     """The traced program cannot be compiled into an execution plan."""
+
+
+#: the kwargs of every step that needs none; never mutated
+_NO_KWARGS: dict = {}
+
+
+class PlanArena:
+    """Replay buffers pooled by ``(shape, dtype)``, and the replay lock.
+
+    Every plan compiled into one arena draws its buffers from the same
+    pools: a plan's k-th fresh buffer of a key is the arena's k-th
+    buffer of that key, allocated only the first time any plan asks for
+    it. Plans sharing an arena therefore overwrite each other's
+    buffers, which is safe because :meth:`ExecutionPlan.replay` holds
+    :attr:`lock` and a ``copy=False`` output is consumed before the
+    next replay.
+    """
+
+    def __init__(self):
+        self._pools: dict[tuple, list[np.ndarray]] = {}
+        self.lock = threading.Lock()
+        self.nbytes = 0  # every buffer the arena holds
+
+    def buffer(self, shape, dtype, index: int) -> np.ndarray:
+        """The ``index``-th buffer of ``(shape, dtype)``, made if missing."""
+        pool = self._pools.setdefault((tuple(shape), np.dtype(dtype)), [])
+        while len(pool) <= index:
+            pool.append(np.empty(shape, dtype=dtype))
+            self.nbytes += pool[-1].nbytes
+        return pool[index]
 
 
 class _Ref:
@@ -210,7 +250,8 @@ class _Tape:
     # -- compilation ---------------------------------------------------
     def compile(self, output_slot: int,
                 trace_inputs: dict[str, np.ndarray],
-                trace_output: np.ndarray) -> "ExecutionPlan":
+                trace_output: np.ndarray,
+                arena: PlanArena) -> "ExecutionPlan":
         started = time.perf_counter()
         if self.poisoned:
             raise PlanUnsupported(f"trace poisoned: {self.poisoned}")
@@ -256,16 +297,24 @@ class _Tape:
         for root, last in last_use.items():
             dying.setdefault(last, []).append(root)
 
-        # Arena assignment: exact (shape, dtype) buffer pooling.
+        # Arena assignment: exact (shape, dtype) buffer pooling. A buffer
+        # this plan has not used yet is the arena's next one for its key.
         buffers: dict[int, np.ndarray] = {}       # root -> buffer
         pool: dict[tuple, list[np.ndarray]] = {}  # (shape, dtype) -> free
+        fresh: dict[tuple, int] = {}             # (shape, dtype) -> taken
         allocated: dict[int, np.ndarray] = {}    # id -> every arena buffer
 
-        def alloc(shape, dtype, root: int) -> np.ndarray:
+        def take(shape, dtype) -> np.ndarray:
             key = (tuple(shape), np.dtype(dtype))
-            free = pool.get(key)
-            buf = free.pop() if free else np.empty(shape, dtype=dtype)
-            allocated.setdefault(id(buf), buf)
+            index = fresh.get(key, 0)
+            fresh[key] = index + 1
+            buf = arena.buffer(shape, dtype, index)
+            allocated[id(buf)] = buf
+            return buf
+
+        def alloc(shape, dtype, root: int) -> np.ndarray:
+            free = pool.get((tuple(shape), np.dtype(dtype)))
+            buf = free.pop() if free else take(shape, dtype)
             buffers[root] = buf
             return buf
 
@@ -322,19 +371,17 @@ class _Tape:
                 # pass charged this slot's uses to the old root group, so
                 # holding the buffer for the whole replay is the safe
                 # (merely conservative) choice.
-                out = np.empty(slot.shape, dtype=slot.dtype)
-                allocated[id(out)] = out
+                out = take(slot.shape, slot.dtype)
                 arrays[step.out] = out
-                exec_steps.append((_make_copy_step(out, fn, args, kwargs), (), {}))
+                exec_steps.append(
+                    (_make_copy_step(out, fn, args, kwargs), (), _NO_KWARGS))
                 stats.naive_bytes += out.nbytes
                 release(i)
                 continue
             if step.inplace:
                 target = buffers[root_of[step.out]]
                 arrays[step.out] = target
-                kwargs = dict(kwargs)
-                kwargs["out"] = target
-                exec_steps.append((fn, args, kwargs))
+                exec_steps.append(_out_step(step.fnspec, fn, args, kwargs, target))
                 stats.inplace_steps += 1
                 release(i)
                 continue
@@ -342,11 +389,10 @@ class _Tape:
             arrays[step.out] = out
             stats.naive_bytes += out.nbytes
             if _supports_out(step.fnspec):
-                kwargs = dict(kwargs)
-                kwargs["out"] = out
-                exec_steps.append((fn, args, kwargs))
+                exec_steps.append(_out_step(step.fnspec, fn, args, kwargs, out))
             else:
-                exec_steps.append((_make_copy_step(out, fn, args, kwargs), (), {}))
+                exec_steps.append(
+                    (_make_copy_step(out, fn, args, kwargs), (), _NO_KWARGS))
             release(i)
 
         output_array = arrays.get(output_slot)
@@ -364,10 +410,13 @@ class _Tape:
         stats.output_shape = tuple(output_array.shape)
         stats.output_dtype = str(output_array.dtype)
 
-        plan = ExecutionPlan(input_buffers, exec_steps, output_array, stats)
+        plan = ExecutionPlan(input_buffers, exec_steps, output_array, stats,
+                             arena)
         # Compile-time proof: replaying the trace inputs must reproduce
         # the traced output bit for bit, otherwise the lowering is wrong.
-        check = plan.replay(trace_inputs, copy=False)
+        # The copy keeps the check valid if a plan sharing the arena
+        # replays before the comparison.
+        check = plan.replay(trace_inputs)
         if not _bitwise_equal(check, trace_output):
             raise PlanUnsupported("compiled plan diverged from traced forward")
         stats.compile_seconds = time.perf_counter() - started
@@ -388,7 +437,8 @@ def _iter_refs(tree):
 def _resolve_callable(fnspec, args) -> Callable:
     kind = fnspec[0]
     if kind == "ufunc":
-        return getattr(fnspec[1], fnspec[2])
+        ufunc, method = fnspec[1], fnspec[2]
+        return ufunc if method == "__call__" else getattr(ufunc, method)
     if kind == "func":
         return fnspec[1]
     if kind == "method":
@@ -418,6 +468,14 @@ def _supports_out(fnspec) -> bool:
     return False
 
 
+def _out_step(fnspec, fn: Callable, args: tuple, kwargs: dict,
+              out: np.ndarray) -> tuple[Callable, tuple, dict]:
+    """A step writing into ``out``: positionally for a ufunc call."""
+    if fnspec[0] == "ufunc" and fnspec[2] == "__call__":
+        return fn, args + (out,), kwargs or _NO_KWARGS
+    return fn, args, {**kwargs, "out": out}
+
+
 def _make_copy_step(out: np.ndarray, fn: Callable, args: tuple, kwargs: dict):
     def run(_out=out, _fn=fn, _args=args, _kwargs=kwargs):
         np.copyto(_out, _fn(*_args, **_kwargs), casting="no")
@@ -437,29 +495,31 @@ def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
 class ExecutionPlan:
     """A compiled forward pass: prebound numpy steps over a buffer arena.
 
-    ``replay`` is not reentrant — the arena is shared state — so a lock
-    serialises replays. Callers that already serialise forwards (the
-    serving engine holds its own forward lock) pay one uncontended
+    ``replay`` is not reentrant — the arena is shared state, possibly
+    with other plans — so the arena's lock serialises the replays of
+    every plan compiled into it. Callers that already serialise forwards
+    (the serving engine holds its own forward lock) pay one uncontended
     acquire.
     """
 
     def __init__(self, input_buffers: dict[str, np.ndarray],
                  steps: list[tuple[Callable, tuple, dict]],
-                 output: np.ndarray, stats: PlanStats):
+                 output: np.ndarray, stats: PlanStats, arena: PlanArena):
         self._inputs = input_buffers
         self._steps = steps
         self._output = output
         self.stats = stats
-        self._lock = threading.Lock()
+        self.arena = arena
 
     def replay(self, inputs: dict[str, np.ndarray], *, copy: bool = True) -> np.ndarray:
         """Execute the plan on fresh inputs.
 
         With ``copy=False`` the returned array aliases the arena and is
-        only valid until the next replay; the serving engine consumes it
-        immediately under its forward lock and opts in to skip the copy.
+        only valid until the next replay of any plan sharing the arena;
+        the serving engine consumes it immediately under its forward lock
+        and opts in to skip the copy.
         """
-        with self._lock:
+        with self.arena.lock:
             for name, buf in self._inputs.items():
                 value = inputs[name]
                 if value.shape != buf.shape:
@@ -552,21 +612,18 @@ class TraceArray(np.ndarray):
             out = tuple(out)
             if all(o is None for o in out):
                 out = None
-        tape = self._tape if self._tape is not None else _find_tape(inputs, out)
-        base_inputs, spec_inputs = self._spec(tape, tuple(inputs)) \
-            if tape is not None else (tuple(
-                x.view(np.ndarray) if isinstance(x, TraceArray) else x
-                for x in inputs), None)
-        out_arrays = None
+        tape = self._tape if self._tape is not None else _find_tape(
+            inputs, out, kwargs)
+        # Every traced operand (a ``where=`` mask too) must reach numpy as
+        # a base array, or the call dispatches back here without end.
+        base_inputs, spec_inputs = self._spec(tape or _Tape(), tuple(inputs))
+        base_kwargs, spec_kwargs = self._spec(tape or _Tape(), kwargs)
         if out is not None:
-            out_arrays = tuple(
+            base_kwargs["out"] = tuple(
                 o.view(np.ndarray) if isinstance(o, TraceArray) else o
                 for o in out
             )
-        call_kwargs = dict(kwargs)
-        if out_arrays is not None:
-            call_kwargs["out"] = out_arrays
-        result = getattr(ufunc, method)(*base_inputs, **call_kwargs)
+        result = getattr(ufunc, method)(*base_inputs, **base_kwargs)
         if tape is None or tape.poisoned:
             return result
         if method not in ("__call__", "reduce"):
@@ -575,7 +632,11 @@ class TraceArray(np.ndarray):
         if ufunc.nout != 1 or isinstance(result, tuple):
             tape.poison(f"multi-output ufunc {ufunc.__name__}")
             return result
-        _, spec_kwargs = self._spec(tape, kwargs)
+        if method == "__call__" and out is None \
+                and kwargs.get("where", True) is not True:
+            # numpy leaves the unselected entries of a fresh output unset.
+            tape.poison(f"{ufunc.__name__} with where= but no out=")
+            return result
         if out is not None:
             if len(out) != 1 or not isinstance(out[0], TraceArray) \
                     or out[0]._slot is None or out[0]._tape is not tape:
@@ -702,12 +763,15 @@ class TraceArray(np.ndarray):
 # ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
-def trace(fn: Callable[..., Any], inputs: dict[str, np.ndarray]) -> tuple[ExecutionPlan, np.ndarray]:
+def trace(fn: Callable[..., Any], inputs: dict[str, np.ndarray],
+          arena: PlanArena | None = None) -> tuple[ExecutionPlan, np.ndarray]:
     """Record ``fn(**inputs)`` once and compile it into a plan.
 
     Returns ``(plan, output)`` where ``output`` is the (eagerly computed,
     bitwise-normal) result of the traced run — callers can serve it
     directly, so compiling costs one ordinary forward plus lowering.
+    The plan's buffers come from ``arena``, shared with every other plan
+    compiled into it, or from a private arena when none is given.
 
     Raises :class:`PlanUnsupported` when the forward does anything the
     tracer cannot faithfully replay. The plan's ``stats.trace_seconds``
@@ -729,6 +793,7 @@ def trace(fn: Callable[..., Any], inputs: dict[str, np.ndarray]) -> tuple[Execut
         raise PlanUnsupported(f"trace poisoned: {tape.poisoned}")
     output = np.array(result.view(np.ndarray), copy=True)
     trace_seconds = time.perf_counter() - started
-    plan = tape.compile(result._slot, inputs, output)
+    plan = tape.compile(result._slot, inputs, output,
+                        PlanArena() if arena is None else arena)
     plan.stats.trace_seconds = trace_seconds
     return plan, output

@@ -551,6 +551,8 @@ def main(argv: list[str] | None = None) -> int:
               f"(every plan traced)")
         print(f"  {'compile_seconds sum':<20} {result['compile_seconds']:.4f} "
               f"(every plan lowered)")
+        print(f"  {'shared arena_bytes':<20} {result['arena_bytes']} "
+              f"(one arena, every plan)")
         if result["verified"] is True:
             print("verify: PASS (replay bitwise-equal to the eager forward)")
         elif result["verified"] is False:

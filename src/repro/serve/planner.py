@@ -22,6 +22,13 @@ fails — parks that key on the eager path forever and bumps
 ``serve/plan_fallbacks``; serving never degrades, it only stops
 accelerating.
 
+Every plan of one runtime is compiled into the runtime's one
+:class:`~repro.autodiff.PlanArena`: plans replay one at a time, so they
+share buffers and the arena holds what the largest plan needs per
+``(shape, dtype)``, not the sum over plans. Past ``max_plans`` keys the
+least recently used one is evicted; its buffers stay in the arena for
+the next plan.
+
 Metrics (labelled like every other serve series): counters
 ``serve/plan_cache_hits`` / ``serve/plan_cache_misses`` /
 ``serve/plan_fallbacks``, histogram ``serve/plan_compile_seconds`` (a
@@ -37,16 +44,23 @@ walk for one bundle; ``repro plan`` and the serve smoke both run it.
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 import numpy as np
 
-from ..autodiff import PlanUnsupported, default_dtype, inference_mode, trace
+from ..autodiff import (
+    PlanArena,
+    PlanUnsupported,
+    default_dtype,
+    inference_mode,
+    trace,
+)
 from ..models.base import NeuralForecaster
 from ..telemetry import MetricRegistry, Tracer, label_block
 
 __all__ = ["PlanRuntime", "check_plan"]
 
-#: plans cached per engine; keys beyond this evict the oldest entry
+#: plans cached per engine; keys beyond this evict the least recently used
 _MAX_PLANS = 8
 
 
@@ -81,8 +95,9 @@ class PlanRuntime:
         self.tracer = tracer
         self.labels = dict(labels) if labels else {}
         self.max_plans = max_plans
-        self._entries: dict[tuple, _Entry] = {}
+        self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.Lock()
+        self.arena = PlanArena()
         # Set permanently once plan_inputs returns None: the model does
         # not support planning, so skip the prologue on every request.
         # Plan support must be declared on the model's *class*: wrapper
@@ -113,6 +128,7 @@ class PlanRuntime:
             "plans": len(states),
             "ready": states.count("ready"),
             "eager_keys": states.count("eager"),
+            "arena_bytes": self.arena.nbytes,
         }
 
     # ------------------------------------------------------------------
@@ -146,9 +162,10 @@ class PlanRuntime:
             if entry is None:
                 entry = _Entry()
                 if len(self._entries) >= self.max_plans:
-                    evicted = next(iter(self._entries))
-                    del self._entries[evicted]
+                    self._entries.popitem(last=False)
                 self._entries[key] = entry
+            else:
+                self._entries.move_to_end(key)
 
         if entry.state == "eager":
             self._count("serve/engine_exec_mode", mode="eager")
@@ -169,7 +186,7 @@ class PlanRuntime:
             "plan.compile", attributes={"model": type(self.model).__name__}
         ) as span:
             try:
-                plan, output = trace(self.model.plan_forward, inputs)
+                plan, output = trace(self.model.plan_forward, inputs, self.arena)
             except PlanUnsupported as error:
                 span.set_attribute("unsupported", str(error))
                 entry.state = "eager"
@@ -220,9 +237,11 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     flow the signature fails to capture shows up as a mismatch. Returns
     ``{"compiled", "verified", "reason"}`` plus, as far as the check
     got, the seeded draw's ``"signature"`` and ``"stats"``, the largest
-    ``"max_abs_diff"`` seen, and ``"trace_seconds"`` and
+    ``"max_abs_diff"`` seen, ``"trace_seconds"`` and
     ``"compile_seconds"`` summed over every plan traced and lowered (the
-    two parts of the cold-start cost a server pays once per signature);
+    two parts of the cold-start cost a server pays once per signature),
+    and ``"arena_bytes"``, the buffers of the one arena every plan is
+    compiled into, as a server's :class:`PlanRuntime` shares one;
     ``reason`` explains an uncompiled plan or names the first failing
     signature, and ``verified`` is ``None`` without ``verify``.
     """
@@ -247,14 +266,16 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
         return result
     inputs, signature = split
     result["signature"] = signature
+    arena = PlanArena()
     try:
-        plan, _ = trace(model.plan_forward, inputs)
+        plan, _ = trace(model.plan_forward, inputs, arena)
     except PlanUnsupported as error:
         result["reason"] = f"plan unsupported: {error}"
         return result
     result.update(compiled=True, stats=plan.stats.as_dict(),
                   trace_seconds=plan.stats.trace_seconds,
-                  compile_seconds=plan.stats.compile_seconds)
+                  compile_seconds=plan.stats.compile_seconds,
+                  arena_bytes=arena.nbytes)
     if not verify:
         return result
 
@@ -269,13 +290,15 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
         else:
             compiled_at = group[0]
             try:
-                checked, _ = trace(model.plan_forward, draw(compiled_at)[0])
+                checked, _ = trace(model.plan_forward, draw(compiled_at)[0],
+                                   arena)
             except PlanUnsupported as error:
                 result.update(verified=False, reason=f"plan for signature "
                               f"{signature} unsupported: {error}")
                 return result
             result["trace_seconds"] += checked.stats.trace_seconds
             result["compile_seconds"] += checked.stats.compile_seconds
+            result["arena_bytes"] = arena.nbytes
         others = [start for start in group if start != compiled_at] or group
         replayed_at = others[int(rng.integers(0, len(others)))]
         inputs, _ = draw(replayed_at)

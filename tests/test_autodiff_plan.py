@@ -9,12 +9,16 @@ pin the compile-pass behaviours (DCE, constant folding, arena reuse)
 and the fail-closed poisoning model.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.autodiff import (
     ExecutionPlan,
+    PlanArena,
     PlanUnsupported,
     Tensor,
     no_grad,
@@ -212,6 +216,109 @@ class TestReplay:
         monkeypatch.setattr(Tensor, "_wrap", staticmethod(boom))
         monkeypatch.setattr(Tensor, "_make", staticmethod(boom))
         plan.replay(inputs)
+
+
+# ----------------------------------------------------------------------
+# Arenas: private per trace() call, or shared by every plan compiled in
+# ----------------------------------------------------------------------
+
+def _chain(depth):
+    def fn(x):
+        for _ in range(depth):
+            x = np.tanh(x) * 0.5 + x
+        return x
+
+    return fn
+
+
+class TestArena:
+    def test_private_arenas_do_not_alias(self):
+        rng = np.random.default_rng(0)
+        first, _ = trace(_chain(2), {"x": np.zeros((3, 4))})
+        second, _ = trace(_chain(3), {"x": np.zeros((3, 4))})
+        assert first.arena is not second.arena
+        x = rng.standard_normal((3, 4))
+        out = first.replay({"x": x}, copy=False)
+        kept = out.copy()
+        second.replay({"x": rng.standard_normal((3, 4))}, copy=False)
+        np.testing.assert_array_equal(out, kept)
+
+    def test_shared_arena_holds_the_largest_plan(self):
+        arena = PlanArena()
+        fns = [_chain(depth) for depth in (1, 4, 2)]
+        plans = [trace(fn, {"x": np.zeros((5, 2))}, arena)[0] for fn in fns]
+        assert all(plan.arena is arena for plan in plans)
+        sizes = [plan.stats.arena_bytes for plan in plans]
+        assert arena.nbytes == max(sizes) < sum(sizes)
+        # Interleaved replays overwrite each other's buffers and stay exact.
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            for fn, plan in zip(fns, plans):
+                x = rng.standard_normal((5, 2))
+                np.testing.assert_array_equal(plan.replay({"x": x}), fn(x))
+
+    def test_concurrent_replays_of_sharing_plans_stay_exact(self):
+        """The arena's one lock serialises every plan that shares it."""
+        arena = PlanArena()
+        fns = [_chain(depth) for depth in (2, 3)]
+        plans = [trace(fn, {"x": np.zeros((6, 6))}, arena)[0] for fn in fns]
+        rng = np.random.default_rng(3)
+        xs = [rng.standard_normal((6, 6)) for _ in range(3)]
+        expected = [[fn(x) for x in xs] for fn in fns]
+        wrong = []
+
+        def work(worker: int) -> None:
+            for i in range(150):
+                which, row = (i + worker) % 2, (i + worker) % 3
+                out = plans[which].replay({"x": xs[row]})
+                if not np.array_equal(out, expected[which][row]):
+                    wrong.append((worker, i))
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_steps_share_one_empty_kwargs_mapping(self):
+        plan, _ = trace(_chain(3), {"x": np.zeros(4)})
+        kwargs = {id(step_kwargs) for _fn, _args, step_kwargs in plan._steps}
+        assert len(kwargs) == 1 and plan._steps[0][2] == {}
+
+
+class TestWhere:
+    """A traced ``where=`` mask reaches numpy as a base array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_where_with_out_replays_bitwise(self, dtype):
+        def fn(x):
+            y = x * 2.0
+            np.subtract(1.0, y, out=y, where=y < 0)
+            return y + x
+
+        rng = np.random.default_rng(2)
+        first = rng.standard_normal((3, 4)).astype(dtype)
+        plan, out = trace(fn, {"x": first})
+        np.testing.assert_array_equal(out, fn(first))
+        assert plan.stats.inplace_steps == 1
+        for _ in range(2):
+            fresh = rng.standard_normal((3, 4)).astype(dtype)
+            replayed = plan.replay({"x": fresh})
+            assert replayed.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(replayed, fn(fresh))
+
+    @pytest.mark.filterwarnings("ignore:'where' used without 'out'")
+    def test_where_without_out_is_unsupported(self):
+        # numpy leaves the unselected entries of the fresh output unset.
+        with pytest.raises(PlanUnsupported, match="where="):
+            trace(lambda x: np.add(x, 1.0, where=x > 0), {"x": np.ones(4)})
 
 
 # ----------------------------------------------------------------------

@@ -104,6 +104,7 @@ class TestPlannedServing:
         assert all(np.all(np.isfinite(r.prediction)) for r in results)
         assert engine.planner.snapshot() == {
             "supported": False, "plans": 0, "ready": 0, "eager_keys": 0,
+            "arena_bytes": 0,
         }
         counters = registry.snapshot()["counters"]
         assert counters['serve/engine_exec_mode{mode="eager"}'] == 2
@@ -124,6 +125,8 @@ class TestPlannedServing:
         _drive(engine, store, test_u, rounds=1)
         snapshot = engine.reliability_snapshot()
         assert snapshot["plan"]["supported"] is True
+        (entry,) = engine.planner._entries.values()
+        assert snapshot["plan"]["arena_bytes"] == entry.plan.stats.arena_bytes > 0
         eager = bundle.make_engine(
             store=store, registry=MetricRegistry(), plan=False
         )
@@ -178,6 +181,38 @@ class TestValidationFallback:
             assert entry.state == state
 
 
+class TestPlanEviction:
+    class Keyed:
+        """Plans keyed by the first entry of ``x``: one key per value."""
+
+        def plan_inputs(self, x, m, steps_of_day):
+            return {"x": np.asarray(x, dtype=np.float64)}, (float(x.flat[0]),)
+
+        def plan_forward(self, x):
+            return np.tanh(x) + 1.0
+
+    def test_evicts_the_least_recently_used_key(self):
+        registry = MetricRegistry()
+        runtime = PlanRuntime(self.Keyed(), registry, Tracer(), max_plans=2)
+        a, b, c = (np.full((2, 2), value) for value in (1.0, 2.0, 3.0))
+
+        def misses() -> float:
+            return registry.snapshot()["counters"]["serve/plan_cache_misses"]
+
+        for value in (a, a, b):  # A: compile, validate; B: compile
+            runtime.predict(value, None, None)
+        runtime.predict(a, None, None)  # A replays: now the most recent
+        assert misses() == 2
+        runtime.predict(c, None, None)  # evicts B, not A
+        assert misses() == 3
+        ((a_key, a_entry), (c_key, _)) = runtime._entries.items()
+        assert a_key[1] == (1.0,) and c_key[1] == (3.0,)
+        assert a_entry.state == "ready"
+        np.testing.assert_array_equal(
+            runtime.predict(a, None, None), np.tanh(a) + 1.0)
+        assert misses() == 3
+
+
 @pytest.fixture()
 def rihgcn_bundle(tiny_ctx, tmp_path):
     base = str(tmp_path / "rihgcn")
@@ -185,13 +220,18 @@ def rihgcn_bundle(tiny_ctx, tmp_path):
     return load_bundle(base)
 
 
-def _window_inputs(model, start, steps_per_day, rng):
-    """Plan inputs for one random window whose first step is ``start``."""
+def _window(model, start, steps_per_day, rng):
+    """``(x, m, steps_of_day)`` of one random window starting at ``start``."""
     shape = (1, model.input_length, model.num_nodes, model.num_features)
     steps = (start + np.arange(model.input_length)) % steps_per_day
     m = (rng.random(shape) >= 0.2).astype(np.float64)
     x = rng.standard_normal(shape) * m
-    return model.plan_inputs(x, m, steps[None])
+    return x, m, steps[None]
+
+
+def _window_inputs(model, start, steps_per_day, rng):
+    """Plan inputs for one random window whose first step is ``start``."""
+    return model.plan_inputs(*_window(model, start, steps_per_day, rng))
 
 
 def _per_step_skip(monkeypatch):
@@ -311,9 +351,13 @@ class TestArenaLayout:
     def _layout(plan) -> str:
         numbers: dict[int, int] = {}
         writes = []
-        for fn, _args, kwargs in plan._steps:
-            # A step without ``out=`` is a copy step holding its buffer as ``_out``.
-            out = kwargs["out"] if "out" in kwargs else fn.__defaults__[0]
+        for fn, args, kwargs in plan._steps:
+            # A ufunc call takes its buffer as its last positional argument;
+            # a step without ``out`` is a copy step holding it as ``_out``.
+            if isinstance(fn, np.ufunc):
+                out = args[-1]
+            else:
+                out = kwargs["out"] if "out" in kwargs else fn.__defaults__[0]
             writes.append(numbers.setdefault(id(out), len(numbers)))
         return hashlib.sha256(str(writes).encode()).hexdigest()[:16]
 
@@ -332,6 +376,56 @@ class TestArenaLayout:
             got = {key: getattr(plans[signature].stats, key) for key in pinned}
             assert got == pinned, signature
             assert self._layout(plans[signature]) == self.LAYOUT[signature], signature
+
+
+class TestSharedArena:
+    """One engine's plans share one arena and stay bitwise-equal to eager."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_interleaved_replays_match_eager(self, tiny_ctx, dtype):
+        spd = tiny_ctx.data_config.steps_per_day
+        rng = np.random.default_rng(4)
+        with dtype_policy(dtype):
+            model = build_model("RIHGCN", tiny_ctx)
+            runtime = PlanRuntime(model, MetricRegistry(), Tracer())
+            windows = {}
+            for start in range(spd):
+                window = _window(model, start, spd, rng)
+                windows.setdefault(model.plan_inputs(*window)[1], []).append(window)
+            assert len(windows) > 1
+            # Compile, validate and replay each signature in turn (A, B, C,
+            # A, B, C, ...): every plan overwrites the buffers of the others.
+            for round_ in range(4):
+                for signature, group in windows.items():
+                    x, m, steps = group[round_ % len(group)]
+                    replayed = runtime.predict(x, m, steps)
+                    with inference_mode():
+                        eager = model.plan_forward(**model.plan_inputs(x, m, steps)[0])
+                    assert replayed.dtype == np.dtype(dtype)
+                    np.testing.assert_array_equal(replayed, eager, err_msg=str(signature))
+            snapshot = runtime.snapshot()
+        assert snapshot["ready"] == len(windows) and snapshot["eager_keys"] == 0
+        arenas = [entry.plan.stats.arena_bytes for entry in runtime._entries.values()]
+        assert max(arenas) <= snapshot["arena_bytes"] < sum(arenas)
+        assert {id(entry.plan.arena) for entry in runtime._entries.values()} == {
+            id(runtime.arena)}
+
+    def test_check_plan_reports_one_arena_for_the_day(self, rihgcn_bundle):
+        result = check_plan(rihgcn_bundle, seed=3)
+        assert result["verified"] is True, result["reason"]
+        model = rihgcn_bundle.model
+        spd = rihgcn_bundle.data_config.steps_per_day
+        rng = np.random.default_rng(0)
+        plans = {}
+        for start in range(spd):
+            inputs, signature = _window_inputs(model, start, spd, rng)
+            if signature not in plans:
+                plans[signature] = trace(model.plan_forward, inputs)[0]
+        assert len(plans) > 1
+        arenas = [plan.stats.arena_bytes for plan in plans.values()]
+        assert max(arenas) <= result["arena_bytes"] < sum(arenas)
+        unverified = check_plan(rihgcn_bundle, seed=3, verify=False)
+        assert unverified["arena_bytes"] == unverified["stats"]["arena_bytes"]
 
 
 class TestCacheKeyRegression:
