@@ -23,7 +23,7 @@ compiling it into a replayable :class:`ExecutionPlan`:
 * A :class:`PlanArena` pools those buffers by ``(shape, dtype)`` and
   can be shared by many plans: the k-th fresh buffer a plan needs for a
   key is the arena's k-th buffer for that key, so plans replayed one at
-  a time (the serving engine keeps one plan per graph-activity
+  a time (the serving engine keeps one plan per input shape and
   signature) hold the buffers of their largest member, not the sum.
   The arena also holds the one lock that serialises their replays.
   :func:`trace` without an arena gives the plan a private one.

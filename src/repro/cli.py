@@ -551,6 +551,7 @@ def main(argv: list[str] | None = None) -> int:
               f"(every plan traced)")
         print(f"  {'compile_seconds sum':<20} {result['compile_seconds']:.4f} "
               f"(every plan lowered)")
+        print(f"  {'plans':<20} {result['plans']} (one per signature compiled)")
         print(f"  {'shared arena_bytes':<20} {result['arena_bytes']} "
               f"(one arena, every plan)")
         if result["verified"] is True:

@@ -105,8 +105,8 @@ class NeuralForecaster(Module):
         cannot follow (step-of-day lookups, graph-interval weights) must
         be computed *here*, eagerly, and passed in as a plan input.
         ``signature`` is a hashable fingerprint of every value that
-        steers control flow inside :meth:`plan_forward` (e.g. which
-        temporal graphs are active): plans are cached per
+        steers control flow inside :meth:`plan_forward` (``()`` when
+        nothing does, as for every model here): plans are cached per
         ``(shape, signature)`` so a branch taken differently forces a
         fresh trace instead of replaying a stale one.
         """

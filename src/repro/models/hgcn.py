@@ -7,50 +7,39 @@ graph plus ``M`` temporal graphs — and combines node embeddings as::
 
 where ``w_m(t)`` weights each temporal graph by how close timestamp ``t``
 is to the graph's time interval (hard indicator or soft circular decay,
-see :meth:`TimelinePartition.membership_weights`).
+see :meth:`TimelinePartition.membership_weights`). :class:`HGCNBlock`
+computes the sum as one contraction over every graph.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable
+
 import numpy as np
 
-from ..autodiff import Tensor, default_dtype
+from ..autodiff import ChebBasis, Tensor, cheb_propagate, concat, default_dtype
 from ..graphs import HeterogeneousGraphSet, chebyshev_polynomials
 from ..nn import ChebConv, Linear, Module, ModuleList
 
-__all__ = [
-    "SpatialEncoder", "LinearEncoder", "GCNEncoder", "HGCNBlock", "temporal_activity",
-]
-
-
-def temporal_activity(weights: np.ndarray) -> np.ndarray:
-    """Which temporal graphs a window uses: ``(M,)`` booleans.
-
-    ``weights`` is a window's ``(B, T, M)`` interval weights; a graph is
-    active when any sample weights it at any step. :class:`HGCNBlock`
-    runs exactly the active graphs at every step of the window, and the
-    RIHGCN plan signature is this mask, so the signature fixes the
-    forward's control flow wherever an interval boundary falls inside
-    the window.
-    """
-    # asarray: a tracing subclass must not record this host-side decision.
-    return (np.asarray(weights) != 0).any(axis=(0, 1))
+__all__ = ["SpatialEncoder", "LinearEncoder", "GCNEncoder", "HGCNBlock"]
 
 
 class SpatialEncoder(Module):
     """Interface: map node features ``(B, N, D)`` to embeddings ``(B, N, p)``.
 
-    ``weights`` carries per-sample temporal-graph weights ``(B, M)`` and
-    ``active`` the window's :func:`temporal_activity` mask; encoders that
-    ignore the heterogeneous structure accept and discard both.
+    ``weights`` carries per-sample temporal-graph weights ``(B, M)``;
+    encoders that ignore the heterogeneous structure accept and discard
+    it.
     """
 
-    #: whether forward() consumes interval weights
-    needs_interval_weights: bool = False
-
-    def forward(self, x: Tensor, weights: np.ndarray | None = None,
-                active: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
         raise NotImplementedError
+
+    def bind(self) -> Callable[[Tensor, np.ndarray | None], Tensor]:
+        """The per-step map ``(x, weights) -> embeddings``, with whatever
+        depends only on parameters built once: bind once per forward."""
+        return self
 
 
 class LinearEncoder(SpatialEncoder):
@@ -65,8 +54,7 @@ class LinearEncoder(SpatialEncoder):
         super().__init__()
         self.proj = Linear(in_channels, out_channels, rng=rng)
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None,
-                active: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
         return self.proj(x).relu()
 
 
@@ -88,13 +76,19 @@ class GCNEncoder(SpatialEncoder):
         stack = chebyshev_polynomials(adjacency, cheb_order)
         self.conv = ChebConv(in_channels, out_channels, stack, rng=rng)
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None,
-                active: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
         return self.conv(x).relu()
 
 
 class HGCNBlock(SpatialEncoder):
     """Heterogeneous GCN: geographic GCN + weighted temporal GCNs.
+
+    Each graph keeps its own :class:`ChebConv` parameters (state dict
+    ``geo_conv.*``, ``temporal_convs.{m}.*``), but one ``((1+M)·K·N, N)``
+    basis propagates ``x`` over every graph, each graph's ``K·C`` block
+    is scaled by ``[1, w]``, and one matmul against the row-concatenated
+    weights sums the graphs; the bias is ``[1, w]`` times the stacked
+    biases. A zero weight is data, not a skipped branch.
 
     Parameters
     ----------
@@ -103,8 +97,6 @@ class HGCNBlock(SpatialEncoder):
     cheb_order:
         Chebyshev polynomial order ``K`` (paper: 3) shared by every GCN.
     """
-
-    needs_interval_weights = True
 
     def __init__(
         self,
@@ -115,34 +107,38 @@ class HGCNBlock(SpatialEncoder):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        self.graphs = graphs
-        self.geo_conv = ChebConv(
-            in_channels, out_channels,
-            chebyshev_polynomials(graphs.geographic, cheb_order), rng=rng,
-        )
+        stacks = [chebyshev_polynomials(adj, cheb_order)
+                  for adj in (graphs.geographic, *graphs.temporal)]
+        self.geo_conv = ChebConv(in_channels, out_channels, stacks[0], rng=rng)
         self.temporal_convs = ModuleList(
-            ChebConv(in_channels, out_channels,
-                     chebyshev_polynomials(adj, cheb_order), rng=rng)
-            for adj in graphs.temporal
+            ChebConv(in_channels, out_channels, stack, rng=rng) for stack in stacks[1:]
         )
+        self._basis = ChebBasis(np.concatenate(stacks))
 
     @property
     def num_temporal(self) -> int:
         return len(self.temporal_convs)
 
-    def forward(self, x: Tensor, weights: np.ndarray | None = None,
-                active: np.ndarray | None = None) -> Tensor:
+    def forward(self, x: Tensor, weights: np.ndarray | None = None) -> Tensor:
         """``x``: ``(..., B, N, D)``; ``weights``: ``(..., B, M)`` interval weights.
 
         An axis before ``B`` is the direction axis of a block from
         :func:`~repro.nn.stack_modules`; each weight scales its own
-        sample's ``(N, p)`` embedding. ``active`` (``(M,)`` booleans)
-        names the temporal graphs to run; the rest are skipped. Recurrent
-        callers pass the whole window's :func:`temporal_activity`, so
-        every step of a window takes the same branches (an active graph
-        at a step where its weight is 0 adds an exact zero). ``None``
-        runs the graphs ``weights`` uses.
+        sample's ``(N, p)`` embedding.
         """
+        return self.bind()(x, weights)
+
+    def bind(self) -> Callable[[Tensor, np.ndarray | None], Tensor]:
+        convs = [self.geo_conv, *self.temporal_convs]
+        weight = concat([conv.weight for conv in convs], axis=-2)
+        # One bias row per graph: (p,) -> (1, p); a direction-stacked
+        # (D, 1, 1, p) bias already ends in its row axis.
+        bias = concat([conv.bias.reshape(conv.bias.shape[:-2] + (1, -1))
+                       for conv in convs], axis=-2)
+        return partial(self._contract, weight, bias)
+
+    def _contract(self, weight: Tensor, bias: Tensor, x: Tensor,
+                  weights: np.ndarray | None) -> Tensor:
         if weights is None:
             raise ValueError("HGCNBlock requires per-sample interval weights")
         # asanyarray: tracing subclasses must survive the cast.
@@ -151,12 +147,10 @@ class HGCNBlock(SpatialEncoder):
             raise ValueError(
                 f"weights must be (..., B, {self.num_temporal}), got {weights.shape}"
             )
-        if active is None:
-            active = (np.asarray(weights) != 0).reshape(-1, self.num_temporal).any(axis=0)
-        out = self.geo_conv(x)
-        for idx, conv in enumerate(self.temporal_convs):
-            if not active[idx]:
-                continue  # interval inactive for the whole window
-            w = weights[..., idx]
-            out = out + conv(x) * Tensor(w[..., None, None])
+        ones = np.ones(weights.shape[:-1] + (1,), dtype=weights.dtype)
+        scale = np.concatenate([ones, weights], axis=-1)  # (..., B, 1+M)
+        hops = cheb_propagate(x, self._basis)  # (..., B, N, (1+M)·K·C)
+        per_graph = hops.reshape(hops.shape[:-1] + (1 + self.num_temporal, -1))
+        scaled = (per_graph * Tensor(scale[..., None, :, None])).reshape(hops.shape)
+        out = scaled.matmul(weight) + Tensor(scale[..., None, :]).matmul(bias)
         return out.relu()

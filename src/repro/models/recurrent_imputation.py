@@ -46,7 +46,7 @@ from ..autodiff import (
 from ..graphs import HeterogeneousGraphSet
 from ..nn import Linear, LSTMCell, Module, stack_modules
 from .base import ForecastOutput, NeuralForecaster
-from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder, temporal_activity
+from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder
 
 __all__ = ["RecurrentImputationForecaster", "build_spatial_encoder"]
 
@@ -341,7 +341,8 @@ class RecurrentImputationForecaster(NeuralForecaster):
         if self.backward_pass is not None:
             passes.append(self.backward_pass)
         directions = len(passes)
-        spatial = stack_modules([p.spatial for p in passes], rank=4)
+        # Bound once per forward, so HGCN concatenates its weights once.
+        spatial = stack_modules([p.spatial for p in passes], rank=4).bind()
         head = stack_modules([p.estimate_head for p in passes], rank=4)
         cell = (stack_modules([p.cell for p in passes], rank=3)
                 if self.forward_pass.use_lstm else None)
@@ -350,12 +351,7 @@ class RecurrentImputationForecaster(NeuralForecaster):
         x_steps = _by_step(x, directions)
         m_steps = _by_step(m, directions)
         observed = m_steps > 0
-        # Graph skips are decided once for the window, from the mask the
-        # plan signature keys on; deciding them per step would make the
-        # branches depend on where an interval boundary falls in the window.
-        if weights is not None:
-            w_steps = _by_step(weights, directions)
-            active = temporal_activity(weights)
+        w_steps = None if weights is None else _by_step(weights, directions)
         z_steps: list[Tensor] = []
         estimates: list[Tensor] = []
         state = None
@@ -366,10 +362,7 @@ class RecurrentImputationForecaster(NeuralForecaster):
             else:
                 feed = estimates[-1].detach() if self.detach_imputation else estimates[-1]
                 x_comp = where(observed[k], x_k, feed)  # Eq. 3
-            if weights is None:
-                s_k = spatial(x_comp)  # (D, B, N, p)
-            else:
-                s_k = spatial(x_comp, w_steps[k], active)
+            s_k = spatial(x_comp, None if w_steps is None else w_steps[k])  # (D, B, N, p)
             if cell is not None:
                 s_flat = s_k.reshape(directions, batch * nodes, embed)
                 m_flat = Tensor(m_steps[k].reshape(directions, batch * nodes, features))
@@ -403,21 +396,17 @@ class RecurrentImputationForecaster(NeuralForecaster):
         The interval-weight lookup is data-dependent (it indexes the
         timeline partition by step-of-day), so it runs eagerly here and
         the resulting ``(B, T, M)`` weights become a plan *input*. The
-        signature is the window's per-graph activity bitmask
-        (:func:`temporal_activity`) — ``HGCNBlock`` skips the temporal
-        graphs outside it at every step of the window, so a plan is
-        valid for every request activating the same graph subset.
+        forward has no branch on them (``HGCNBlock`` runs every graph
+        and scales it by its weight), so the signature is ``()``: one
+        plan per batch shape serves every step of the day.
         """
         x = np.asarray(x, dtype=default_dtype())
         m = np.asarray(m, dtype=default_dtype())
         weights = self._interval_weights(np.asarray(steps_of_day))
         inputs = {"x": x, "m": m}
-        if weights is None:
-            return inputs, ()
-        weights = np.asarray(weights, dtype=default_dtype())
-        inputs["weights"] = weights
-        signature = tuple(bool(b) for b in temporal_activity(weights))
-        return inputs, signature
+        if weights is not None:
+            inputs["weights"] = np.asarray(weights, dtype=default_dtype())
+        return inputs, ()
 
     def plan_forward(
         self,

@@ -17,10 +17,10 @@ walks one key through three states:
    allocation, zero graph construction.
 
 Anything that goes wrong — the model does not implement planning,
-tracing raises :class:`~repro.autodiff.PlanUnsupported`, validation
-fails — parks that key on the eager path forever and bumps
-``serve/plan_fallbacks``; serving never degrades, it only stops
-accelerating.
+tracing raises (:class:`~repro.autodiff.PlanUnsupported` or any other
+error), validation fails — parks that key on the eager path forever and
+bumps ``serve/plan_fallbacks``; serving never degrades, it only stops
+accelerating, and a failed trace is never retried.
 
 Every plan of one runtime is compiled into the runtime's one
 :class:`~repro.autodiff.PlanArena`: plans replay one at a time, so they
@@ -187,8 +187,11 @@ class PlanRuntime:
         ) as span:
             try:
                 plan, output = trace(self.model.plan_forward, inputs, self.arena)
-            except PlanUnsupported as error:
-                span.set_attribute("unsupported", str(error))
+            except Exception as error:
+                # Park the key: a retrace would fail again, at the cost of
+                # a traced forward, on every request.
+                span.set_attribute("error", f"{type(error).__name__}: {error}")
+                span.status = "error"
                 entry.state = "eager"
                 self._count("serve/plan_fallbacks")
                 self._count("serve/engine_exec_mode", mode="eager")
@@ -240,7 +243,8 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     ``"max_abs_diff"`` seen, ``"trace_seconds"`` and
     ``"compile_seconds"`` summed over every plan traced and lowered (the
     two parts of the cold-start cost a server pays once per signature),
-    and ``"arena_bytes"``, the buffers of the one arena every plan is
+    ``"plans"``, how many plans (signatures) were compiled, and
+    ``"arena_bytes"``, the buffers of the one arena every plan is
     compiled into, as a server's :class:`PlanRuntime` shares one;
     ``reason`` explains an uncompiled plan or names the first failing
     signature, and ``verified`` is ``None`` without ``verify``.
@@ -272,7 +276,7 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
     except PlanUnsupported as error:
         result["reason"] = f"plan unsupported: {error}"
         return result
-    result.update(compiled=True, stats=plan.stats.as_dict(),
+    result.update(compiled=True, stats=plan.stats.as_dict(), plans=1,
                   trace_seconds=plan.stats.trace_seconds,
                   compile_seconds=plan.stats.compile_seconds,
                   arena_bytes=arena.nbytes)
@@ -296,6 +300,7 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
                 result.update(verified=False, reason=f"plan for signature "
                               f"{signature} unsupported: {error}")
                 return result
+            result["plans"] += 1
             result["trace_seconds"] += checked.stats.trace_seconds
             result["compile_seconds"] += checked.stats.compile_seconds
             result["arena_bytes"] = arena.nbytes

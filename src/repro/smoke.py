@@ -85,15 +85,15 @@ def _verdict(report: dict, checks: dict) -> dict:
     return report
 
 
-def _export(data, model, seed_offset: int = 0):
-    """Export and load one untrained :data:`SMOKE_MODEL` bundle."""
+def _export(data, model, seed_offset: int = 0, name: str = SMOKE_MODEL):
+    """Export and load one untrained ``name`` bundle (:data:`SMOKE_MODEL`)."""
     from .serve import export_model, load_bundle
 
     seed = data.seed + seed_offset
     with tempfile.TemporaryDirectory(prefix="repro-smoke-") as workdir:
         path = f"{workdir}/bundle"
         export_model(
-            SMOKE_MODEL, replace(data, seed=seed), replace(model, seed=seed), path
+            name, replace(data, seed=seed), replace(model, seed=seed), path
         )
         return load_bundle(path)
 
@@ -110,7 +110,8 @@ def _json(text: str) -> dict:
 # serve: one bundle behind a real socket
 # ----------------------------------------------------------------------
 def serve_smoke(data, model, trainer) -> dict:
-    """Verify the bundle's plan, then exercise the HTTP API over a socket."""
+    """Verify the bundle's plan and a RIHGCN bundle's one plan for its
+    whole day, then exercise the HTTP API over a socket."""
     from urllib.error import HTTPError
     from urllib.request import Request, urlopen
 
@@ -119,6 +120,7 @@ def serve_smoke(data, model, trainer) -> dict:
 
     bundle = _export(data, model)
     plan = check_plan(bundle, seed=data.seed)
+    rihgcn_plan = check_plan(_export(data, model, name="RIHGCN"), seed=data.seed)
     app = ServeApp(bundle, config=ServeConfig(port=0, trace_sample=1.0))
     server = make_server(app)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -154,9 +156,10 @@ def serve_smoke(data, model, trainer) -> dict:
         for trace in _json(traces[2]).get("traces", [])
         for span in trace["spans"]
     }
-    report = {"plan": plan, "span_names": sorted(spans)}
+    report = {"plan": plan, "rihgcn_plan": rihgcn_plan, "span_names": sorted(spans)}
     checks = {
         "plan_verified": plan["verified"] is True,
+        "rihgcn_one_plan": rihgcn_plan["verified"] is True and rihgcn_plan["plans"] == 1,
         "healthz_ok": health[0] == 200,
         "observe_accepted": observe[0] == 200,
         "forecast_horizon_2": (

@@ -6,8 +6,11 @@ tests pin the names and shapes of the four family models built on the
 shared tiny context, and load a RIHGCN bundle exported by the earlier
 per-direction recurrence (``tests/data/rihgcn_per_direction.*``, with the
 forecasts that code produced from it): the bundle must load unchanged and
-forecast the same bytes, both through the model and through a serving
-engine (traced, validated and replayed plan).
+forecast the same values, both through the model and through a serving
+engine (traced, validated and replayed plan). The HGCN block now sums
+its graphs in one matmul, a different float32 rounding order than the
+per-graph form that recorded them, so the forecasts agree to float32
+rounding rather than bit for bit.
 """
 
 import os
@@ -84,7 +87,7 @@ def test_bundle_from_per_direction_recurrence_forecasts_identically():
     with inference_mode():
         prediction = bundle.model(x, m, steps).prediction.data
     assert prediction.dtype == recorded["model"].dtype
-    assert prediction.tobytes() == recorded["model"].tobytes()
+    np.testing.assert_allclose(prediction, recorded["model"], rtol=1e-5, atol=1e-6)
 
     # Compile, validate, then replay: three served forecasts.
     store = bundle.make_store(start_step=0)
@@ -97,4 +100,4 @@ def test_bundle_from_per_direction_recurrence_forecasts_identically():
     served = np.stack(served)
     assert engine.planner.snapshot()["ready"] == 1
     assert served.dtype == recorded["served"].dtype
-    assert served.tobytes() == recorded["served"].tobytes()
+    np.testing.assert_allclose(served, recorded["served"], rtol=1e-5, atol=1e-6)

@@ -83,10 +83,13 @@ class TestPlan:
         out = run_cli(capsys, "plan", "--bundle", base, "--verify")
         assert "verify: PASS" in out
         rows = [line.split() for line in out.splitlines()]
+        # One plan serves the whole day.
+        assert next(r[1] for r in rows if r[:1] == ["plans"]) == "1"
         for name in ("compile_seconds", "trace_seconds"):
             total = next(float(r[2]) for r in rows if r[:2] == [name, "sum"])
             first = next(float(r[1]) for r in rows if r[:1] == [name] and len(r) == 2)
-            assert total >= first > 0, name
+            # The sum is printed to 4 decimals, the plan's own figure in full.
+            assert total >= float(f"{first:.4f}") and first > 0, name
 
 
 class TestReport:

@@ -20,7 +20,6 @@ from repro.autodiff import Tensor, concat, default_dtype, dtype_policy, no_grad,
 from repro.experiments import build_model
 from repro.models import rihgcn
 from repro.models.base import ForecastOutput
-from repro.models.hgcn import temporal_activity
 from repro.training import Trainer
 
 
@@ -30,7 +29,6 @@ def _oracle_pass(direction, x, m, weights, reverse, detach_imputation):
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     z_store = [None] * steps
     estimates = [None] * steps
-    active = temporal_activity(weights) if weights is not None else None
     est_prev = None
     state = None
     for t in order:
@@ -42,7 +40,7 @@ def _oracle_pass(direction, x, m, weights, reverse, detach_imputation):
             feed = est_prev.detach() if detach_imputation else est_prev
             x_comp = where(m_t > 0, x_t, feed)
         w_t = weights[:, t] if weights is not None else None
-        s_t = direction.spatial(x_comp, w_t, active)
+        s_t = direction.spatial(x_comp, w_t)
         if direction.use_lstm:
             s_flat = s_t.reshape(batch * nodes, direction.embed_dim)
             m_flat = Tensor(m_t.reshape(batch * nodes, features))

@@ -213,6 +213,39 @@ class TestPlanEviction:
         assert misses() == 3
 
 
+class TestCompileFailure:
+    class Broken:
+        """A keyed model whose traced forward raises an ordinary error."""
+
+        def __init__(self):
+            self.traces = 0
+
+        def plan_inputs(self, x, m, steps_of_day):
+            return {"x": np.asarray(x, dtype=np.float64)}, (float(x.flat[0]),)
+
+        def plan_forward(self, x):
+            self.traces += 1
+            raise ValueError("cannot plan this forward")
+
+    def test_failed_trace_parks_the_key_on_eager(self):
+        model = self.Broken()
+        registry = MetricRegistry()
+        tracer = Tracer(sample_rate=1.0)
+        runtime = PlanRuntime(model, registry, tracer)
+        value = np.ones((2, 2))
+        for _ in range(4):
+            assert runtime.predict(value, None, None) is None
+        assert model.traces == 1  # traced once, never retried
+        counters = registry.snapshot()["counters"]
+        assert counters["serve/plan_fallbacks"] == 1
+        assert counters["serve/plan_cache_misses"] == 1
+        assert counters['serve/engine_exec_mode{mode="eager"}'] == 4
+        assert runtime.snapshot()["eager_keys"] == 1
+        (span,) = [s for s in tracer.finished_spans() if s.name == "plan.compile"]
+        assert span.status == "error"
+        assert span.attributes["error"] == "ValueError: cannot plan this forward"
+
+
 @pytest.fixture()
 def rihgcn_bundle(tiny_ctx, tmp_path):
     base = str(tmp_path / "rihgcn")
@@ -220,13 +253,13 @@ def rihgcn_bundle(tiny_ctx, tmp_path):
     return load_bundle(base)
 
 
-def _window(model, start, steps_per_day, rng):
-    """``(x, m, steps_of_day)`` of one random window starting at ``start``."""
-    shape = (1, model.input_length, model.num_nodes, model.num_features)
+def _window(model, start, steps_per_day, rng, batch=1):
+    """``(x, m, steps_of_day)`` of random windows starting at ``start``."""
+    shape = (batch, model.input_length, model.num_nodes, model.num_features)
     steps = (start + np.arange(model.input_length)) % steps_per_day
     m = (rng.random(shape) >= 0.2).astype(np.float64)
     x = rng.standard_normal(shape) * m
-    return x, m, steps[None]
+    return x, m, np.broadcast_to(steps, (batch, model.input_length))
 
 
 def _window_inputs(model, start, steps_per_day, rng):
@@ -235,54 +268,50 @@ def _window_inputs(model, start, steps_per_day, rng):
 
 
 def _per_step_skip(monkeypatch):
-    """Make HGCN decide its graph skips per step (ignoring the window mask)."""
-    forward = HGCNBlock.forward
-    monkeypatch.setattr(
-        HGCNBlock, "forward",
-        lambda self, x, weights=None, active=None: forward(self, x, weights),
-    )
+    """Make HGCN skip, per step, the temporal graphs that step weights 0."""
+
+    def bind(self):
+        def step(x, weights):
+            out = self.geo_conv(x)
+            for idx, conv in enumerate(self.temporal_convs):
+                if np.asarray(weights)[..., idx].any():  # invisible to a trace
+                    out = out + conv(x) * Tensor(weights[..., idx][..., None, None])
+            return out.relu()
+
+        return step
+
+    monkeypatch.setattr(HGCNBlock, "bind", bind)
 
 
 class TestIntervalBoundaries:
-    """RIHGCN plans stay exact on windows that straddle an interval boundary.
+    """One RIHGCN plan serves every window of the day.
 
-    The plan signature is the window's temporal-graph activity mask, so
-    two windows crossing the same boundary at different offsets share a
-    plan; HGCN must therefore take the same branches at every offset.
+    HGCN runs every temporal graph at every step and scales it by its
+    interval weight, so where an interval boundary falls in a window is
+    data, not control flow: the plan signature is ``()`` and a plan
+    compiled on any window replays exactly on all the others.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_straddling_plan_replays_exactly_at_every_offset(self, tiny_ctx, dtype):
+    def test_one_plan_serves_the_whole_day(self, tiny_ctx, dtype):
         spd = tiny_ctx.data_config.steps_per_day
         rng = np.random.default_rng(0)
+        registry = MetricRegistry()
         with dtype_policy(dtype):
             model = build_model("RIHGCN", tiny_ctx)
-            groups = {}
+            runtime = PlanRuntime(model, registry, Tracer())
             for start in range(spd):
-                signature = _window_inputs(model, start, spd, rng)[1]
-                groups.setdefault(signature, []).append(start)
-            straddling = {sig: starts for sig, starts in groups.items() if sum(sig) > 1}
-            assert straddling, "no window crosses an interval boundary"
-            for starts in straddling.values():
-                assert len(starts) > 1
-                plan, _ = trace(model.plan_forward, _window_inputs(model, starts[0], spd, rng)[0])
-                for start in starts[1:]:
-                    inputs, _ = _window_inputs(model, start, spd, rng)
-                    with inference_mode():
-                        eager = model.plan_forward(**inputs)
-                    np.testing.assert_array_equal(plan.replay(inputs), eager)
-
-    def test_window_skip_matches_per_step_skip_bitwise(self, tiny_ctx):
-        """Running an active graph at a zero-weight step adds an exact zero."""
-        block = build_model("RIHGCN", tiny_ctx).forward_pass.spatial
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((2, tiny_ctx.data_config.num_nodes, 4)))
-        weights = np.zeros((2, block.num_temporal))
-        weights[:, 0] = 1.0
-        with inference_mode():
-            skipped = block(x, weights).data
-            run_all = block(x, weights, np.ones(block.num_temporal, dtype=bool)).data
-        assert skipped.tobytes() == run_all.tobytes()
+                x, m, steps = _window(model, start, spd, rng)
+                served = runtime.predict(x, m, steps)
+                with inference_mode():
+                    eager = model.plan_forward(**model.plan_inputs(x, m, steps)[0])
+                assert served.dtype == np.dtype(dtype)
+                np.testing.assert_array_equal(served, eager, err_msg=str(start))
+        counters = registry.snapshot()["counters"]
+        assert counters["serve/plan_cache_misses"] == 1
+        assert counters["serve/plan_cache_hits"] == spd - 1
+        assert counters.get("serve/plan_fallbacks", 0) == 0
+        assert runtime.snapshot()["plans"] == runtime.snapshot()["ready"] == 1
 
     def test_warm_day_serves_every_forecast_planned(self, rihgcn_bundle):
         bundle = rihgcn_bundle
@@ -300,17 +329,20 @@ class TestIntervalBoundaries:
                     engine.forecast().prediction, eager.forecast().prediction
                 )
         counters = registry.snapshot()["counters"]
+        assert counters["serve/plan_cache_misses"] == 1
         assert counters.get("serve/plan_fallbacks", 0) == 0
         assert counters.get('serve/engine_exec_mode{mode="eager"}', 0) == 0
 
     def test_check_plan_verifies_every_signature(self, rihgcn_bundle):
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["compiled"] and result["verified"] is True, result["reason"]
+        assert result["signature"] == () and result["plans"] == 1
         assert result["max_abs_diff"] == 0.0
-        # Summed over all three signatures, so above the first plan's own.
-        assert result["compile_seconds"] > result["stats"]["compile_seconds"] > 0
-        assert result["trace_seconds"] > result["stats"]["trace_seconds"] > 0
+        # One plan: the sums are that plan's own cold cost.
+        assert result["compile_seconds"] == result["stats"]["compile_seconds"] > 0
+        assert result["trace_seconds"] == result["stats"]["trace_seconds"] > 0
         unverified = check_plan(rihgcn_bundle, seed=3, verify=False)
+        assert unverified["plans"] == 1
         assert unverified["compile_seconds"] == unverified["stats"]["compile_seconds"]
         assert unverified["trace_seconds"] == unverified["stats"]["trace_seconds"]
 
@@ -320,12 +352,12 @@ class TestIntervalBoundaries:
         _per_step_skip(monkeypatch)
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["compiled"] and result["verified"] is False
-        assert "signature (True, True)" in result["reason"]
+        assert "signature ()" in result["reason"]
         assert result["max_abs_diff"] > 0
 
 
 class TestArenaLayout:
-    """The seeded tiny RIHGCN's plans keep their arena (float32 policy).
+    """The seeded tiny RIHGCN's one plan keeps its arena (float32 policy).
 
     Which freed buffer a later step reuses depends on the order buffers
     return to the pool. ``PlanStats`` alone does not see that order, so
@@ -333,18 +365,10 @@ class TestArenaLayout:
     writes, numbered in order of first write.
     """
 
-    LAYOUT = {
-        (True, False): "fb4df8f31031cddc",
-        (True, True): "a5d38c0e511ebd90",
-        (False, True): "fb4df8f31031cddc",
-    }
+    LAYOUT = {(): "7da1f3b32da5a134"}
     PINNED = {
-        (True, False): dict(steps=215, view_steps=124, inplace_steps=12,
-                            buffers=32, arena_bytes=18544, naive_bytes=94688),
-        (True, True): dict(steps=251, view_steps=154, inplace_steps=12,
-                           buffers=33, arena_bytes=18672, naive_bytes=102368),
-        (False, True): dict(steps=215, view_steps=124, inplace_steps=12,
-                            buffers=32, arena_bytes=18544, naive_bytes=94688),
+        (): dict(steps=197, view_steps=118, inplace_steps=12,
+                 buffers=34, arena_bytes=21160, naive_bytes=103472),
     }
 
     @staticmethod
@@ -388,42 +412,38 @@ class TestSharedArena:
         with dtype_policy(dtype):
             model = build_model("RIHGCN", tiny_ctx)
             runtime = PlanRuntime(model, MetricRegistry(), Tracer())
-            windows = {}
-            for start in range(spd):
-                window = _window(model, start, spd, rng)
-                windows.setdefault(model.plan_inputs(*window)[1], []).append(window)
-            assert len(windows) > 1
-            # Compile, validate and replay each signature in turn (A, B, C,
-            # A, B, C, ...): every plan overwrites the buffers of the others.
+            # One plan per batch shape: batches of 1, 2 and 3 windows.
+            batches = (1, 2, 3)
+            # Compile, validate and replay each shape in turn (1, 2, 3, 1,
+            # 2, 3, ...): every plan overwrites the buffers of the others.
             for round_ in range(4):
-                for signature, group in windows.items():
-                    x, m, steps = group[round_ % len(group)]
+                for batch in batches:
+                    start = int(rng.integers(0, spd))
+                    x, m, steps = _window(model, start, spd, rng, batch=batch)
                     replayed = runtime.predict(x, m, steps)
                     with inference_mode():
                         eager = model.plan_forward(**model.plan_inputs(x, m, steps)[0])
                     assert replayed.dtype == np.dtype(dtype)
-                    np.testing.assert_array_equal(replayed, eager, err_msg=str(signature))
+                    np.testing.assert_array_equal(replayed, eager, err_msg=str(batch))
             snapshot = runtime.snapshot()
-        assert snapshot["ready"] == len(windows) and snapshot["eager_keys"] == 0
+        assert snapshot["ready"] == len(batches) and snapshot["eager_keys"] == 0
+        # Buffers pool by shape, so plans of different batch shapes share
+        # none (same-shape sharing is pinned in test_autodiff_plan).
         arenas = [entry.plan.stats.arena_bytes for entry in runtime._entries.values()]
-        assert max(arenas) <= snapshot["arena_bytes"] < sum(arenas)
+        assert max(arenas) <= snapshot["arena_bytes"] <= sum(arenas)
         assert {id(entry.plan.arena) for entry in runtime._entries.values()} == {
             id(runtime.arena)}
 
     def test_check_plan_reports_one_arena_for_the_day(self, rihgcn_bundle):
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["verified"] is True, result["reason"]
+        assert result["plans"] == 1
         model = rihgcn_bundle.model
         spd = rihgcn_bundle.data_config.steps_per_day
         rng = np.random.default_rng(0)
-        plans = {}
-        for start in range(spd):
-            inputs, signature = _window_inputs(model, start, spd, rng)
-            if signature not in plans:
-                plans[signature] = trace(model.plan_forward, inputs)[0]
-        assert len(plans) > 1
-        arenas = [plan.stats.arena_bytes for plan in plans.values()]
-        assert max(arenas) <= result["arena_bytes"] < sum(arenas)
+        plan, _ = trace(model.plan_forward, _window_inputs(model, 0, spd, rng)[0])
+        # The day's one plan owns the whole arena.
+        assert result["arena_bytes"] == plan.stats.arena_bytes
         unverified = check_plan(rihgcn_bundle, seed=3, verify=False)
         assert unverified["arena_bytes"] == unverified["stats"]["arena_bytes"]
 
