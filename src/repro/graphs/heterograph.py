@@ -122,17 +122,18 @@ class HeterogeneousGraphSet:
         Memoized per unique step since windows revisit the same
         time-of-day slots constantly during training.
         """
-        steps = np.asarray(steps_of_day, dtype=np.int64) % self.partition.steps_per_day
-        missing = [s for s in np.unique(steps) if int(s) not in self._weight_cache]
+        steps = (np.asarray(steps_of_day, dtype=np.int64) % self.partition.steps_per_day).tolist()
+        # A sorted set, not np.unique: NumPy 2's unique imports numpy.ma.
+        missing = [s for s in sorted(set(steps)) if s not in self._weight_cache]
         if missing:
             fresh = self.partition.membership_weights(
-                np.array(missing),
+                np.array(missing, dtype=np.int64),
                 mode=self.membership_mode,
                 temperature=self.membership_temperature,
             )
             for step, row in zip(missing, fresh):
-                self._weight_cache[int(step)] = row
-        return np.stack([self._weight_cache[int(s)] for s in steps])
+                self._weight_cache[step] = row
+        return np.stack([self._weight_cache[s] for s in steps])
 
 
 def build_heterogeneous_graphs(

@@ -133,7 +133,7 @@ class ASTGCN(NeuralForecaster):
                          output_features)
         if adjacency is None:
             raise ValueError("ASTGCN requires the geographic adjacency")
-        rng = np.random.default_rng(seed)
+        rng = init.generator(seed)
         cheb = chebyshev_polynomials(adjacency, cheb_order)
         self.daily_segments = daily_segments
         self.uses_periodic = daily_segments > 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, default_dtype
-from ..nn import AdaptiveGraphConv, GatedTCNBlock, Linear
+from ..nn import AdaptiveGraphConv, GatedTCNBlock, Linear, init
 from .base import ForecastOutput, NeuralForecaster
 
 __all__ = ["GraphWaveNet"]
@@ -40,7 +40,7 @@ class GraphWaveNet(NeuralForecaster):
     ):
         super().__init__(input_length, output_length, num_nodes, num_features,
                          output_features)
-        rng = np.random.default_rng(seed)
+        rng = init.generator(seed)
         self.input_proj = Linear(num_features, residual_channels, rng=rng)
         self.tcn_blocks = []
         self.graph_convs = []

@@ -20,7 +20,7 @@ import numpy as np
 
 from ..autodiff import ChebBasis, Tensor, cheb_propagate, concat, default_dtype
 from ..graphs import HeterogeneousGraphSet, chebyshev_polynomials
-from ..nn import ChebConv, Linear, Module, ModuleList
+from ..nn import ChebConv, Linear, Module, ModuleList, Parameter, init
 
 __all__ = ["SpatialEncoder", "LinearEncoder", "GCNEncoder", "HGCNBlock"]
 
@@ -80,10 +80,35 @@ class GCNEncoder(SpatialEncoder):
         return self.conv(x).relu()
 
 
+class _GraphConv(Module):
+    """One graph's :class:`ChebConv` parameters inside :class:`HGCNBlock`.
+
+    The block's stacked forward reads only ``weight`` and ``bias``.
+    Calling the module runs this graph's ``ChebConv`` alone, on a basis
+    built at the first call; only a per-graph reference forward calls it.
+    """
+
+    def __init__(self, in_channels: int, out_channels: int, adjacency: np.ndarray,
+                 cheb_order: int, rng: np.random.Generator | None):
+        super().__init__()
+        self._adjacency = adjacency
+        self._cheb_order = cheb_order
+        self._basis: ChebBasis | None = None
+        self.weight = Parameter(
+            init.xavier_uniform((cheb_order * in_channels, out_channels), rng)
+        )
+        self.bias = Parameter(init.zeros(out_channels))
+
+    def forward(self, x: Tensor) -> Tensor:
+        if self._basis is None:
+            self._basis = ChebBasis(chebyshev_polynomials(self._adjacency, self._cheb_order))
+        return cheb_propagate(x, self._basis).matmul(self.weight) + self.bias
+
+
 class HGCNBlock(SpatialEncoder):
     """Heterogeneous GCN: geographic GCN + weighted temporal GCNs.
 
-    Each graph keeps its own :class:`ChebConv` parameters (state dict
+    Each graph keeps its own ``ChebConv`` parameters (state dict
     ``geo_conv.*``, ``temporal_convs.{m}.*``), but one ``((1+M)·K·N, N)``
     basis propagates ``x`` over every graph, each graph's ``K·C`` block
     is scaled by ``[1, w]``, and one matmul against the row-concatenated
@@ -107,13 +132,15 @@ class HGCNBlock(SpatialEncoder):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        stacks = [chebyshev_polynomials(adj, cheb_order)
-                  for adj in (graphs.geographic, *graphs.temporal)]
-        self.geo_conv = ChebConv(in_channels, out_channels, stacks[0], rng=rng)
+        rng = rng if rng is not None else init.generator()
+        self.order = cheb_order
+        adjacencies = graphs.all_adjacencies()
+        self.geo_conv = _GraphConv(in_channels, out_channels, adjacencies[0], cheb_order, rng)
         self.temporal_convs = ModuleList(
-            ChebConv(in_channels, out_channels, stack, rng=rng) for stack in stacks[1:]
+            _GraphConv(in_channels, out_channels, adj, cheb_order, rng)
+            for adj in adjacencies[1:]
         )
-        self._basis = ChebBasis(np.concatenate(stacks))
+        self._basis = ChebBasis(np.concatenate(graphs.cheb_stacks(cheb_order)))
 
     @property
     def num_temporal(self) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import Tensor, concat, default_dtype, no_grad, stack, where
-from ..nn import GRUCell, Linear
+from ..nn import GRUCell, Linear, init
 from .base import ForecastOutput, NeuralForecaster
 
 __all__ = ["MagiNetForecaster", "compute_deltas"]
@@ -134,7 +134,7 @@ class MagiNetForecaster(NeuralForecaster):
     ):
         super().__init__(input_length, output_length, num_nodes, num_features,
                          output_features)
-        rng = np.random.default_rng(seed)
+        rng = init.generator(seed)
         self.hidden_dim = hidden_dim
         self.forward_pass = _MaskGatedPass(num_features, embed_dim, hidden_dim, rng)
         self.backward_pass = _MaskGatedPass(num_features, embed_dim, hidden_dim, rng)

@@ -44,7 +44,7 @@ from ..autodiff import (
     Tensor, concat, default_dtype, is_grad_enabled, no_grad, stack, where,
 )
 from ..graphs import HeterogeneousGraphSet
-from ..nn import Linear, LSTMCell, Module, stack_modules
+from ..nn import Linear, LSTMCell, Module, init, stack_modules
 from .base import ForecastOutput, NeuralForecaster
 from .hgcn import GCNEncoder, HGCNBlock, LinearEncoder, SpatialEncoder
 
@@ -220,7 +220,7 @@ class RecurrentImputationForecaster(NeuralForecaster):
                          output_features)
         if head_mode not in ("concat", "attention"):
             raise ValueError(f"unknown head_mode {head_mode!r}")
-        rng = np.random.default_rng(seed)
+        rng = init.generator(seed)
         self.spatial_kind = spatial_kind
         self.bidirectional = bidirectional
         self.detach_imputation = detach_imputation

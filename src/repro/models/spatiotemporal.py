@@ -16,7 +16,7 @@ import numpy as np
 
 from ..autodiff import Tensor, concat, default_dtype, stack
 from ..graphs import chebyshev_polynomials
-from ..nn import ChebConv, Linear, LSTMCell
+from ..nn import ChebConv, Linear, LSTMCell, init
 from .base import ForecastOutput, NeuralForecaster
 
 __all__ = ["SpatioTemporalForecaster", "fc_lstm", "fc_gcn", "gcn_lstm"]
@@ -47,7 +47,7 @@ class SpatioTemporalForecaster(NeuralForecaster):
     ):
         super().__init__(input_length, output_length, num_nodes, num_features,
                          output_features)
-        rng = np.random.default_rng(seed)
+        rng = init.generator(seed)
         self.use_lstm = use_lstm
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim if use_lstm else 0

@@ -31,7 +31,7 @@ class SpatialAttention(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.w1 = Parameter(init.xavier_uniform((num_steps, 1), rng))
         self.w2 = Parameter(init.xavier_uniform((in_channels, 1), rng))
         self.w3 = Parameter(init.xavier_uniform((in_channels, 1), rng))
@@ -64,7 +64,7 @@ class TemporalAttention(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.u1 = Parameter(init.xavier_uniform((num_nodes, 1), rng))
         self.u2 = Parameter(init.xavier_uniform((in_channels, 1), rng))
         self.ve = Parameter(init.xavier_uniform((num_steps, num_steps), rng))

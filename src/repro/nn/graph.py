@@ -45,7 +45,7 @@ class ChebConv(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         # The K polynomial hops are fused into one stacked-basis matmul
         # (see repro.autodiff.fused); the basis is stored in the policy
         # dtype so propagation never upcasts float32 activations.
@@ -102,7 +102,7 @@ class GraphConv(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         propagation = np.asarray(propagation, dtype=default_dtype())
         if propagation.ndim != 2 or propagation.shape[0] != propagation.shape[1]:
             raise ValueError(f"propagation must be square, got {propagation.shape}")
@@ -143,7 +143,7 @@ class AdaptiveGraphConv(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.num_nodes = num_nodes

@@ -28,7 +28,7 @@ class Linear(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.in_features = in_features
         self.out_features = out_features
         self.weight = Parameter(init.xavier_uniform((in_features, out_features), rng))
@@ -59,7 +59,7 @@ class MLP(Module):
         super().__init__()
         if len(sizes) < 2:
             raise ValueError("MLP needs at least input and output sizes")
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.layers = []
         for i, (fan_in, fan_out) in enumerate(zip(sizes[:-1], sizes[1:])):
             layer = Linear(fan_in, fan_out, bias=bias, rng=rng)

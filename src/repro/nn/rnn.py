@@ -33,7 +33,7 @@ class LSTMCell(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.weight_ih = Parameter(init.xavier_uniform((input_size, 4 * hidden_size), rng))
@@ -92,7 +92,7 @@ class GRUCell(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.input_size = input_size
         self.hidden_size = hidden_size
         self.weight_ih = Parameter(init.xavier_uniform((input_size, 3 * hidden_size), rng))

@@ -41,7 +41,7 @@ class CausalConv1d(Module):
             raise ValueError(f"kernel_size must be >= 1, got {kernel_size}")
         if dilation < 1:
             raise ValueError(f"dilation must be >= 1, got {dilation}")
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
@@ -100,7 +100,7 @@ class GatedTCNBlock(Module):
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
-        rng = rng if rng is not None else np.random.default_rng()
+        rng = rng if rng is not None else init.generator()
         self.filter_conv = CausalConv1d(in_channels, out_channels, kernel_size, dilation, rng)
         self.gate_conv = CausalConv1d(in_channels, out_channels, kernel_size, dilation, rng)
         self.residual = None

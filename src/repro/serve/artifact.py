@@ -29,6 +29,7 @@ from ..experiments.config import DataConfig, ModelConfig
 from ..experiments.registry import NEURAL_MODELS
 from ..graphs import HeterogeneousGraphSet, TimelinePartition
 from ..models.base import NeuralForecaster
+from ..nn import init
 from .engine import ForecastEngine
 from .state import StateStore
 
@@ -530,7 +531,10 @@ def load_bundle(path: str | os.PathLike) -> ModelBundle:
         adjacency=adjacency,
         graph_set=graph_set,
     )
-    model = NEURAL_MODELS[model_name](rebuild)
+    # load_state_dict overwrites (and shape-checks) every parameter, so
+    # the rebuild draws no initial weights.
+    with init.no_draw():
+        model = NEURAL_MODELS[model_name](rebuild)
 
     state = {
         name[len(_PARAM_PREFIX):]: value

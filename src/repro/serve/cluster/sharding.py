@@ -41,6 +41,7 @@ from ...autodiff import ChebBasis, Tensor, dtype_policy
 from ...datasets import ZScoreScaler
 from ...errors import ConfigError, ShapeMismatchError
 from ...graphs import HeterogeneousGraphSet
+from ...models.hgcn import HGCNBlock
 from ...models.recurrent_imputation import RecurrentImputationForecaster
 from ...models.spatiotemporal import SpatioTemporalForecaster
 from ...nn.graph import AdaptiveGraphConv, ChebConv, GraphConv
@@ -337,8 +338,8 @@ def _conv_hops(model) -> int | None:
     for module in model.modules():
         if isinstance(module, AdaptiveGraphConv):
             return None  # learned adjacency: no fixed locality
-        if isinstance(module, ChebConv):
-            hops = max(hops, module.order - 1)
+        if isinstance(module, (ChebConv, HGCNBlock)):
+            hops = max(hops, module.order - 1)  # K polynomials reach K - 1 hops
         elif isinstance(module, GraphConv):
             hops = max(hops, 1)
     return hops

@@ -12,7 +12,6 @@ one error type to catch regardless of transport.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 
@@ -70,6 +69,8 @@ class HTTPShardClient:
         timeout: float | None = None,
         headers: dict | None = None,
     ) -> Response:
+        import http.client  # only the router dials shards; workers never load it
+
         conn = http.client.HTTPConnection(
             self.host, self.port,
             timeout=timeout if timeout is not None else self.default_timeout_s,

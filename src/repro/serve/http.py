@@ -1,7 +1,8 @@
 """Stdlib HTTP front-end for the forecast engine fleet.
 
-A deliberately small JSON API on :class:`http.server.ThreadingHTTPServer`
-(no web framework — the repo stays dependency-free):
+A deliberately small JSON API over its own HTTP/1.1 framing on
+:mod:`socketserver` (no web framework, and not :mod:`http.server`, which
+would load ``http.client``, ``email`` and ``ssl`` into every server):
 
 * ``POST /observe`` — ingest a reading. Body is either a full-network
   observation ``{"step": 17, "values": [[...], ...], "mask": [[...]]}``
@@ -44,9 +45,21 @@ under an ``http`` root span, so the trace tree of a forecast shows
 HTTP → engine.forecast → queue → batch_forward → model_forward in one
 place.
 
-Threading model: each connection gets a handler thread (the stdlib
-mixin); handlers funnel forecasts through the pool's routing and each
-engine's batching queue, and observations through the store's lock.
+Threading model: each connection gets a daemon handler thread
+(:class:`socketserver.ThreadingTCPServer`); handlers funnel forecasts
+through the pool's routing and each engine's batching queue, and
+observations through the store's lock.
+
+Wire behaviour: HTTP/1.1 keep-alive and pipelining (answers in request
+order), ``Connection: close``, HTTP/1.0 (closed after one answer unless
+``Connection: keep-alive``) and ``Expect: 100-continue``. Bodies are
+framed by ``Content-Length`` only. Every answer is a head (status line,
+``Server``, ``Date``, ``Content-Type``, ``Content-Length``, then the
+route's headers) and a body, written separately with Nagle's algorithm
+on. Malformed requests are answered with ``{"error": ...}`` and the
+connection closes: 400 bad syntax or ``Content-Length``, 414 request
+line over 64 KiB, 431 header line over 64 KiB or more than 100
+headers, 501 any method but GET and POST, 505 HTTP/2 and later.
 
 Resilience surface (see ``docs/RELIABILITY.md``): endpoints return
 :class:`Response` objects so degraded answers can carry ``X-Degraded``
@@ -63,12 +76,14 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import socketserver
+import sys
 import threading
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http import HTTPStatus
 from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
 
@@ -132,7 +147,7 @@ class PlainText:
 class EncodedJSON(PlainText, Mapping):
     """A JSON object already encoded for the wire.
 
-    ``_respond`` sends the bytes as they are. In process it reads as the
+    ``_Handler._send`` sends the bytes as they are. In process it reads as the
     object it encodes (``body["prediction"]``), decoded on first read.
     """
 
@@ -190,6 +205,8 @@ def route_table(*routes: Route) -> dict[tuple[str, str], Route]:
 @dataclass
 class Request:
     """What a route sees: the parsed path, query, headers and body.
+
+    Header names are lowercase, however the client spelled them.
 
     ``payload`` is the JSON object of a POST body. ``scope`` is whatever
     the app's resolver bound the request to (``ServeApp``: the tenant).
@@ -284,7 +301,8 @@ def dispatch(
 ) -> Response:
     """Answer one request from ``routes``: the pipeline every app shares.
 
-    In order: parse the path and query; let ``resolve`` rewrite
+    In order: parse the path and query, and lowercase the header names
+    (routes look headers up as ``x-tenant``, ``accept``); let ``resolve`` rewrite
     ``request.path`` and set ``request.scope`` (raising refuses the
     request); look the route up; open a ``span`` span unless the route
     is untraced, parented on the caller's current span, else on the
@@ -298,7 +316,7 @@ def dispatch(
     parsed = urlparse(path)
     request = Request(
         method, parsed.path.rstrip("/") or "/", parse_qs(parsed.query),
-        headers or {}, body,
+        {name.lower(): value for name, value in (headers or {}).items()}, body,
     )
     raw_path = request.path
     began = time.perf_counter()
@@ -666,7 +684,7 @@ class ServeApp:
             request.path = rest.rstrip("/") or "/"
         else:
             tenant = (
-                request.headers.get("X-Tenant")
+                request.headers.get("x-tenant")
                 or request.arg("tenant")
                 or self._default_name()
             )
@@ -706,17 +724,135 @@ def _wants_json(request: Request) -> bool:
     fmt = (request.arg("format") or "").lower()
     if fmt:
         return fmt == "json"
-    return "application/json" in request.headers.get("Accept", "")
+    return "application/json" in request.headers.get("accept", "")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    app: ServeApp  # injected via the make_server subclass
-    protocol_version = "HTTP/1.1"
+#: the longest request or header line read, and the most header lines.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+#: the ``Server`` value every answer carries (the stdlib server's string).
+_SERVER = "BaseHTTP/0.6 Python/" + sys.version.split()[0]
+#: what ends a header block (an empty line, or the client hanging up).
+_BLANK = (b"\r\n", b"\n", b"")
+_PHRASES = {status.value: status.phrase for status in HTTPStatus}
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = ("Jan", "Feb", "Mar", "Apr", "May", "Jun",
+           "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep test/CI output clean; telemetry covers observability
 
-    def _respond(self, response: Response) -> None:
+def _http_date(timestamp: float | None = None) -> str:
+    """An RFC 9110 ``Date`` value (``Sun, 06 Nov 1994 08:49:37 GMT``).
+
+    Day and month names are fixed English, whatever the locale.
+    """
+    t = time.gmtime(timestamp)
+    return (f"{_DAYS[t.tm_wday]}, {t.tm_mday:02d} {_MONTHS[t.tm_mon - 1]} "
+            f"{t.tm_year:04d} {t.tm_hour:02d}:{t.tm_min:02d}:{t.tm_sec:02d} GMT")
+
+
+class _Refused(Exception):
+    """A request the framing cannot answer: reply ``status`` and close.
+
+    An answer to ``HEAD`` is the head alone (``head_only``).
+    """
+
+    def __init__(self, status: int, error: str, head_only: bool = False):
+        super().__init__(error)
+        self.status = status
+        self.head_only = head_only
+
+
+def _version(word: str) -> tuple[int, int]:
+    """``HTTP/1.1`` -> ``(1, 1)``; 400 on anything else."""
+    prefix, _, number = word.partition("/")
+    parts = number.split(".")
+    if (prefix != "HTTP" or len(parts) != 2
+            or not all(p.isascii() and p.isdigit() and len(p) <= 10 for p in parts)):
+        raise _Refused(400, f"bad request version {word!r}")
+    return int(parts[0]), int(parts[1])
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """HTTP/1.1 framing for one connection: keep-alive, pipelining,
+    ``Connection: close``, HTTP/1.0 and ``Expect: 100-continue``.
+
+    Each answer goes out as two writes, the head then the body, with
+    Nagle's algorithm on. A malformed request gets a JSON ``{"error"}``
+    answer with its status (400 syntax, 414 request line, 431 header
+    line or count, 501 method, 505 version) and the connection closes.
+    """
+
+    app: Any  # injected by bind_http
+
+    def handle(self) -> None:
+        while True:
+            try:
+                if not self._answer_one():
+                    return
+            except _Refused as refused:
+                self._send(Response(refused.status, {"error": str(refused)},
+                                    {"Connection": "close"}), refused.head_only)
+                return
+
+    def _readline(self, status: int, what: str) -> bytes:
+        line = self.rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise _Refused(status, f"{what} longer than {_MAX_LINE} bytes")
+        return line
+
+    def _headers(self) -> dict[str, str]:
+        """The header block; the first of a repeated name wins.
+
+        Names are lowercased here for the framing's own lookups
+        (``connection``, ``expect``, ``content-length``).
+        """
+        headers: dict[str, str] = {}
+        count = 0
+        while (line := self._readline(431, "header line")) not in _BLANK:
+            count += 1
+            if count > _MAX_HEADERS:
+                raise _Refused(431, f"more than {_MAX_HEADERS} headers")
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise _Refused(400, f"bad header line {line[:80]!r}")
+            headers.setdefault(name.lower(), value.strip())
+        return headers
+
+    def _answer_one(self) -> bool:
+        """Read and answer one request; False when the connection closes."""
+        line = self._readline(414, "request line")
+        words = line.decode("latin-1").split()
+        if not words:
+            return False  # the client closed (or sent a blank line)
+        if len(words) != 3:
+            raise _Refused(400, f"bad request syntax {line[:80]!r}")
+        method, target, version = words
+        number = _version(version)
+        if number >= (2, 0):
+            raise _Refused(505, f"HTTP version {version!r} not supported")
+        headers = self._headers()
+        connection = headers.get("connection", "").lower()
+        keep_alive = connection == "keep-alive" or (
+            number >= (1, 1) and connection != "close"
+        )
+        if (number >= (1, 1)
+                and headers.get("expect", "").lower() == "100-continue"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if method not in ("GET", "POST"):
+            raise _Refused(501, f"unsupported method {method!r}", method == "HEAD")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):
+            raise _Refused(400, f"bad Content-Length {length[:80]!r}")
+        size = int(length)
+        body = self.rfile.read(size) if size else b""
+        if target.startswith("//"):  # never read as a scheme-less URL
+            target = "/" + target.lstrip("/")
+        self._send(self.app.handle(
+            method, target, body if method == "POST" else None, headers
+        ))
+        return keep_alive
+
+    def _send(self, response: Response, head_only: bool = False) -> None:
         payload = response.body
         if isinstance(payload, PlainText):
             body = payload.body
@@ -726,24 +862,26 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             body = json.dumps(payload).encode("utf-8")
             content_type = "application/json"
-        self.send_response(response.status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in response.headers.items():
-            self.send_header(name, str(value))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def do_GET(self) -> None:  # noqa: N802
-        self._respond(self.app.handle("GET", self.path, None, dict(self.headers)))
-
-    def do_POST(self) -> None:  # noqa: N802
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length) if length else b""
-        self._respond(self.app.handle("POST", self.path, body, dict(self.headers)))
+        head = [
+            f"HTTP/1.1 {response.status} {_PHRASES.get(response.status, '')}\r\n"
+            f"Server: {_SERVER}\r\nDate: {_http_date()}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        ]
+        head += [f"{name}: {value}\r\n" for name, value in response.headers.items()]
+        head.append("\r\n")
+        self.wfile.write("".join(head).encode("latin-1"))
+        if not head_only:
+            self.wfile.write(body)
 
 
-def bind_http(app, host: str, port: int) -> ThreadingHTTPServer:
+class HTTPServer(socketserver.ThreadingTCPServer):
+    """A thread per connection (daemon threads), address reuse on."""
+
+    daemon_threads = True
+    allow_reuse_address = True
+
+
+def bind_http(app, host: str, port: int) -> HTTPServer:
     """Bind a threading HTTP server for any ``handle``-shaped app.
 
     ``app`` needs only ``handle(method, path, body, headers) -> Response``
@@ -753,10 +891,10 @@ def bind_http(app, host: str, port: int) -> ThreadingHTTPServer:
     starting whatever engines sit behind the app.
     """
     handler = type("BoundHandler", (_Handler,), {"app": app})
-    return ThreadingHTTPServer((host, port), handler)
+    return HTTPServer((host, port), handler)
 
 
-def make_server(app: ServeApp) -> ThreadingHTTPServer:
+def make_server(app: ServeApp) -> HTTPServer:
     """Bind a threading HTTP server for ``app``.
 
     The bind address comes from ``app.config`` (``port=0`` = ephemeral).

@@ -110,20 +110,15 @@ def inject_trace_context(
 
 
 def extract_trace_context(headers: dict | None) -> SpanContext | None:
-    """Pull a span context out of a header dict, case-insensitively.
+    """Pull a span context out of a header dict with lowercase names.
 
-    Absent or malformed ``traceparent`` → ``None``; the caller should
-    then root a fresh trace (never fail the request over tracing).
+    :func:`~repro.serve.http.dispatch` lowercases every request's header
+    names. Absent or malformed ``traceparent`` → ``None``; the caller
+    should then root a fresh trace (never fail the request over tracing).
     """
     if not headers:
         return None
-    value = headers.get(TRACEPARENT_HEADER)
-    if value is None:
-        for key, candidate in headers.items():
-            if isinstance(key, str) and key.lower() == TRACEPARENT_HEADER:
-                value = candidate
-                break
-    return parse_traceparent(value)
+    return parse_traceparent(headers.get(TRACEPARENT_HEADER))
 
 
 # ----------------------------------------------------------------------

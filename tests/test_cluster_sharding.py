@@ -52,6 +52,11 @@ class TestSpatialHops:
         model = build_model("GCN-LSTM-I", tiny_ctx)
         assert spatial_hops(model) is None
 
+    def test_rihgcn_mixes_space_through_its_stacked_basis(self, tiny_ctx):
+        from repro.experiments import build_model
+
+        assert spatial_hops(build_model("RIHGCN", tiny_ctx)) is None
+
     def test_resolve_halo_hops(self, demo_bundle):
         assert resolve_halo_hops(demo_bundle, None) == 2
         assert resolve_halo_hops(demo_bundle, 4) == 4

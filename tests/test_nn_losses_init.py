@@ -1,5 +1,7 @@
 """Tests for losses and weight initializers."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -142,3 +144,28 @@ class TestInitializers:
         w1 = init.xavier_uniform((3, 3), np.random.default_rng(7))
         w2 = init.xavier_uniform((3, 3), np.random.default_rng(7))
         assert np.allclose(w1, w2)
+
+
+class TestNoDraw:
+    def test_initializers_return_zeros_and_generator_none(self):
+        with init.no_draw():
+            assert init.generator(0) is None
+            drawn = [init.uniform((2, 3), None), init.normal((2, 3), None),
+                     init.xavier_uniform((2, 3), None), init.orthogonal((3, 3), None)]
+            with pytest.raises(ValueError):
+                init.xavier_uniform((5,), None)  # shapes are still checked
+        for w in drawn:
+            assert w.dtype == default_dtype() and not w.any()
+        assert isinstance(init.generator(0), np.random.Generator)
+
+    def test_scope_nests_and_stays_on_its_thread(self):
+        other = []
+        with init.no_draw():
+            with init.no_draw():
+                pass
+            assert init.generator(0) is None  # the inner exit keeps the outer scope
+            thread = threading.Thread(target=lambda: other.append(init.generator(0)))
+            thread.start()
+            thread.join()
+        assert isinstance(other[0], np.random.Generator)
+        assert init.generator(0) is not None

@@ -11,7 +11,9 @@ from repro.errors import (
     MissingParameterError,
     ShapeMismatchError,
 )
+from repro.autodiff import no_grad
 from repro.experiments import build_model
+from repro.experiments.registry import NEURAL_MODELS
 from repro.serve import FORMAT_VERSION, export_bundle, load_bundle
 from repro.serve.artifact import _bundle_paths
 
@@ -90,6 +92,24 @@ class TestRoundTrip:
     def test_non_rihgcn_bundle_omits_graphs(self, fc_lstm_bundle):
         _model, base = fc_lstm_bundle
         assert load_bundle(base).graph_set is None
+
+
+@pytest.mark.parametrize("name", sorted(NEURAL_MODELS))
+def test_every_model_loads_byte_identical(name, tiny_ctx, tmp_path):
+    """The rebuild draws no weights, so the loaded state is all the bundle's."""
+    model = build_model(name, tiny_ctx)
+    base = str(tmp_path / "bundle")
+    export_bundle(model, name, tiny_ctx, base)
+    loaded = load_bundle(base).model
+    expected, got = model.state_dict(), loaded.state_dict()
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert got[key].dtype == value.dtype and got[key].tobytes() == value.tobytes(), key
+    batch = tiny_ctx.train_windows.subset(np.arange(4))
+    with no_grad():
+        want = model.forward_batch(batch).prediction.data
+        out = loaded.forward_batch(batch).prediction.data
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
 
 class TestValidation:

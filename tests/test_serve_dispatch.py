@@ -99,6 +99,19 @@ class TestDispatch:
         inner = [s for s in toy.tracer.finished_spans() if s.name == "toy"][-1]
         assert inner.parent_id == outer.context.span_id
 
+    def test_traceparent_header_name_in_any_case(self):
+        toy = Toy()
+        header = SpanContext(trace_id="ab" * 16, span_id="cd" * 8, sampled=True)
+        toy.handle("GET", "/forecast", headers={"Traceparent": format_traceparent(header)})
+        assert toy.tracer.finished_spans()[-1].parent_id == header.span_id
+
+    def test_routes_see_lowercase_header_names(self):
+        toy = Toy()
+        toy.routes[("GET", "/headers")] = Route(
+            "GET", "/headers", lambda r: Response(200, dict(r.headers)))
+        response = toy.handle("GET", "/headers", headers={"X-Tenant": "a", "ACCEPT": "b"})
+        assert response.body == {"x-tenant": "a", "accept": "b"}
+
     def test_json_object_reaches_the_route(self):
         response = Toy().handle("POST", "/observe", b'{"step": 1}')
         assert response.body == {"step": 1}

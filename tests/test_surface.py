@@ -218,20 +218,74 @@ def test_unimported_exports_list_is_current():
     assert not stale, f"stale UNIMPORTED_EXPORTS entries: {stale}"
 
 
+#: Modules a serving process must not load: scipy and networkx are heavy,
+#: and the rest were only ever loaded by accident (the stdlib HTTP server
+#: and client, the weight draws of a bundle rebuild, ``np.unique``).
+UNSERVED = (
+    "scipy", "networkx", "numpy.random", "numpy.ma",
+    "http.server", "http.client", "email", "ssl",
+)
+
+
 def _loaded_after(code: str) -> dict[str, bool]:
-    """Run ``code`` in a fresh interpreter; which heavy dependencies it loaded."""
-    probe = code + "\nimport sys; print([m in sys.modules for m in ('scipy', 'networkx')])"
+    """Run ``code`` in a fresh interpreter; which ``UNSERVED`` modules it loaded."""
+    probe = code + f"\nimport sys; print([m in sys.modules for m in {UNSERVED!r}])"
     out = subprocess.run(
         [sys.executable, "-c", probe], check=True, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(SRC)},
     ).stdout.strip().splitlines()[-1]
-    return dict(zip(("scipy", "networkx"), ast.literal_eval(out)))
+    return dict(zip(UNSERVED, ast.literal_eval(out)))
 
 
 def test_serving_imports_leave_scipy_and_networkx_unloaded():
     # Every cold server and cluster worker pays for what these imports load.
     loaded = _loaded_after("import repro, repro.cli, repro.serve")
-    assert loaded == {"scipy": False, "networkx": False}
+    assert [m for m in UNSERVED if loaded[m]] == []
+
+
+#: Load a bundle, serve it with ``bind_http`` and answer one forecast over
+#: a raw socket: the client side must not load what it checks for either.
+SERVE_ONE_FORECAST = """
+import json, socket, threading
+from repro.serve import ServeApp, bind_http, load_bundle
+app = ServeApp(load_bundle({path!r}))
+server = bind_http(app, "127.0.0.1", 0)
+app.pool.start()
+threading.Thread(target=server.serve_forever, daemon=True).start()
+bundle = app.bundle
+values = [[50.0] * bundle.num_features] * bundle.num_nodes
+requests = [
+    json.dumps({{"step": step, "values": values}}).encode()
+    for step in range(bundle.input_length)
+]
+with socket.create_connection(server.server_address[:2]) as sock:
+    reader = sock.makefile("rb")
+    def answer():
+        status = reader.readline().split()[1]
+        length = 0
+        while (line := reader.readline()) != b"\\r\\n":
+            if line.lower().startswith(b"content-length:"):
+                length = int(line.split(b":")[1])
+        return status, json.loads(reader.read(length))
+    for body in requests:
+        sock.sendall(b"POST /observe HTTP/1.1\\r\\nContent-Length: %d\\r\\n\\r\\n" % len(body) + body)
+        assert answer()[0] == b"200"
+    sock.sendall(b"GET /forecast HTTP/1.1\\r\\n\\r\\n")
+    status, forecast = answer()
+    assert status == b"200" and forecast["horizon"] == bundle.output_length, forecast
+server.shutdown()
+app.pool.stop()
+"""
+
+
+def test_a_served_forecast_leaves_unserved_modules_unloaded(tiny_ctx, tmp_path):
+    from repro.experiments import build_model
+    from repro.serve import export_bundle
+
+    path = str(tmp_path / "rihgcn")
+    export_bundle(build_model("RIHGCN", tiny_ctx), "RIHGCN", tiny_ctx, path)
+    loaded = _loaded_after(SERVE_ONE_FORECAST.format(path=path))
+    assert [m for m in UNSERVED if loaded[m]] == []
 
 
 def test_sparse_chebconv_and_simulators_load_them_on_demand():
@@ -241,7 +295,7 @@ def test_sparse_chebconv_and_simulators_load_them_on_demand():
         "from repro.nn import ChebConv\n"
         "ChebConv(2, 3, chebyshev_polynomials(np.eye(4), 2), sparse=True)\n"
     )
-    assert loaded == {"scipy": True, "networkx": False}
+    assert (loaded["scipy"], loaded["networkx"]) == (True, False)
     loaded = _loaded_after(
         "from repro.datasets import make_pems_dataset\n"
         "make_pems_dataset(num_nodes=4, num_days=1)\n"
