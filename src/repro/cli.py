@@ -30,21 +30,8 @@ import argparse
 import os
 import sys
 
-from .experiments import (
-    ALL_MODEL_NAMES,
-    REPORT_SPECS,
-    DataConfig,
-    ModelConfig,
-    default_trainer_config,
-    fig4,
-    fig5,
-    gauntlet,
-    rq2,
-    run_grid,
-    table1_horizon,
-    table1_missing,
-    table2,
-)
+from .experiments.config import REPORT_SPECS, DataConfig, ModelConfig, default_trainer_config
+from .experiments.registry import ALL_MODEL_NAMES
 
 #: the keys of :data:`repro.smoke.SMOKES`, kept here so the parser stays import-light
 SMOKE_NAMES = ("serve", "chaos", "fleet", "slo", "cluster", "gauntlet")
@@ -302,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configs(args) -> tuple[DataConfig, ModelConfig, object]:
+def _configs(args) -> tuple[DataConfig, ModelConfig]:
     preset = _SCALES[args.scale]
     data = DataConfig(
         dataset="pems",
@@ -317,8 +304,12 @@ def _configs(args) -> tuple[DataConfig, ModelConfig, object]:
         num_graphs=preset["graphs"],
         seed=args.seed,
     )
-    trainer = default_trainer_config(max_epochs=args.epochs or preset["epochs"])
-    return data, model, trainer
+    return data, model
+
+
+def _trainer_config(args):
+    """The ``TrainerConfig`` of the commands that train."""
+    return default_trainer_config(max_epochs=args.epochs or _SCALES[args.scale]["epochs"])
 
 
 #: ``--no-*`` switches of ``serve``/``chaos`` and the field each turns off
@@ -416,6 +407,9 @@ _GRID_COMMANDS = ("table1-missing", "table1-horizon", "table2", "imputation",
 
 def _grid_command(args, data_cfg: DataConfig):
     """(spec, table title) for one experiment subcommand."""
+    from .experiments.gauntlet import gauntlet
+    from .experiments.specs import fig4, fig5, rq2, table1_horizon, table1_missing, table2
+
     models = getattr(args, "models", None)
     if args.command == "table1-missing":
         return (table1_missing(models, args.rates),
@@ -461,12 +455,14 @@ def _emit_gauntlet(grid, args) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    data_cfg, model_cfg, trainer_cfg = _configs(args)
+    data_cfg, model_cfg = _configs(args)
     models = getattr(args, "models", None)
 
     if args.command in _GRID_COMMANDS:
+        from .experiments.grid import run_grid
+
         spec, title = _grid_command(args, data_cfg)
-        grid = run_grid(spec, data_cfg, model_cfg, trainer_cfg, verbose=True)
+        grid = run_grid(spec, data_cfg, model_cfg, _trainer_config(args), verbose=True)
         print()
         print(grid.render(title))
         if args.command == "gauntlet" and args.emit:
@@ -485,6 +481,7 @@ def main(argv: list[str] | None = None) -> int:
         ctx = prepare_context(
             replace(data_cfg, missing_rate=args.missing_rate), model_cfg
         )
+        trainer_cfg = _trainer_config(args)
         model = build_model(args.model, ctx)
         trainer = Trainer(model, trainer_cfg)
         profiler = Profiler(epoch=args.profile_epoch, top=args.top)
@@ -517,6 +514,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.model} is a closed-form baseline; bundles cover the "
                   f"neural registry", file=sys.stderr)
             return 2
+        trainer_cfg = _trainer_config(args)
         if args.skip_training:
             print(f"exporting {args.model} with untrained weights (--skip-training)")
         else:
@@ -707,7 +705,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "smoke":
         from .smoke import SMOKES, finish
 
-        report = SMOKES[args.name](data_cfg, model_cfg, trainer_cfg)
+        report = SMOKES[args.name](data_cfg, model_cfg, _trainer_config(args))
         return finish(report, args.report)
     elif args.command == "report":
         from .experiments import ReportConfig, generate_report
@@ -717,7 +715,7 @@ def main(argv: list[str] | None = None) -> int:
             models=models,
             data=data_cfg,
             model=model_cfg,
-            trainer=trainer_cfg,
+            trainer=_trainer_config(args),
         )
         text = generate_report(report_cfg)
         if args.output == "-":

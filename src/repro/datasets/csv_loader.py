@@ -164,15 +164,11 @@ def load_csv_dataset(
             f"distance matrix covers {distances.shape[0]} sensors, readings "
             f"have {data.shape[1]}"
         )
-    import networkx as nx
-
     total, n, _ = data.shape
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
     network = RoadNetwork(
         coordinates=np.zeros((n, 2)),
         distances=distances,
-        graph=graph,
+        graph={node: {} for node in range(n)},
         lanes=np.ones(n),
         speed_limits=np.full(n, 65.0),
         traffic_lights=np.zeros(n),

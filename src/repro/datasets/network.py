@@ -11,17 +11,20 @@ limits). We generate two families of networks:
 
 Road distances are shortest-path lengths on the network (not straight-line
 distances), which is what "road network distances" in Section III-A means.
+A network's graph is an insertion-ordered adjacency dict
+``{node: {neighbour: length_km}}``.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from itertools import count
 
 import numpy as np
 
-if TYPE_CHECKING:
-    import networkx as nx
+#: ``{node: {neighbour: length}}``, both directions of every road stored
+Graph = dict[int, dict[int, float]]
 
 __all__ = ["RoadNetwork", "highway_corridor", "city_grid"]
 
@@ -37,7 +40,8 @@ class RoadNetwork:
     distances:
         Road-network shortest-path distances ``(N, N)`` in kilometres.
     graph:
-        The underlying networkx graph over sensor indices.
+        Adjacency dict ``{node: {neighbour: length_km}}`` over sensor
+        indices, undirected (each road is stored in both directions).
     lanes / speed_limits / traffic_lights / segment_lengths:
         Per-segment metadata ``(N,)`` (used by the Stampede travel-time
         simulator and available for richer geographic kernels).
@@ -45,7 +49,7 @@ class RoadNetwork:
 
     coordinates: np.ndarray
     distances: np.ndarray
-    graph: nx.Graph
+    graph: Graph
     lanes: np.ndarray
     speed_limits: np.ndarray
     traffic_lights: np.ndarray
@@ -67,13 +71,40 @@ class RoadNetwork:
                 raise ValueError(f"{attr} must be length {n}")
 
 
-def _shortest_path_distances(graph: nx.Graph, n: int) -> np.ndarray:
-    """Dense all-pairs shortest path lengths using edge ``length`` weights."""
-    import networkx as nx
+def _add_edge(graph: Graph, u: int, v: int, length: float) -> None:
+    graph.setdefault(u, {})[v] = length
+    graph.setdefault(v, {})[u] = length
 
+
+def _dijkstra(graph: Graph, source: int) -> dict[int, float]:
+    """Shortest path length from ``source`` to every node it reaches.
+
+    Neighbours are relaxed in insertion order and ties keep the first
+    path found, so each length is the same float sum, in the same order,
+    as networkx's ``single_source_dijkstra_path_length`` gave.
+    """
+    dist: dict[int, float] = {}
+    seen = {source: 0}
+    tie = count()
+    fringe = [(0, next(tie), source)]
+    while fringe:
+        d, _, u = heapq.heappop(fringe)
+        if u in dist:
+            continue
+        dist[u] = d
+        for v, length in graph[u].items():
+            candidate = d + length
+            if v not in dist and (v not in seen or candidate < seen[v]):
+                seen[v] = candidate
+                heapq.heappush(fringe, (candidate, next(tie), v))
+    return dist
+
+
+def _shortest_path_distances(graph: Graph, n: int) -> np.ndarray:
+    """Dense all-pairs shortest path lengths over the edge lengths."""
     distances = np.full((n, n), np.inf)
-    for src, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="length"):
-        for dst, dist in lengths.items():
+    for src in graph:
+        for dst, dist in _dijkstra(graph, src).items():
             distances[src, dst] = dist
     np.fill_diagonal(distances, 0.0)
     if np.isinf(distances).any():
@@ -96,12 +127,10 @@ def highway_corridor(
     intervals; with probability ``branch_prob`` a sensor spawns a short
     branch segment (an on-ramp / parallel arterial) placed off-axis.
     """
-    import networkx as nx
-
     if num_nodes < 2:
         raise ValueError(f"need at least 2 nodes, got {num_nodes}")
     rng = np.random.default_rng(seed)
-    graph = nx.Graph()
+    graph: Graph = {}
     coordinates = np.zeros((num_nodes, 2))
 
     mainline: list[int] = []
@@ -115,21 +144,21 @@ def highway_corridor(
             coordinates[node] = coordinates[parent] + np.array(
                 [rng.uniform(0.2, 0.8), offset]
             )
-            graph.add_edge(
-                parent, node,
-                length=float(np.linalg.norm(coordinates[node] - coordinates[parent])),
+            _add_edge(
+                graph, parent, node,
+                float(np.linalg.norm(coordinates[node] - coordinates[parent])),
             )
         else:
             coordinates[node] = [x, rng.normal(0, 0.05)]
             if mainline:
                 prev = mainline[-1]
-                graph.add_edge(
-                    prev, node,
-                    length=float(np.linalg.norm(coordinates[node] - coordinates[prev])),
+                _add_edge(
+                    graph, prev, node,
+                    float(np.linalg.norm(coordinates[node] - coordinates[prev])),
                 )
             mainline.append(node)
             x += spacing_km * rng.uniform(0.8, 1.2)
-        graph.add_node(node)
+        graph.setdefault(node, {})
         node += 1
 
     distances = _shortest_path_distances(graph, num_nodes)
@@ -163,28 +192,26 @@ def city_grid(
     information the paper lists for Stampede (lanes, lights, limits,
     segment center GPS).
     """
-    import networkx as nx
-
     num_nodes = rows * cols
     rng = np.random.default_rng(seed)
-    graph = nx.Graph()
+    graph: Graph = {}
     coordinates = np.zeros((num_nodes, 2))
     for r in range(rows):
         for c in range(cols):
             idx = r * cols + c
             jitter = rng.normal(0, 0.02, size=2)
             coordinates[idx] = [c * block_km + jitter[0], r * block_km + jitter[1]]
-            graph.add_node(idx)
+            graph[idx] = {}
     for r in range(rows):
         for c in range(cols):
             idx = r * cols + c
             if c + 1 < cols:
                 nbr = idx + 1
-                graph.add_edge(idx, nbr, length=float(
+                _add_edge(graph, idx, nbr, float(
                     np.linalg.norm(coordinates[idx] - coordinates[nbr])))
             if r + 1 < rows:
                 nbr = idx + cols
-                graph.add_edge(idx, nbr, length=float(
+                _add_edge(graph, idx, nbr, float(
                     np.linalg.norm(coordinates[idx] - coordinates[nbr])))
 
     distances = _shortest_path_distances(graph, num_nodes)

@@ -135,7 +135,7 @@ def make_stampede_dataset(
                 obs_count[bin_index, segment] += 1.0
                 clock += true_tt
                 # Move to an adjacent monitored segment next time.
-                neighbors = list(network.graph.neighbors(segment))
+                neighbors = list(network.graph[segment])
                 segment = int(rng.choice(neighbors)) if neighbors else int(rng.integers(n))
             else:
                 # Unmonitored hop: consume a plausible urban hop time.

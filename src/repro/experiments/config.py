@@ -11,11 +11,19 @@ the results is what the reproduction targets (see DESIGN.md). Pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from ..datasets.missing import pattern_names
-from ..training import TrainerConfig
 
-__all__ = ["DataConfig", "ModelConfig", "default_trainer_config", "paper_scale"]
+if TYPE_CHECKING:
+    from ..training.trainer import TrainerConfig
+
+__all__ = ["DataConfig", "ModelConfig", "default_trainer_config", "paper_scale", "REPORT_SPECS"]
+
+#: every spec the report knows, in section order (the ``report --skip``
+#: choices; see :mod:`repro.experiments.report`)
+REPORT_SPECS = ("table1-missing", "table1-horizon", "table2", "imputation",
+                "fig4", "fig5")
 
 
 @dataclass
@@ -70,12 +78,16 @@ class ModelConfig:
 
 def default_trainer_config(**overrides) -> TrainerConfig:
     """TrainerConfig tuned for the scaled-down reproduction runs."""
+    from ..training.trainer import TrainerConfig
+
     base = TrainerConfig(max_epochs=15, patience=4, batch_size=64)
     return replace(base, **overrides) if overrides else base
 
 
 def paper_scale() -> tuple[DataConfig, ModelConfig, TrainerConfig]:
     """Configs matching the paper's published setup (slow on CPU)."""
+    from ..training.trainer import TrainerConfig
+
     data = DataConfig(num_nodes=50, num_days=60, stride=1)
     model = ModelConfig(embed_dim=64, hidden_dim=128, num_graphs=4)
     trainer = TrainerConfig(max_epochs=100, patience=6, batch_size=64)

@@ -11,38 +11,23 @@ registry covers the paper's full comparison set:
 plus MagiNet, the mask-conditioned baseline the missing-pattern gauntlet
 runs, and the classical imputers RQ2 compares RIHGCN's imputation against
 (:data:`IMPUTERS`), which :func:`build_model` dispatches the same way.
+
+Builders read models through the lazy ``repro.models`` package, so a
+process that builds one model (a server loading a bundle) loads only that
+model's modules; the imputer package is imported on the first imputer built.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from ..imputation import (
-    Imputer,
-    KNNImputer,
-    LastObservedImputer,
-    LinearInterpolationImputer,
-    MatrixFactorizationImputer,
-    MeanImputer,
-    TensorDecompositionImputer,
-)
-from ..models import (
-    ASTGCN,
-    GraphWaveNet,
-    HistoricalAverage,
-    MagiNetForecaster,
-    NeuralForecaster,
-    StatisticalForecaster,
-    VectorAutoRegression,
-    fc_gcn,
-    fc_gcn_i,
-    fc_lstm,
-    fc_lstm_i,
-    gcn_lstm,
-    gcn_lstm_i,
-    rihgcn,
-)
-from .context import ExperimentContext
+from .. import models
+
+if TYPE_CHECKING:
+    from types import ModuleType
+
+    from ..imputation.base import Imputer
+    from .context import ExperimentContext
 
 __all__ = [
     "NEURAL_MODELS",
@@ -83,46 +68,46 @@ def _imputation_common(ctx: ExperimentContext) -> dict:
     )
 
 
-STATISTICAL_MODELS: dict[str, Callable[[ExperimentContext], StatisticalForecaster]] = {
-    "HA": lambda ctx: HistoricalAverage(),
-    "VAR": lambda ctx: VectorAutoRegression(lags=3),
+STATISTICAL_MODELS: dict[str, Callable[[ExperimentContext], models.StatisticalForecaster]] = {
+    "HA": lambda ctx: models.HistoricalAverage(),
+    "VAR": lambda ctx: models.VectorAutoRegression(lags=3),
 }
 
-NEURAL_MODELS: dict[str, Callable[[ExperimentContext], NeuralForecaster]] = {
-    "ASTGCN": lambda ctx: ASTGCN(
+NEURAL_MODELS: dict[str, Callable[[ExperimentContext], models.NeuralForecaster]] = {
+    "ASTGCN": lambda ctx: models.ASTGCN(
         adjacency=ctx.adjacency,
         hidden_channels=ctx.model_config.embed_dim,
         cheb_order=ctx.model_config.cheb_order,
         seed=ctx.model_config.seed,
         **_dims(ctx),
     ),
-    "Graph WaveNet": lambda ctx: GraphWaveNet(
+    "Graph WaveNet": lambda ctx: models.GraphWaveNet(
         adjacency=ctx.adjacency,
         residual_channels=ctx.model_config.embed_dim,
         seed=ctx.model_config.seed,
         **_dims(ctx),
     ),
-    "FC-LSTM": lambda ctx: fc_lstm(**_dims(ctx), **_nn_common(ctx)),
-    "FC-GCN": lambda ctx: fc_gcn(
+    "FC-LSTM": lambda ctx: models.fc_lstm(**_dims(ctx), **_nn_common(ctx)),
+    "FC-GCN": lambda ctx: models.fc_gcn(
         adjacency=ctx.adjacency, **_dims(ctx), **_nn_common(ctx)
     ),
-    "GCN-LSTM": lambda ctx: gcn_lstm(
+    "GCN-LSTM": lambda ctx: models.gcn_lstm(
         adjacency=ctx.adjacency, **_dims(ctx), **_nn_common(ctx)
     ),
-    "MagiNet": lambda ctx: MagiNetForecaster(
+    "MagiNet": lambda ctx: models.MagiNetForecaster(
         embed_dim=ctx.model_config.embed_dim,
         hidden_dim=ctx.model_config.hidden_dim,
         seed=ctx.model_config.seed,
         **_dims(ctx),
     ),
-    "FC-LSTM-I": lambda ctx: fc_lstm_i(**_dims(ctx), **_imputation_common(ctx)),
-    "FC-GCN-I": lambda ctx: fc_gcn_i(
+    "FC-LSTM-I": lambda ctx: models.fc_lstm_i(**_dims(ctx), **_imputation_common(ctx)),
+    "FC-GCN-I": lambda ctx: models.fc_gcn_i(
         adjacency=ctx.adjacency, **_dims(ctx), **_imputation_common(ctx)
     ),
-    "GCN-LSTM-I": lambda ctx: gcn_lstm_i(
+    "GCN-LSTM-I": lambda ctx: models.gcn_lstm_i(
         adjacency=ctx.adjacency, **_dims(ctx), **_imputation_common(ctx)
     ),
-    "RIHGCN": lambda ctx: rihgcn(
+    "RIHGCN": lambda ctx: models.rihgcn(
         graphs=ctx.graphs(), **_dims(ctx), **_imputation_common(ctx)
     ),
 }
@@ -130,17 +115,25 @@ NEURAL_MODELS: dict[str, Callable[[ExperimentContext], NeuralForecaster]] = {
 #: every forecaster in table-row order (the default ``--models`` set)
 ALL_MODEL_NAMES: list[str] = [*STATISTICAL_MODELS, *NEURAL_MODELS]
 
+
+def _imputation() -> ModuleType:
+    """``repro.imputation``; a server builds no imputer and never loads it."""
+    from .. import imputation
+
+    return imputation
+
+
 #: RQ2's classical baselines (plus two trivial references), scored by
 #: :func:`~repro.experiments.grid.evaluate_imputer`
 IMPUTERS: dict[str, Callable[[ExperimentContext], Imputer]] = {
-    "Mean": lambda ctx: MeanImputer(),
-    "Last": lambda ctx: LastObservedImputer(),
-    "Interp": lambda ctx: LinearInterpolationImputer(),
-    "KNN": lambda ctx: KNNImputer(k=min(3, max(ctx.num_nodes - 1, 1))),
-    "MF": lambda ctx: MatrixFactorizationImputer(
+    "Mean": lambda ctx: _imputation().MeanImputer(),
+    "Last": lambda ctx: _imputation().LastObservedImputer(),
+    "Interp": lambda ctx: _imputation().LinearInterpolationImputer(),
+    "KNN": lambda ctx: _imputation().KNNImputer(k=min(3, max(ctx.num_nodes - 1, 1))),
+    "MF": lambda ctx: _imputation().MatrixFactorizationImputer(
         rank=max(2, ctx.num_nodes // 3), iterations=10
     ),
-    "TD": lambda ctx: TensorDecompositionImputer(
+    "TD": lambda ctx: _imputation().TensorDecompositionImputer(
         rank=4, steps_per_day=ctx.raw.steps_per_day, iterations=10
     ),
 }

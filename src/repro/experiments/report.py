@@ -12,15 +12,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from ..training import TrainerConfig
-from .config import DataConfig, ModelConfig, default_trainer_config
+from .config import REPORT_SPECS, DataConfig, ModelConfig, default_trainer_config
 from .grid import run_grid
 from .specs import fig4, fig5, rq2, table1_horizon, table1_missing, table2
 
-__all__ = ["ReportConfig", "generate_report", "REPORT_SPECS"]
-
-#: every spec the report knows, in section order
-REPORT_SPECS = ("table1-missing", "table1-horizon", "table2", "imputation",
-                "fig4", "fig5")
+__all__ = ["ReportConfig", "generate_report"]
 
 
 @dataclass

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..distances import series_distance_matrix
 from .adjacency import gaussian_kernel_adjacency
 from .laplacian import chebyshev_polynomials
 from .partition import (
@@ -46,6 +45,8 @@ def build_temporal_graphs(
     from the (missing-aware) daily profile, pairwise series distances are
     computed with ``metric``, and Eq. (8) converts them to edge weights.
     """
+    from ..distances.pairwise import series_distance_matrix
+
     profile = daily_profile(data, mask, partition.steps_per_day)  # (S, N, D)
     graphs: list[np.ndarray] = []
     for start, end in partition.intervals:

@@ -30,8 +30,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..distances import paired_distances
-
 __all__ = [
     "TimelinePartition",
     "PartitionConfig",
@@ -357,6 +355,8 @@ class TimelinePartitioner:
         Each distinct interval's series is built once, and the pairs are
         scored in batches of equal series shapes (one batched DTW per shape).
         """
+        from ..distances.pairwise import paired_distances
+
         cfg = self.config
         pairs = dict.fromkeys(
             pair

@@ -1,18 +1,11 @@
 """Standalone imputation baselines (RQ2 comparison)."""
 
-from .base import Imputer, check_inputs
-from .knn import KNNImputer
-from .matrix_factorization import MatrixFactorizationImputer
-from .simple import LastObservedImputer, LinearInterpolationImputer, MeanImputer
-from .tensor_decomposition import TensorDecompositionImputer
+from .. import _lazy_exports
 
-__all__ = [
-    "Imputer",
-    "check_inputs",
-    "MeanImputer",
-    "LastObservedImputer",
-    "LinearInterpolationImputer",
-    "KNNImputer",
-    "MatrixFactorizationImputer",
-    "TensorDecompositionImputer",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".base": ("Imputer", "check_inputs"),
+    ".simple": ("LastObservedImputer", "LinearInterpolationImputer", "MeanImputer"),
+    ".knn": ("KNNImputer",),
+    ".matrix_factorization": ("MatrixFactorizationImputer",),
+    ".tensor_decomposition": ("TensorDecompositionImputer",),
+})

@@ -1,34 +1,15 @@
 """Neural network layers built on the autodiff substrate."""
 
-from . import init
-from .attention import SpatialAttention, TemporalAttention
-from .container import ModuleList
-from .graph import AdaptiveGraphConv, ChebConv, GraphConv
-from .linear import MLP, Linear
-from .loss import ImputationConsistencyLoss, JointLoss, MaskedMAELoss
-from .module import Module, Parameter, stack_modules
-from .rnn import GRUCell, LSTM, LSTMCell
-from .temporal import CausalConv1d, GatedTCNBlock
+from .. import _lazy_exports
 
-__all__ = [
-    "init",
-    "Module",
-    "Parameter",
-    "stack_modules",
-    "Linear",
-    "MLP",
-    "ModuleList",
-    "LSTMCell",
-    "GRUCell",
-    "LSTM",
-    "ChebConv",
-    "GraphConv",
-    "AdaptiveGraphConv",
-    "CausalConv1d",
-    "GatedTCNBlock",
-    "SpatialAttention",
-    "TemporalAttention",
-    "MaskedMAELoss",
-    "ImputationConsistencyLoss",
-    "JointLoss",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".": ("init",),
+    ".attention": ("SpatialAttention", "TemporalAttention"),
+    ".container": ("ModuleList",),
+    ".graph": ("AdaptiveGraphConv", "ChebConv", "GraphConv"),
+    ".linear": ("MLP", "Linear"),
+    ".loss": ("ImputationConsistencyLoss", "JointLoss", "MaskedMAELoss"),
+    ".module": ("Module", "Parameter", "stack_modules"),
+    ".rnn": ("GRUCell", "LSTM", "LSTMCell"),
+    ".temporal": ("CausalConv1d", "GatedTCNBlock"),
+})

@@ -1,12 +1,9 @@
 """Optimizers, gradient clipping and early stopping."""
 
-from .adam import Adam
-from .optimizer import Optimizer, clip_grad_norm
-from .scheduler import EarlyStopping
+from .. import _lazy_exports
 
-__all__ = [
-    "Optimizer",
-    "Adam",
-    "clip_grad_norm",
-    "EarlyStopping",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".adam": ("Adam",),
+    ".optimizer": ("Optimizer", "clip_grad_norm"),
+    ".scheduler": ("EarlyStopping",),
+})

@@ -21,29 +21,14 @@ See ``docs/RELIABILITY.md`` for the serving fallback ladder and chaos
 workflow.
 """
 
-from ..errors import CircuitOpen, DeadlineExceeded, InjectedFault, Overloaded
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from .chaos import ChaosModel, ChaosStore, FaultPlan
-from .deadline import Deadline
-from .fallback import window_mean_forecast
-from .policy import ResiliencePolicy
-from .retry import Retry, RetryBudget
+from .. import _lazy_exports
 
-__all__ = [
-    "Deadline",
-    "Retry",
-    "RetryBudget",
-    "CircuitBreaker",
-    "CLOSED",
-    "OPEN",
-    "HALF_OPEN",
-    "window_mean_forecast",
-    "ResiliencePolicy",
-    "FaultPlan",
-    "ChaosModel",
-    "ChaosStore",
-    "DeadlineExceeded",
-    "CircuitOpen",
-    "Overloaded",
-    "InjectedFault",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".deadline": ("Deadline",),
+    ".retry": ("Retry", "RetryBudget"),
+    ".breaker": ("CircuitBreaker", "CLOSED", "OPEN", "HALF_OPEN"),
+    ".fallback": ("window_mean_forecast",),
+    ".policy": ("ResiliencePolicy",),
+    ".chaos": ("FaultPlan", "ChaosModel", "ChaosStore"),
+    "..errors": ("DeadlineExceeded", "CircuitOpen", "Overloaded", "InjectedFault"),
+})

@@ -16,102 +16,31 @@ See ``docs/SERVING.md`` for the full walk-through and
 ``examples/serve_quickstart.py`` for a runnable end-to-end script.
 """
 
-from .artifact import (
-    FLEET_FORMAT_VERSION,
-    FORMAT_VERSION,
-    QUANT_MODES,
-    ModelBundle,
-    export_bundle,
-    export_model,
-    load_bundle,
-    load_fleet_manifest,
-    quantization_mae_drift,
-    quantize_bundle,
-    save_fleet_manifest,
-)
-from .cache import LRUCache
-from .cluster import (
-    ClusterConfig,
-    ClusterRouter,
-    ClusterSupervisor,
-    LocalCluster,
-    ShardApp,
-    build_plan,
-    corridor_adjacency,
-    make_demo_bundle,
-    make_shard_bundle,
-    run_cluster_smoke,
-    spatial_hops,
-)
-from .config import (
-    DEFAULT_TENANT,
-    CanaryConfig,
-    FleetConfig,
-    ServeConfig,
-    ShadowConfig,
-    TenantConfig,
-)
-from .engine import Forecast, ForecastEngine
-from .fleet import EnginePool, TenantQuota, build_pool
-from .http import PlainText, Response, ServeApp, bind_http, make_server, run_server
-from .planner import PlanRuntime, check_plan
-from .loadgen import (
-    LoadReport,
-    compare_batched_sequential,
-    make_chaos_app,
-    run_load,
-    zipf_node_sampler,
-)
-from .state import StateStore, StateWindow
+from .. import _lazy_exports
 
-__all__ = [
-    "FLEET_FORMAT_VERSION",
-    "FORMAT_VERSION",
-    "ModelBundle",
-    "export_bundle",
-    "export_model",
-    "load_bundle",
-    "load_fleet_manifest",
-    "quantization_mae_drift",
-    "quantize_bundle",
-    "QUANT_MODES",
-    "save_fleet_manifest",
-    "LRUCache",
-    "PlanRuntime",
-    "check_plan",
-    "DEFAULT_TENANT",
-    "CanaryConfig",
-    "FleetConfig",
-    "ServeConfig",
-    "ShadowConfig",
-    "TenantConfig",
-    "Forecast",
-    "ForecastEngine",
-    "EnginePool",
-    "TenantQuota",
-    "build_pool",
-    "PlainText",
-    "Response",
-    "ServeApp",
-    "bind_http",
-    "make_server",
-    "run_server",
-    "LoadReport",
-    "run_load",
-    "compare_batched_sequential",
-    "make_chaos_app",
-    "zipf_node_sampler",
-    "ClusterConfig",
-    "ClusterRouter",
-    "ClusterSupervisor",
-    "LocalCluster",
-    "ShardApp",
-    "build_plan",
-    "corridor_adjacency",
-    "make_demo_bundle",
-    "make_shard_bundle",
-    "run_cluster_smoke",
-    "spatial_hops",
-    "StateStore",
-    "StateWindow",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".artifact": (
+        "FLEET_FORMAT_VERSION", "FORMAT_VERSION", "ModelBundle", "export_bundle",
+        "export_model", "load_bundle", "load_fleet_manifest", "quantization_mae_drift",
+        "quantize_bundle", "QUANT_MODES", "save_fleet_manifest",
+    ),
+    ".cache": ("LRUCache",),
+    ".planner": ("PlanRuntime", "check_plan"),
+    ".config": (
+        "DEFAULT_TENANT", "CanaryConfig", "FleetConfig", "ServeConfig", "ShadowConfig",
+        "TenantConfig",
+    ),
+    ".engine": ("Forecast", "ForecastEngine"),
+    ".fleet": ("EnginePool", "TenantQuota", "build_pool"),
+    ".http": ("PlainText", "Response", "ServeApp", "bind_http", "make_server", "run_server"),
+    ".loadgen": (
+        "LoadReport", "run_load", "compare_batched_sequential", "make_chaos_app",
+        "zipf_node_sampler",
+    ),
+    ".cluster": (
+        "ClusterConfig", "ClusterRouter", "ClusterSupervisor", "LocalCluster", "ShardApp",
+        "build_plan", "corridor_adjacency", "make_demo_bundle", "make_shard_bundle",
+        "run_cluster_smoke", "spatial_hops",
+    ),
+    ".state": ("StateStore", "StateWindow"),
+})

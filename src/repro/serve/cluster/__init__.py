@@ -12,47 +12,19 @@ See ``docs/CLUSTER.md`` for the topology diagram, halo semantics and
 the failover walkthrough.
 """
 
-from .config import ClusterConfig
-from .demo import corridor_adjacency, make_demo_bundle
-from .local import LocalCluster, build_plan, resolve_halo_hops
-from .process import ClusterSupervisor, shard_worker_main
-from .router import ClusterRouter, merge_prometheus
-from .shard import ShardApp
-from .sharding import (
-    ShardPlan,
-    coupling_adjacency,
-    k_hop_reach,
-    make_shard_bundle,
-    plan_shards,
-    shard_quality,
-    spatial_hops,
-    translate_snapshot,
-)
-from .smoke import run_cluster_smoke
-from .transport import HTTPShardClient, LocalShardClient, ShardUnavailable
+from ... import _lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterRouter",
-    "ClusterSupervisor",
-    "HTTPShardClient",
-    "LocalCluster",
-    "LocalShardClient",
-    "ShardApp",
-    "ShardPlan",
-    "ShardUnavailable",
-    "build_plan",
-    "corridor_adjacency",
-    "coupling_adjacency",
-    "k_hop_reach",
-    "make_demo_bundle",
-    "make_shard_bundle",
-    "merge_prometheus",
-    "plan_shards",
-    "resolve_halo_hops",
-    "run_cluster_smoke",
-    "shard_quality",
-    "shard_worker_main",
-    "spatial_hops",
-    "translate_snapshot",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".config": ("ClusterConfig",),
+    ".demo": ("corridor_adjacency", "make_demo_bundle"),
+    ".local": ("LocalCluster", "build_plan", "resolve_halo_hops"),
+    ".process": ("ClusterSupervisor", "shard_worker_main"),
+    ".router": ("ClusterRouter", "merge_prometheus"),
+    ".shard": ("ShardApp",),
+    ".sharding": (
+        "ShardPlan", "coupling_adjacency", "k_hop_reach", "make_shard_bundle", "plan_shards",
+        "shard_quality", "spatial_hops", "translate_snapshot",
+    ),
+    ".smoke": ("run_cluster_smoke",),
+    ".transport": ("HTTPShardClient", "LocalShardClient", "ShardUnavailable"),
+})

@@ -33,74 +33,26 @@ Layers, usable independently:
   :class:`JSONLRunRecorder` and :class:`Profiler` observers.
 """
 
-from .callbacks import (
-    Callback,
-    CallbackList,
-    EpochLogger,
-    JSONLRunRecorder,
-    Profiler,
-)
-from .contprof import ContinuousProfiler, merge_collapsed, parse_collapsed
-from .distributed import (
-    TraceCollector,
-    critical_path,
-    extract_trace_context,
-    format_critical_path,
-    format_traceparent,
-    inject_trace_context,
-    merge_trace_payloads,
-    parse_traceparent,
-)
-from .profiler import OpProfiler
-from .prometheus import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
-from .prometheus import escape_label_value, label_block, render_prometheus
-from .quality import QualityMonitor, QualityThresholds
-from .registry import MetricRegistry, get_registry
-from .slo import (
-    BurnRule,
-    Objective,
-    SLOEngine,
-    SLOTracker,
-    default_serving_objectives,
-)
-from .trace import Span, SpanContext, Tracer, format_trace, get_tracer, load_traces, set_tracer
+from .. import _lazy_exports
 
-__all__ = [
-    "MetricRegistry",
-    "get_registry",
-    "Tracer",
-    "Span",
-    "SpanContext",
-    "get_tracer",
-    "set_tracer",
-    "format_trace",
-    "load_traces",
-    "format_traceparent",
-    "parse_traceparent",
-    "inject_trace_context",
-    "extract_trace_context",
-    "merge_trace_payloads",
-    "TraceCollector",
-    "critical_path",
-    "format_critical_path",
-    "Objective",
-    "BurnRule",
-    "SLOTracker",
-    "SLOEngine",
-    "default_serving_objectives",
-    "ContinuousProfiler",
-    "parse_collapsed",
-    "merge_collapsed",
-    "QualityMonitor",
-    "QualityThresholds",
-    "render_prometheus",
-    "escape_label_value",
-    "label_block",
-    "PROMETHEUS_CONTENT_TYPE",
-    "OpProfiler",
-    "Callback",
-    "CallbackList",
-    "EpochLogger",
-    "JSONLRunRecorder",
-    "Profiler",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".registry": ("MetricRegistry", "get_registry"),
+    ".trace": (
+        "Tracer", "Span", "SpanContext", "get_tracer", "set_tracer", "format_trace",
+        "load_traces",
+    ),
+    ".distributed": (
+        "format_traceparent", "parse_traceparent", "inject_trace_context",
+        "extract_trace_context", "merge_trace_payloads", "TraceCollector", "critical_path",
+        "format_critical_path",
+    ),
+    ".slo": ("Objective", "BurnRule", "SLOTracker", "SLOEngine", "default_serving_objectives"),
+    ".contprof": ("ContinuousProfiler", "parse_collapsed", "merge_collapsed"),
+    ".quality": ("QualityMonitor", "QualityThresholds"),
+    ".prometheus": (
+        "render_prometheus", "escape_label_value", "label_block",
+        "CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE",
+    ),
+    ".profiler": ("OpProfiler",),
+    ".callbacks": ("Callback", "CallbackList", "EpochLogger", "JSONLRunRecorder", "Profiler"),
+})

@@ -1,33 +1,10 @@
 """Training loop and evaluation metrics."""
 
-from ..telemetry.callbacks import Callback, EpochLogger, JSONLRunRecorder, Profiler
-from .evaluation import error_by_missingness, per_node_metrics, per_step_metrics
-from .metrics import (
-    MetricPair,
-    evaluate_horizons,
-    mae,
-    masked_mae,
-    masked_rmse,
-    rmse,
-)
-from .trainer import EvalReport, Trainer, TrainerConfig, TrainingHistory
+from .. import _lazy_exports
 
-__all__ = [
-    "mae",
-    "rmse",
-    "masked_mae",
-    "masked_rmse",
-    "MetricPair",
-    "evaluate_horizons",
-    "Trainer",
-    "TrainerConfig",
-    "TrainingHistory",
-    "EvalReport",
-    "Callback",
-    "EpochLogger",
-    "JSONLRunRecorder",
-    "Profiler",
-    "per_step_metrics",
-    "per_node_metrics",
-    "error_by_missingness",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, {
+    ".metrics": ("MetricPair", "evaluate_horizons", "mae", "masked_mae", "masked_rmse", "rmse"),
+    ".trainer": ("EvalReport", "Trainer", "TrainerConfig", "TrainingHistory"),
+    ".evaluation": ("error_by_missingness", "per_node_metrics", "per_step_metrics"),
+    "..telemetry.callbacks": ("Callback", "EpochLogger", "JSONLRunRecorder", "Profiler"),
+})

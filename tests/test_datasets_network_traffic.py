@@ -1,5 +1,7 @@
 """Tests for road-network generation and the traffic-field simulator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from repro.datasets import (
     highway_corridor,
     simulate_traffic_field,
 )
+from repro.experiments import DataConfig
+from repro.experiments.context import _build_dataset
 
 
 class TestHighwayCorridor:
@@ -32,10 +36,22 @@ class TestHighwayCorridor:
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
     def test_connected(self):
-        import networkx as nx
-
         net = highway_corridor(num_nodes=20, seed=2)
-        assert nx.is_connected(net.graph)
+        reached, todo = {0}, [0]
+        while todo:
+            for nbr in net.graph[todo.pop()]:
+                if nbr not in reached:
+                    reached.add(nbr)
+                    todo.append(nbr)
+        assert reached == set(range(net.num_nodes))
+
+    def test_graph_is_an_undirected_adjacency_dict(self):
+        net = highway_corridor(num_nodes=12, seed=3)
+        assert list(net.graph) == list(range(12))
+        for u, nbrs in net.graph.items():
+            for v, length in nbrs.items():
+                assert net.graph[v][u] == length > 0.0
+                assert net.distances[u, v] == length  # a tree: each road is the shortest path
 
     def test_freeway_metadata(self):
         net = highway_corridor(num_nodes=8, seed=0)
@@ -147,3 +163,51 @@ class TestTrafficField:
         assert field.days_of_week.max() <= 6
         assert field.num_steps == 7 * 96
         assert field.num_nodes == 8
+
+
+def _digest(*arrays, graph=None) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(repr((arr.dtype.str, arr.shape)).encode())
+        h.update(arr.tobytes())
+    if graph is not None:
+        h.update(repr([(u, list(nbrs.items())) for u, nbrs in graph.items()]).encode())
+    return h.hexdigest()
+
+
+class TestPinnedDatasets:
+    """The simulated datasets are bit-for-bit what they were when networkx
+    built the road graphs and their Dijkstra distances.
+
+    One case per dataset the named specs build through ``repro`` at each
+    ``--scale`` (fast, small, full; PEMS and Stampede, data seed 0), plus
+    two larger networks. Each digest covers the readings, mask, truth,
+    steps of day, every network array (``distances`` included) and the
+    adjacency in insertion order.
+    """
+
+    @pytest.mark.parametrize("dataset,num_nodes,num_days,digest", [
+        ("pems", 6, 4, "4f200c8b692e18c131c999eb21ca1942de6f5f4029809688d674b21aa8851f5d"),
+        ("pems", 10, 6, "3454501e9eaa40f9fd5208f04a0490b67fef299e9f6f898545a96f1df42432f0"),
+        ("pems", 16, 10, "85f60f692b63124916b240fbc26dba2a68f394ab2e8dc65955aa33fc06750879"),
+        ("stampede", 6, 10, "94b674dfbca9f222f6d450f423e58c914597fe367ba669a7d1e16d5146f73445"),
+    ])
+    def test_spec_datasets_are_unchanged(self, dataset, num_nodes, num_days, digest):
+        ds = _build_dataset(DataConfig(dataset=dataset, num_nodes=num_nodes, num_days=num_days))
+        net = ds.network
+        assert _digest(
+            ds.data, ds.mask, ds.truth, ds.steps_of_day, net.coordinates, net.distances,
+            net.lanes, net.speed_limits, net.traffic_lights, net.segment_lengths,
+            graph=net.graph,
+        ) == digest
+
+    @pytest.mark.parametrize("net,digest", [
+        (lambda: highway_corridor(num_nodes=50, seed=0),
+         "390b7d5549a280680e1ed257920d638a35bf0f735bf351906781dc41c6d5a60f"),
+        (lambda: city_grid(rows=5, cols=6, seed=3),
+         "35a461c8a3f807fb8deab3e11378003c367d743f8d83a46523b9785ae91fc944"),
+    ], ids=["corridor-50", "grid-5x6"])
+    def test_larger_networks_are_unchanged(self, net, digest):
+        net = net()
+        assert _digest(net.coordinates, net.distances, graph=net.graph) == digest
