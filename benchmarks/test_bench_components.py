@@ -145,7 +145,7 @@ def test_rihgcn_training_step(benchmark):
 
 
 def test_chebconv_dense_large_graph(benchmark):
-    """Dense propagation at 300 nodes (baseline for the sparse variant)."""
+    """Dense propagation at 300 nodes."""
     adj = _ring(300)
     conv = ChebConv(8, 8, chebyshev_polynomials(adj, 3),
                     rng=np.random.default_rng(0))
@@ -153,13 +153,3 @@ def test_chebconv_dense_large_graph(benchmark):
     out = benchmark(lambda: conv(x))
     assert out.shape == (16, 300, 8)
 
-
-def test_chebconv_sparse_large_graph(benchmark):
-    """CSR propagation at 300 nodes — the ring Laplacian is ~1% dense, so
-    this should outperform the dense variant by a wide margin."""
-    adj = _ring(300)
-    conv = ChebConv(8, 8, chebyshev_polynomials(adj, 3), sparse=True,
-                    rng=np.random.default_rng(0))
-    x = Tensor(RNG.normal(size=(16, 300, 8)))
-    out = benchmark(lambda: conv(x))
-    assert out.shape == (16, 300, 8)

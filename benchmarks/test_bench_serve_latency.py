@@ -135,7 +135,7 @@ def test_serve_latency(tmp_path):
     )
 
     # -- planned replay vs eager no-grad forward ---------------------------
-    inputs, _signature = model.plan_inputs(x, m, steps)
+    inputs = model.plan_inputs(x, m, steps)
     plan, _ = trace(model.plan_forward, inputs)
 
     def eager_forward():

@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dtype import default_dtype
-from .plan import taint
 from .tensor import Tensor, as_tensor, is_grad_enabled
 
 
@@ -47,16 +46,11 @@ class ChebBasis:
     cheb_stack:
         ``(K, N, N)`` array of ``T_k(L̃)`` polynomials (constant during
         training — the graph is fixed). Stored in the policy dtype.
-    sparse:
-        Store the stacked basis as a CSR matrix (pays off on large,
-        sparse road networks; requires scipy).
-    sparsity_eps:
-        Entries with ``|value| <= eps`` are dropped from the sparse basis.
     """
 
-    __slots__ = ("order", "num_nodes", "sparse", "forward_basis", "backward_basis")
+    __slots__ = ("order", "num_nodes", "forward_basis", "backward_basis")
 
-    def __init__(self, cheb_stack, sparse: bool = False, sparsity_eps: float = 1e-12):
+    def __init__(self, cheb_stack):
         stack = np.asarray(cheb_stack, dtype=default_dtype())
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError(
@@ -65,39 +59,12 @@ class ChebBasis:
         k, n, _ = stack.shape
         self.order = int(k)
         self.num_nodes = int(n)
-        self.sparse = bool(sparse)
         stacked = np.ascontiguousarray(stack.reshape(k * n, n))
-        if sparse:
-            from scipy import sparse as sp
-
-            pruned = np.where(np.abs(stacked) > sparsity_eps, stacked, 0.0)
-            self.forward_basis = sp.csr_matrix(pruned)
-            self.backward_basis = self.forward_basis.T.tocsr()
-        else:
-            self.forward_basis = stacked  # (K·N, N)
-            self.backward_basis = np.ascontiguousarray(stacked.T)  # (N, K·N)
+        self.forward_basis = stacked  # (K·N, N)
+        self.backward_basis = np.ascontiguousarray(stacked.T)  # (N, K·N)
 
     def __repr__(self) -> str:
-        kind = "sparse" if self.sparse else "dense"
-        return f"ChebBasis(K={self.order}, N={self.num_nodes}, {kind})"
-
-
-def _basis_matmul(basis, data: np.ndarray) -> np.ndarray:
-    """``basis @ data`` over the node axis (-2), dense or CSR basis."""
-    if isinstance(basis, np.ndarray):
-        return np.matmul(basis, data)
-    # scipy's product runs outside numpy dispatch: a trace cannot see it,
-    # so fail the plan closed instead of baking stale activations.
-    taint(data, "sparse cheb basis matmul is untraceable")
-    if data.ndim == 2:
-        return np.asarray(basis @ data)
-    # CSR only multiplies 2-D operands: fold leading batch axes into the
-    # trailing one, multiply once, and unfold.
-    moved = np.moveaxis(data, -2, 0)  # (N, ..., C)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = np.asarray(basis @ flat)  # (R, batch*C)
-    out = out.reshape((out.shape[0],) + moved.shape[1:])
-    return np.moveaxis(out, 0, -2)
+        return f"ChebBasis(K={self.order}, N={self.num_nodes})"
 
 
 def cheb_propagate(x: Tensor, basis: ChebBasis) -> Tensor:
@@ -113,7 +80,7 @@ def cheb_propagate(x: Tensor, basis: ChebBasis) -> Tensor:
             f"expected {n} nodes on axis -2, got shape {x.shape}"
         )
     c = x.data.shape[-1]
-    z = _basis_matmul(basis.forward_basis, x.data)  # (..., K·N, C)
+    z = np.matmul(basis.forward_basis, x.data)  # (..., K·N, C)
     lead = z.shape[:-2]
     out = _contiguous(
         np.moveaxis(z.reshape(lead + (k, n, c)), -3, -2)
@@ -126,6 +93,6 @@ def cheb_propagate(x: Tensor, basis: ChebBasis) -> Tensor:
         gz = np.ascontiguousarray(
             np.moveaxis(g.reshape(lead + (n, k, c)), -2, -3)
         ).reshape(lead + (k * n, c))
-        return (_basis_matmul(bb, gz),)
+        return (np.matmul(bb, gz),)
 
     return Tensor._make(out, (x,), backward, "cheb_propagate")

@@ -23,8 +23,8 @@ compiling it into a replayable :class:`ExecutionPlan`:
 * A :class:`PlanArena` pools those buffers by ``(shape, dtype)`` and
   can be shared by many plans: the k-th fresh buffer a plan needs for a
   key is the arena's k-th buffer for that key, so plans replayed one at
-  a time (the serving engine keeps one plan per input shape and
-  signature) hold the buffers of their largest member, not the sum.
+  a time (the serving engine keeps one plan per input shape) hold the
+  buffers of their largest member, not the sum.
   The arena also holds the one lock that serialises their replays.
   :func:`trace` without an arena gives the plan a private one.
 * :meth:`ExecutionPlan.replay` copies fresh inputs into the arena and
@@ -38,9 +38,10 @@ and compilation fails with :class:`PlanUnsupported`; callers fall back
 to the eager path. Compilation additionally dry-runs the plan against
 the trace inputs and requires bitwise equality with the traced result.
 Data-dependent *control flow* (e.g. branching on a mask) is invisible
-to any tracer; callers guard it by keying plans on a model-provided
-signature (see ``NeuralForecaster.plan_inputs``) and by validating a
-warm replay against the eager forward before trusting a plan.
+to any tracer; models keep it out of the traced forward by computing
+data-dependent values eagerly as plan inputs (see
+``NeuralForecaster.plan_inputs``), and callers validate a warm replay
+against the eager forward before trusting a plan.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ __all__ = [
     "PlanUnsupported",
     "TraceArray",
     "trace",
-    "taint",
 ]
 
 
@@ -560,18 +560,6 @@ def _iter_trace_arrays(tree):
     elif isinstance(tree, dict):
         for item in tree.values():
             yield from _iter_trace_arrays(item)
-
-
-def taint(value, reason: str) -> None:
-    """Poison the trace owning ``value`` (if any).
-
-    Called from code paths the tracer cannot capture (e.g. scipy sparse
-    products) so the plan fails closed instead of baking stale data.
-    """
-    for item in _iter_trace_arrays(value):
-        if item._tape is not None:
-            item._tape.poison(reason)
-            return
 
 
 class TraceArray(np.ndarray):

@@ -128,10 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=1,
                    help="batch rows to trace the plan for")
     p.add_argument("--verify", action="store_true",
-                   help="compile every plan signature of the bundle's day, "
-                        "replay each at a different start step and require "
-                        "bitwise equality with the eager forward (exit 1 on "
-                        "mismatch)")
+                   help="replay the plan at a different start step of the "
+                        "bundle's day and require bitwise equality with the "
+                        "eager forward (exit 1 on mismatch)")
 
     p = sub.add_parser(
         "quantize",
@@ -540,16 +539,13 @@ def main(argv: list[str] | None = None) -> int:
         if not result["compiled"]:
             print(f"{result['reason']}; serving stays on the eager path")
             return 2
-        signature = result["signature"]
-        print(f"{bundle.model_name}: plan compiled for batch {args.batch}"
-              + (f", signature {signature}" if signature else ""))
+        print(f"{bundle.model_name}: plan compiled for batch {args.batch}")
         for key, value in result["stats"].items():
             print(f"  {key:<20} {value}")
         print(f"  {'trace_seconds sum':<20} {result['trace_seconds']:.4f} "
               f"(every plan traced)")
         print(f"  {'compile_seconds sum':<20} {result['compile_seconds']:.4f} "
               f"(every plan lowered)")
-        print(f"  {'plans':<20} {result['plans']} (one per signature compiled)")
         print(f"  {'shared arena_bytes':<20} {result['arena_bytes']} "
               f"(one arena, every plan)")
         if result["verified"] is True:

@@ -22,6 +22,7 @@ from ..datasets import (
     make_pems_dataset,
     make_stampede_dataset,
     make_windows,
+    pattern_names,
 )
 from ..graphs import (
     HeterogeneousGraphSet,
@@ -56,8 +57,14 @@ def corruption_pattern(cfg: DataConfig):
 
     Returns ``None`` when the config keeps the natural mask. The pattern
     seed is ``cfg.seed + 1`` — the stream the pre-pattern pipeline used —
-    so existing experiment results are mask-for-mask reproducible.
+    so existing experiment results are mask-for-mask reproducible. An
+    unknown ``missing_kind`` raises ``ValueError``, natural mask or not.
     """
+    if cfg.missing_kind not in pattern_names():
+        raise ValueError(
+            f"unknown missing_kind {cfg.missing_kind!r}; "
+            f"registered patterns: {pattern_names()}"
+        )
     params = dict(cfg.missing_params)
     if cfg.missing_rate is None and not params:
         return None
@@ -66,9 +73,8 @@ def corruption_pattern(cfg: DataConfig):
     return make_pattern(cfg.missing_kind, seed=cfg.seed + 1, **params)
 
 
-def _corrupt(dataset: TrafficDataset, cfg: DataConfig) -> TrafficDataset:
-    """Apply the configured missingness on top of the natural mask."""
-    pattern = corruption_pattern(cfg)
+def _corrupt(dataset: TrafficDataset, pattern) -> TrafficDataset:
+    """Apply ``pattern``'s missingness on top of the natural mask."""
     if pattern is None:
         return dataset
     # Structured kinds may need the sensor adjacency or the readings.
@@ -145,8 +151,9 @@ def prepare_context(
 ) -> ExperimentContext:
     """Build the full pipeline for one experiment configuration."""
     model_cfg = model_cfg or ModelConfig()
+    pattern = corruption_pattern(data_cfg)  # fails on a bad kind before any data
     raw = _build_dataset(data_cfg)
-    corrupted = _corrupt(raw, data_cfg)
+    corrupted = _corrupt(raw, pattern)
 
     train_u, val_u, test_u = corrupted.chronological_split()
     per_node = data_cfg.per_node_scaling

@@ -93,30 +93,25 @@ class NeuralForecaster(Module):
     # ------------------------------------------------------------------
     def plan_inputs(
         self, x: np.ndarray, m: np.ndarray, steps_of_day: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], tuple] | None:
-        """Split a request into a traceable core input set and a guard.
+    ) -> dict[str, np.ndarray] | None:
+        """The traceable core input set of a request.
 
-        Returns ``(inputs, signature)`` or ``None`` when the model does
-        not support traced execution (the default — serving then stays
-        on the eager path).
-
-        ``inputs`` maps :meth:`plan_forward` keyword names to
-        policy-dtype arrays; anything data-dependent that the tracer
-        cannot follow (step-of-day lookups, graph-interval weights) must
-        be computed *here*, eagerly, and passed in as a plan input.
-        ``signature`` is a hashable fingerprint of every value that
-        steers control flow inside :meth:`plan_forward` (``()`` when
-        nothing does, as for every model here): plans are cached per
-        ``(shape, signature)`` so a branch taken differently forces a
-        fresh trace instead of replaying a stale one.
+        Returns a dict mapping :meth:`plan_forward` keyword names to
+        policy-dtype arrays, or ``None`` when the model does not support
+        traced execution (the default — serving then stays on the eager
+        path). Anything data-dependent that the tracer cannot follow
+        (step-of-day lookups, graph-interval weights) must be computed
+        *here*, eagerly, and passed in as a plan input: plans are cached
+        per input ``(name, shape, dtype)``, so :meth:`plan_forward` must
+        not branch on input values.
         """
         return None
 
     def plan_forward(self, **inputs) -> np.ndarray:
         """The traceable forward core over :meth:`plan_inputs` arrays.
 
-        Must be pure array math of its inputs (given a fixed signature)
-        and return the scaled prediction as an ndarray. Only models that
+        Must be pure array math of its inputs, with no branch on their
+        values, and return the scaled prediction as an ndarray. Only models that
         override :meth:`plan_inputs` need to implement this.
         """
         raise NotImplementedError

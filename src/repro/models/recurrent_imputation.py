@@ -390,15 +390,15 @@ class RecurrentImputationForecaster(NeuralForecaster):
     # ------------------------------------------------------------------
     def plan_inputs(
         self, x: np.ndarray, m: np.ndarray, steps_of_day: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], tuple]:
+    ) -> dict[str, np.ndarray]:
         """Eager prologue for tracing: cast, and resolve interval weights.
 
         The interval-weight lookup is data-dependent (it indexes the
         timeline partition by step-of-day), so it runs eagerly here and
         the resulting ``(B, T, M)`` weights become a plan *input*. The
         forward has no branch on them (``HGCNBlock`` runs every graph
-        and scales it by its weight), so the signature is ``()``: one
-        plan per batch shape serves every step of the day.
+        and scales it by its weight), so one plan per batch shape serves
+        every step of the day.
         """
         x = np.asarray(x, dtype=default_dtype())
         m = np.asarray(m, dtype=default_dtype())
@@ -406,7 +406,7 @@ class RecurrentImputationForecaster(NeuralForecaster):
         inputs = {"x": x, "m": m}
         if weights is not None:
             inputs["weights"] = np.asarray(weights, dtype=default_dtype())
-        return inputs, ()
+        return inputs
 
     def plan_forward(
         self,

@@ -99,11 +99,10 @@ class SpatioTemporalForecaster(NeuralForecaster):
     # ------------------------------------------------------------------
     def plan_inputs(
         self, x: np.ndarray, m: np.ndarray, steps_of_day: np.ndarray
-    ) -> tuple[dict[str, np.ndarray], tuple] | None:
+    ) -> dict[str, np.ndarray]:
         """The forward is pure in ``x`` — mask and clock are ignored —
-        so the plan input set is just the window and the signature is
-        empty (no data-dependent control flow to guard)."""
-        return {"x": np.asarray(x, dtype=default_dtype())}, ()
+        so the plan input set is just the window."""
+        return {"x": np.asarray(x, dtype=default_dtype())}
 
     def plan_forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, None, None).prediction.data

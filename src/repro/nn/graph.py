@@ -40,8 +40,6 @@ class ChebConv(Module):
         out_channels: int,
         cheb_stack,
         bias: bool = True,
-        sparse: bool = False,
-        sparsity_eps: float = 1e-12,
         rng: np.random.Generator | None = None,
     ):
         super().__init__()
@@ -49,12 +47,11 @@ class ChebConv(Module):
         # The K polynomial hops are fused into one stacked-basis matmul
         # (see repro.autodiff.fused); the basis is stored in the policy
         # dtype so propagation never upcasts float32 activations.
-        self._basis = ChebBasis(cheb_stack, sparse=sparse, sparsity_eps=sparsity_eps)
+        self._basis = ChebBasis(cheb_stack)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.order = self._basis.order
         self.num_nodes = self._basis.num_nodes
-        self.sparse = sparse
         self.weight = Parameter(
             init.xavier_uniform((self.order * in_channels, out_channels), rng)
         )

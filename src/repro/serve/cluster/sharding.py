@@ -458,13 +458,9 @@ def make_shard_bundle(bundle: ModelBundle, retained) -> ModelBundle:
     full_chebs = [m for m in bundle.model.modules() if isinstance(m, ChebConv)]
     sub_chebs = [m for m in sub_model.modules() if isinstance(m, ChebConv)]
     for full_conv, sub_conv in zip(full_chebs, sub_chebs):
-        basis = full_conv._basis.forward_basis
-        if full_conv.sparse:
-            basis = np.asarray(basis.todense())
-        stack = np.ascontiguousarray(basis).reshape(full_conv.order, n, n)
-        sub_conv._basis = ChebBasis(stack[:, ix][:, :, ix], sparse=False)
+        stack = full_conv._basis.forward_basis.reshape(full_conv.order, n, n)
+        sub_conv._basis = ChebBasis(stack[:, ix][:, :, ix])
         sub_conv.num_nodes = int(ix.size)
-        sub_conv.sparse = False
     full_gconvs = [m for m in bundle.model.modules() if isinstance(m, GraphConv)]
     sub_gconvs = [m for m in sub_model.modules() if isinstance(m, GraphConv)]
     for full_conv, sub_conv in zip(full_gconvs, sub_gconvs):

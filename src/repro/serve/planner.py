@@ -2,7 +2,7 @@
 
 :class:`PlanRuntime` sits between :class:`~repro.serve.engine.
 ForecastEngine` and :mod:`repro.autodiff.plan`. For every distinct
-``(input shapes, dtypes, signature)`` the model's forward can take, it
+set of input ``(name, shape, dtype)`` the model's forward can take, it
 walks one key through three states:
 
 1. **compile** — the first request traces ``model.plan_forward`` and
@@ -11,8 +11,8 @@ walks one key through three states:
    costs one ordinary forward plus lowering.
 2. **validate** — the second request runs both the replay and the eager
    forward and requires bitwise equality. A mismatch (data-dependent
-   control flow the signature failed to capture) permanently demotes the
-   key to eager.
+   control flow the trace baked in) permanently demotes the key to
+   eager.
 3. **ready** — every later request replays the plan: zero Tensor
    allocation, zero graph construction.
 
@@ -25,9 +25,9 @@ accelerating, and a failed trace is never retried.
 Every plan of one runtime is compiled into the runtime's one
 :class:`~repro.autodiff.PlanArena`: plans replay one at a time, so they
 share buffers and the arena holds what the largest plan needs per
-``(shape, dtype)``, not the sum over plans. Past ``max_plans`` keys the
-least recently used one is evicted; its buffers stay in the arena for
-the next plan.
+``(shape, dtype)``, not the sum over plans. Past ``_MAX_PLANS`` keys
+the least recently used one is evicted; its buffers stay in the arena
+for the next plan.
 
 Metrics (labelled like every other serve series): counters
 ``serve/plan_cache_hits`` / ``serve/plan_cache_misses`` /
@@ -88,13 +88,11 @@ class PlanRuntime:
         registry: MetricRegistry,
         tracer: Tracer,
         labels: dict[str, str] | None = None,
-        max_plans: int = _MAX_PLANS,
     ):
         self.model = model
         self.registry = registry
         self.tracer = tracer
         self.labels = dict(labels) if labels else {}
-        self.max_plans = max_plans
         self._entries: OrderedDict[tuple, _Entry] = OrderedDict()
         self._lock = threading.Lock()
         self.arena = PlanArena()
@@ -144,24 +142,20 @@ class PlanRuntime:
         if self._unsupported:
             self._count("serve/engine_exec_mode", mode="eager")
             return None
-        split = self.model.plan_inputs(x, m, steps_of_day)
-        if split is None:
+        inputs = self.model.plan_inputs(x, m, steps_of_day)
+        if inputs is None:
             self._unsupported = True
             self._count("serve/engine_exec_mode", mode="eager")
             return None
-        inputs, signature = split
-        key = (
-            tuple(
-                (name, value.shape, str(value.dtype))
-                for name, value in sorted(inputs.items())
-            ),
-            signature,
+        key = tuple(
+            (name, value.shape, str(value.dtype))
+            for name, value in sorted(inputs.items())
         )
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 entry = _Entry()
-                if len(self._entries) >= self.max_plans:
+                if len(self._entries) >= _MAX_PLANS:
                     self._entries.popitem(last=False)
                 self._entries[key] = entry
             else:
@@ -209,9 +203,8 @@ class PlanRuntime:
     def _validate(self, entry: _Entry, inputs: dict[str, np.ndarray]):
         """Warm check: one replay must match the eager forward bitwise.
 
-        This is the guard against data-dependent control flow the
-        model's plan signature failed to capture — the one hazard no
-        tracer can see.
+        This is the guard against data-dependent control flow in the
+        model's ``plan_forward`` — the one hazard no tracer can see.
         """
         replayed = entry.plan.replay(inputs, copy=True)
         with inference_mode():
@@ -232,22 +225,19 @@ class PlanRuntime:
 def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> dict:
     """Trace ``bundle``'s forward for ``batch`` rows on seeded inputs.
 
-    With ``verify``, every plan signature the bundle's day produces is
-    compiled on one window and replayed on a fresh draw at a *different*
-    start step with the same signature; the replay must be bitwise-equal
-    to the eager forward, as a server's validate step requires. Moving
-    the start moves any interval boundary inside the window, so control
-    flow the signature fails to capture shows up as a mismatch. Returns
-    ``{"compiled", "verified", "reason"}`` plus, as far as the check
-    got, the seeded draw's ``"signature"`` and ``"stats"``, the largest
-    ``"max_abs_diff"`` seen, ``"trace_seconds"`` and
-    ``"compile_seconds"`` summed over every plan traced and lowered (the
-    two parts of the cold-start cost a server pays once per signature),
-    ``"plans"``, how many plans (signatures) were compiled, and
-    ``"arena_bytes"``, the buffers of the one arena every plan is
-    compiled into, as a server's :class:`PlanRuntime` shares one;
-    ``reason`` explains an uncompiled plan or names the first failing
-    signature, and ``verified`` is ``None`` without ``verify``.
+    The plan is compiled on a window starting at a seeded step of the
+    day. With ``verify`` it is replayed on a fresh draw at a *different*
+    seeded start step, and the replay must be bitwise-equal to the eager
+    forward, as a server's validate step requires. Moving the start
+    moves any interval boundary inside the window, so control flow the
+    trace baked in shows up as a mismatch. Returns ``{"compiled",
+    "verified", "reason"}`` plus, as far as the check got, the plan's
+    ``"stats"``, its ``"trace_seconds"`` and ``"compile_seconds"`` (the
+    two parts of the cold-start cost a server pays once per batch
+    shape), ``"arena_bytes"``, the buffers of the arena it is compiled
+    into, and ``"max_abs_diff"`` between replay and eager; ``reason``
+    explains an uncompiled plan or names both start steps of a
+    mismatch, and ``verified`` is ``None`` without ``verify``.
     """
     model = bundle.model
     rng = np.random.default_rng(seed)
@@ -263,65 +253,42 @@ def check_plan(bundle, batch: int = 1, seed: int = 0, verify: bool = True) -> di
         return model.plan_inputs(x, m, steps)
 
     result = {"compiled": False, "verified": None, "reason": None}
-    first = int(rng.integers(0, steps_per_day))
-    split = draw(first)
-    if split is None:
+    compiled_at = int(rng.integers(0, steps_per_day))
+    inputs = draw(compiled_at)
+    if inputs is None:
         result["reason"] = f"{bundle.model_name} does not implement traced plans"
         return result
-    inputs, signature = split
-    result["signature"] = signature
     arena = PlanArena()
     try:
         plan, _ = trace(model.plan_forward, inputs, arena)
     except PlanUnsupported as error:
         result["reason"] = f"plan unsupported: {error}"
         return result
-    result.update(compiled=True, stats=plan.stats.as_dict(), plans=1,
+    result.update(compiled=True, stats=plan.stats.as_dict(),
                   trace_seconds=plan.stats.trace_seconds,
                   compile_seconds=plan.stats.compile_seconds,
                   arena_bytes=arena.nbytes)
     if not verify:
         return result
 
-    # Start steps of the day grouped by the signature of their window.
-    starts: dict[tuple, list[int]] = {}
-    for start in range(steps_per_day):
-        starts.setdefault(draw(start)[1], []).append(start)
-    result["max_abs_diff"] = 0.0
-    for signature, group in starts.items():
-        if signature == result["signature"]:
-            checked, compiled_at = plan, first
-        else:
-            compiled_at = group[0]
-            try:
-                checked, _ = trace(model.plan_forward, draw(compiled_at)[0],
-                                   arena)
-            except PlanUnsupported as error:
-                result.update(verified=False, reason=f"plan for signature "
-                              f"{signature} unsupported: {error}")
-                return result
-            result["plans"] += 1
-            result["trace_seconds"] += checked.stats.trace_seconds
-            result["compile_seconds"] += checked.stats.compile_seconds
-            result["arena_bytes"] = arena.nbytes
-        others = [start for start in group if start != compiled_at] or group
-        replayed_at = others[int(rng.integers(0, len(others)))]
-        inputs, _ = draw(replayed_at)
-        replayed = checked.replay(inputs)
-        with inference_mode():
-            eager = np.asarray(model.plan_forward(**inputs))
-        diff = float(np.max(np.abs(
-            replayed.astype(np.float64) - eager.astype(np.float64)
-        )))
-        result["max_abs_diff"] = max(result["max_abs_diff"], diff)
-        if replayed.dtype != eager.dtype or not np.array_equal(
-            replayed, eager, equal_nan=True
-        ):
-            result.update(verified=False, reason=(
-                f"plan for signature {signature} compiled at step {compiled_at} "
-                f"diverges from the eager forward at step {replayed_at} "
-                f"(max |diff| {diff:.3e})"
-            ))
-            return result
+    # Any other step of the day (the same one only if the day has one).
+    shift = int(rng.integers(1, steps_per_day)) if steps_per_day > 1 else 0
+    replayed_at = (compiled_at + shift) % steps_per_day
+    inputs = draw(replayed_at)
+    replayed = plan.replay(inputs)
+    with inference_mode():
+        eager = np.asarray(model.plan_forward(**inputs))
+    diff = float(np.max(np.abs(
+        replayed.astype(np.float64) - eager.astype(np.float64)
+    )))
+    result["max_abs_diff"] = diff
+    if replayed.dtype != eager.dtype or not np.array_equal(
+        replayed, eager, equal_nan=True
+    ):
+        result.update(verified=False, reason=(
+            f"plan compiled at step {compiled_at} diverges from the eager "
+            f"forward at step {replayed_at} (max |diff| {diff:.3e})"
+        ))
+        return result
     result["verified"] = True
     return result

@@ -24,7 +24,6 @@ from repro.autodiff import (
     no_grad,
     trace,
 )
-from repro.autodiff.plan import taint
 from repro.models.spatiotemporal import gcn_lstm
 
 
@@ -99,8 +98,7 @@ def test_replay_bitwise_equals_eager_model(batch, nodes, seed):
         adjacency=adjacency, embed_dim=3, hidden_dim=4, seed=seed,
     )
     x = rng.standard_normal((batch, 4, nodes, 2)).astype(np.float32)
-    inputs, signature = model.plan_inputs(x, None, None)
-    assert signature == ()
+    inputs = model.plan_inputs(x, None, None)
     plan, traced_out = trace(model.plan_forward, inputs)
     fresh = {
         "x": rng.standard_normal((batch, 4, nodes, 2)).astype(np.float32)
@@ -204,7 +202,7 @@ class TestReplay:
             input_length=4, output_length=2, num_nodes=3, num_features=2,
             adjacency=adjacency, embed_dim=3, hidden_dim=4, seed=0,
         )
-        inputs, _sig = model.plan_inputs(
+        inputs = model.plan_inputs(
             rng.standard_normal((1, 4, 3, 2)).astype(np.float32), None, None
         )
         plan, _ = trace(model.plan_forward, inputs)
@@ -334,15 +332,6 @@ class TestPoisoning:
             return stripped * 2.0
 
         with pytest.raises(PlanUnsupported):
-            trace(fn, {"x": np.ones(4)})
-
-    def test_taint_poisons(self):
-        def fn(x):
-            y = x * 2.0
-            taint(y, "pretend sparse kernel")
-            return y + 1.0
-
-        with pytest.raises(PlanUnsupported, match="sparse"):
             trace(fn, {"x": np.ones(4)})
 
     def test_non_array_result_rejected(self):

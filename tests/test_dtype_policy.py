@@ -175,18 +175,6 @@ class TestChebPropagate:
             xt = Tensor(x, requires_grad=True)
             gradcheck(lambda t: cheb_propagate(t, basis), [xt])
 
-    def test_sparse_matches_dense(self):
-        stack, x = _cheb_setup()
-        dense = ChebBasis(stack)
-        sparse = ChebBasis(stack, sparse=True)
-        xt = Tensor(x.astype(default_dtype()))
-        np.testing.assert_allclose(
-            cheb_propagate(xt, dense).data,
-            cheb_propagate(xt, sparse).data,
-            rtol=1e-5,
-            atol=1e-4,
-        )
-
     def test_node_count_validated(self):
         stack, _x = _cheb_setup(n=5)
         basis = ChebBasis(stack)

@@ -125,8 +125,18 @@ class TestPrepareContext:
             DataConfig(dataset="metr-la")
         with pytest.raises(ValueError):
             DataConfig(missing_rate=1.5)
-        with pytest.raises(ValueError):
-            DataConfig(missing_kind="adversarial")
+
+    def test_unknown_missing_kind_fails_before_any_data_is_built(self, monkeypatch):
+        import repro.experiments.context as context
+
+        def no_data(cfg):
+            raise AssertionError("dataset built before missing_kind was checked")
+
+        monkeypatch.setattr(context, "_build_dataset", no_data)
+        with pytest.raises(ValueError, match=(
+            r"^unknown missing_kind 'adversarial'; registered patterns: \['blackout', "
+        )):
+            prepare_context(replace(TINY_DATA, missing_kind="adversarial"), TINY_MODEL)
 
 
 class TestRegistry:

@@ -8,6 +8,7 @@ policy, not just ``(version, horizon)``.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from repro.cli import _build_parser, _serve_config
 from repro.codec import from_dict, to_dict
 from repro.experiments import build_model
 from repro.models import HGCNBlock
-from repro.serve import ServeConfig, check_plan, export_bundle, load_bundle
+from repro.serve import ServeConfig, check_plan, export_bundle, load_bundle, planner
 from repro.serve.fleet import EnginePool
 from repro.serve.planner import PlanRuntime
 from repro.telemetry import MetricRegistry, Tracer
@@ -139,12 +140,12 @@ class TestValidationFallback:
 
         class Sneaky:
             def plan_inputs(self, x, m, steps_of_day):
-                return {"x": np.asarray(x, dtype=np.float64)}, ()
+                return {"x": np.asarray(x, dtype=np.float64)}
 
             def plan_forward(self, x):
                 # The (1, 1) comparison escapes via __bool__, so the
                 # tracer bakes whichever branch the first request took.
-                if np.sum(x, keepdims=True) > 0:  # invisible to the signature
+                if np.sum(x, keepdims=True) > 0:  # invisible to the plan key
                     return x * 2.0
                 return x * -3.0
 
@@ -166,7 +167,7 @@ class TestValidationFallback:
     def test_honest_model_promotes_to_ready(self):
         class Honest:
             def plan_inputs(self, x, m, steps_of_day):
-                return {"x": np.asarray(x, dtype=np.float64)}, ()
+                return {"x": np.asarray(x, dtype=np.float64)}
 
             def plan_forward(self, x):
                 return np.tanh(x) + 1.0
@@ -182,19 +183,20 @@ class TestValidationFallback:
 
 
 class TestPlanEviction:
-    class Keyed:
-        """Plans keyed by the first entry of ``x``: one key per value."""
+    class Honest:
+        """Plans keyed by the shape of ``x``: one key per batch size."""
 
         def plan_inputs(self, x, m, steps_of_day):
-            return {"x": np.asarray(x, dtype=np.float64)}, (float(x.flat[0]),)
+            return {"x": np.asarray(x, dtype=np.float64)}
 
         def plan_forward(self, x):
             return np.tanh(x) + 1.0
 
-    def test_evicts_the_least_recently_used_key(self):
+    def test_evicts_the_least_recently_used_key(self, monkeypatch):
+        monkeypatch.setattr(planner, "_MAX_PLANS", 2)
         registry = MetricRegistry()
-        runtime = PlanRuntime(self.Keyed(), registry, Tracer(), max_plans=2)
-        a, b, c = (np.full((2, 2), value) for value in (1.0, 2.0, 3.0))
+        runtime = PlanRuntime(self.Honest(), registry, Tracer())
+        a, b, c = (np.full((batch, 2), 0.5) for batch in (1, 2, 3))
 
         def misses() -> float:
             return registry.snapshot()["counters"]["serve/plan_cache_misses"]
@@ -206,7 +208,8 @@ class TestPlanEviction:
         runtime.predict(c, None, None)  # evicts B, not A
         assert misses() == 3
         ((a_key, a_entry), (c_key, _)) = runtime._entries.items()
-        assert a_key[1] == (1.0,) and c_key[1] == (3.0,)
+        assert a_key == (("x", (1, 2), "float64"),)
+        assert c_key == (("x", (3, 2), "float64"),)
         assert a_entry.state == "ready"
         np.testing.assert_array_equal(
             runtime.predict(a, None, None), np.tanh(a) + 1.0)
@@ -215,13 +218,13 @@ class TestPlanEviction:
 
 class TestCompileFailure:
     class Broken:
-        """A keyed model whose traced forward raises an ordinary error."""
+        """A model whose traced forward raises an ordinary error."""
 
         def __init__(self):
             self.traces = 0
 
         def plan_inputs(self, x, m, steps_of_day):
-            return {"x": np.asarray(x, dtype=np.float64)}, (float(x.flat[0]),)
+            return {"x": np.asarray(x, dtype=np.float64)}
 
         def plan_forward(self, x):
             self.traces += 1
@@ -288,8 +291,8 @@ class TestIntervalBoundaries:
 
     HGCN runs every temporal graph at every step and scales it by its
     interval weight, so where an interval boundary falls in a window is
-    data, not control flow: the plan signature is ``()`` and a plan
-    compiled on any window replays exactly on all the others.
+    data, not control flow: a plan compiled on any window replays
+    exactly on all the others of the same batch shape.
     """
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -304,7 +307,7 @@ class TestIntervalBoundaries:
                 x, m, steps = _window(model, start, spd, rng)
                 served = runtime.predict(x, m, steps)
                 with inference_mode():
-                    eager = model.plan_forward(**model.plan_inputs(x, m, steps)[0])
+                    eager = model.plan_forward(**model.plan_inputs(x, m, steps))
                 assert served.dtype == np.dtype(dtype)
                 np.testing.assert_array_equal(served, eager, err_msg=str(start))
         counters = registry.snapshot()["counters"]
@@ -334,25 +337,31 @@ class TestIntervalBoundaries:
         assert counters.get('serve/engine_exec_mode{mode="eager"}', 0) == 0
 
     def test_check_plan_verifies_every_signature(self, rihgcn_bundle):
+        """``check_plan`` replays its one plan at another step of the day."""
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["compiled"] and result["verified"] is True, result["reason"]
-        assert result["signature"] == () and result["plans"] == 1
+        assert "signature" not in result and "plans" not in result
         assert result["max_abs_diff"] == 0.0
-        # One plan: the sums are that plan's own cold cost.
         assert result["compile_seconds"] == result["stats"]["compile_seconds"] > 0
         assert result["trace_seconds"] == result["stats"]["trace_seconds"] > 0
         unverified = check_plan(rihgcn_bundle, seed=3, verify=False)
-        assert unverified["plans"] == 1
+        assert "max_abs_diff" not in unverified
         assert unverified["compile_seconds"] == unverified["stats"]["compile_seconds"]
         assert unverified["trace_seconds"] == unverified["stats"]["trace_seconds"]
 
     def test_check_plan_names_a_position_dependent_signature(
         self, rihgcn_bundle, monkeypatch
     ):
+        """A branch on the interval weights fails ``check_plan``, and the
+        reason names the step it compiled at and the step it diverged at."""
         _per_step_skip(monkeypatch)
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["compiled"] and result["verified"] is False
-        assert "signature ()" in result["reason"]
+        compiled_at, replayed_at = (
+            int(n) for n in re.findall(r"step (\d+)", result["reason"])
+        )
+        assert compiled_at != replayed_at
+        assert result["reason"].startswith(f"plan compiled at step {compiled_at} ")
         assert result["max_abs_diff"] > 0
 
 
@@ -365,11 +374,9 @@ class TestArenaLayout:
     writes, numbered in order of first write.
     """
 
-    LAYOUT = {(): "7da1f3b32da5a134"}
-    PINNED = {
-        (): dict(steps=197, view_steps=118, inplace_steps=12,
-                 buffers=34, arena_bytes=21160, naive_bytes=103472),
-    }
+    LAYOUT = "7da1f3b32da5a134"
+    PINNED = dict(steps=197, view_steps=118, inplace_steps=12,
+                  buffers=34, arena_bytes=21160, naive_bytes=103472)
 
     @staticmethod
     def _layout(plan) -> str:
@@ -390,16 +397,15 @@ class TestArenaLayout:
         rng = np.random.default_rng(0)
         with dtype_policy(np.float32):
             model = build_model("RIHGCN", tiny_ctx)
-            plans = {}
+            runtime = PlanRuntime(model, MetricRegistry(), Tracer())
             for start in range(spd):
-                inputs, signature = _window_inputs(model, start, spd, rng)
-                if signature not in plans:
-                    plans[signature] = trace(model.plan_forward, inputs)[0]
-        assert set(plans) == set(self.PINNED)
-        for signature, pinned in self.PINNED.items():
-            got = {key: getattr(plans[signature].stats, key) for key in pinned}
-            assert got == pinned, signature
-            assert self._layout(plans[signature]) == self.LAYOUT[signature], signature
+                runtime.predict(*_window(model, start, spd, rng))
+        # Every start step of the day maps to the one batch-1 key.
+        ((_key, entry),) = runtime._entries.items()
+        assert entry.state == "ready"
+        got = {key: getattr(entry.plan.stats, key) for key in self.PINNED}
+        assert got == self.PINNED
+        assert self._layout(entry.plan) == self.LAYOUT
 
 
 class TestSharedArena:
@@ -422,7 +428,7 @@ class TestSharedArena:
                     x, m, steps = _window(model, start, spd, rng, batch=batch)
                     replayed = runtime.predict(x, m, steps)
                     with inference_mode():
-                        eager = model.plan_forward(**model.plan_inputs(x, m, steps)[0])
+                        eager = model.plan_forward(**model.plan_inputs(x, m, steps))
                     assert replayed.dtype == np.dtype(dtype)
                     np.testing.assert_array_equal(replayed, eager, err_msg=str(batch))
             snapshot = runtime.snapshot()
@@ -437,11 +443,10 @@ class TestSharedArena:
     def test_check_plan_reports_one_arena_for_the_day(self, rihgcn_bundle):
         result = check_plan(rihgcn_bundle, seed=3)
         assert result["verified"] is True, result["reason"]
-        assert result["plans"] == 1
         model = rihgcn_bundle.model
         spd = rihgcn_bundle.data_config.steps_per_day
         rng = np.random.default_rng(0)
-        plan, _ = trace(model.plan_forward, _window_inputs(model, 0, spd, rng)[0])
+        plan, _ = trace(model.plan_forward, _window_inputs(model, 0, spd, rng))
         # The day's one plan owns the whole arena.
         assert result["arena_bytes"] == plan.stats.arena_bytes
         unverified = check_plan(rihgcn_bundle, seed=3, verify=False)

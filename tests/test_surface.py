@@ -247,9 +247,10 @@ def test_unimported_exports_list_is_current():
     assert not stale, f"stale UNIMPORTED_EXPORTS entries: {stale}"
 
 
-#: Modules a serving process must not load: scipy and networkx are heavy,
-#: and the rest were only ever loaded by accident (the stdlib HTTP server
-#: and client, the weight draws of a bundle rebuild, ``np.unique``).
+#: Modules a serving process must not load: scipy and networkx are heavy
+#: (and no dependency), and the rest were only ever loaded by accident
+#: (the stdlib HTTP server and client, the weight draws of a bundle
+#: rebuild, ``np.unique``).
 UNSERVED = (
     "scipy", "networkx", "numpy.random", "numpy.ma",
     "http.server", "http.client", "email", "ssl",
@@ -257,7 +258,8 @@ UNSERVED = (
 
 #: ``repro`` modules (and their submodules) a served forecast must not
 #: load: the cluster and load generator, experiment and training code,
-#: imputers, series distances and the dataset simulators.
+#: imputers, series distances, the dataset simulators and the missing
+#: patterns.
 UNSERVED_REPRO = (
     "repro.serve.cluster", "repro.serve.loadgen",
     *(f"repro.experiments.{name}" for name in
@@ -265,7 +267,7 @@ UNSERVED_REPRO = (
     "repro.training", "repro.optim", "repro.imputation", "repro.distances",
     *(f"repro.datasets.{name}" for name in
       ("pems", "stampede", "traffic", "network", "loader", "windows", "dataset",
-       "csv_loader")),
+       "csv_loader", "missing")),
 )
 
 #: The model modules a RIHGCN bundle runs; every other one is unserved.
@@ -276,7 +278,7 @@ RIHGCN_MODULES = (
 
 #: ``repro`` modules a forecast served through ``repro serve`` loads at
 #: most (113 when every package ``__init__`` imported all it exported).
-SERVED_MODULE_LIMIT = 56
+SERVED_MODULE_LIMIT = 55
 
 
 def _modules_after(code: str) -> set[str]:
@@ -303,6 +305,24 @@ def _unserved_repro(loaded: set[str], used_models: tuple[str, ...]) -> list[str]
         if any(module == p or module.startswith(p + ".") for p in UNSERVED_REPRO)
         or module in unused_models
     )
+
+
+#: The top-level packages a ``repro`` module may import besides the
+#: standard library: ``pyproject.toml`` lists numpy alone.
+RUNTIME_PACKAGES = ("numpy", "repro")
+
+
+def test_the_runtime_imports_only_the_standard_library_and_numpy():
+    # Imports inside functions count: an optional import is still a
+    # dependency the package does not declare.
+    allowed = {*RUNTIME_PACKAGES, *sys.stdlib_module_names}
+    foreign = sorted(
+        f"{importer} imports {module}"
+        for importer in MODULES
+        for module, _ in _imports(_parse(importer), importer)
+        if module.partition(".")[0] not in allowed
+    )
+    assert not foreign, foreign
 
 
 def test_serving_imports_leave_scipy_and_networkx_unloaded():
@@ -386,14 +406,7 @@ def test_a_forecast_served_through_the_cli_loads_only_serving_modules(rihgcn_bun
     assert len(served) <= SERVED_MODULE_LIMIT, served
 
 
-def test_sparse_chebconv_and_simulators_load_them_on_demand():
-    loaded = _loaded_after(
-        "import numpy as np\n"
-        "from repro.graphs import chebyshev_polynomials\n"
-        "from repro.nn import ChebConv\n"
-        "ChebConv(2, 3, chebyshev_polynomials(np.eye(4), 2), sparse=True)\n"
-    )
-    assert (loaded["scipy"], loaded["networkx"]) == (True, False)
+def test_simulators_load_neither_scipy_nor_networkx():
     # The simulators build their road graphs without networkx.
     loaded = _loaded_after(
         "from repro.datasets import make_pems_dataset, make_stampede_dataset\n"
